@@ -4,6 +4,9 @@ Subcommands: ``kfun`` (single minimizer queries), ``table`` (value tables),
 ``spectrum`` (spectrum algebra for a product expression), ``bound``
 (interval reports with provenance), ``verify`` (bulk invariant sweeps).
 
+Every handler returns one ``Output`` record that holds its result in all
+three formats; ``run`` prints the one ``--format`` selects.
+
 Exit codes: 0 success, 1 domain error (violated precondition or oracle
 cap), 2 parse error (argv or expression grammar), 3 verification failure.
 """
@@ -11,19 +14,51 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, kfun, spectra, verify
-from .errors import CapExceededError, CoisocapError, ExprParseError, OutOfRangeError
+from .errors import CoisocapError, ExprParseError
 from .expr import format_product, parse_area, parse_product
 from .spectra import format_pi
 
 
 class UsageError(CoisocapError, ValueError):
     """Malformed argument values (maps to exit code 2)."""
+
+
+# ---------------------------------------------------------------------------
+# The result record and its printers
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Output:
+    """One invocation's result in every output format, with its exit code."""
+
+    text: list[str]
+    json: dict
+    csv_header: list[str]
+    csv_rows: list[list]
+    code: int = 0
+
+
+def _print_text(out: Output) -> None:
+    sys.stdout.write("".join(f"{line}\n" for line in out.text))
+
+
+def _print_json(out: Output) -> None:
+    print(json.dumps(out.json, indent=2))
+
+
+def _print_csv(out: Output) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(out.csv_header)
+    writer.writerows(out.csv_rows)
+
+
+_PRINTERS = {"text": _print_text, "json": _print_json, "csv": _print_csv}
 
 
 # ---------------------------------------------------------------------------
@@ -34,12 +69,11 @@ def _rat_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator, "unit": "pi"}
 
 
-def _extrat_json(x: spectra.ExtRat):
-    return "inf" if not x.is_finite else _rat_json(x.value)
-
-
-def _extnat_json(x: kfun.ExtNat):
-    return "inf" if not x.is_finite else x.value
+def _ext_json(x: kfun.ExtNat | spectra.ExtRat):
+    """"inf", a count (ExtNat) or a rational multiple of pi (ExtRat)."""
+    if not x.is_finite:
+        return "inf"
+    return _rat_json(x.value) if isinstance(x, spectra.ExtRat) else x.value
 
 
 def _witness_json(dec: kfun.Decomposition | None):
@@ -58,71 +92,54 @@ def _citations_json(cites) -> list[dict]:
     return [{"id": c.id, "statement": c.statement} for c in cites]
 
 
-def _interval_json(interval: bounds.BoundInterval) -> dict:
-    return {"lower": _extrat_json(interval.lower), "upper": _extrat_json(interval.upper)}
-
-
-def _provenance_json(interval: bounds.BoundInterval) -> dict:
-    return {
-        "lower": _citations_json(interval.lower_prov),
-        "upper": _citations_json(interval.upper_prov),
-    }
-
-
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _print_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
+def _int_at_least(lo: int):
+    """argparse type for an integer >= lo."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+# Usage errors per subcommand: (K given a d, keq or kk given none).
+_D_USAGE = {
+    "kfun": ("kfun K takes no d argument", "kfun {} requires a d argument"),
+    "table": ("table K takes no --d", "table {} requires --d"),
+}
+
+
+def _parse_d(fn: str, text: str | None, command: str):
+    """The d of a query on ``fn``: None for K, an integer for keq and a
+    rational for kk (and for the squeeze bound, which is kk's)."""
+    if fn == "K":
+        if text is not None:
+            raise UsageError(_D_USAGE[command][0])
+        return None
+    if text is None:
+        raise UsageError(_D_USAGE[command][1].format(fn))
     try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
-    return value
-
-
-def _parse_int_arg(text: str, name: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise UsageError(f"{name} must be an integer, got {text!r}") from exc
-
-
-def _parse_rational_arg(text: str, name: str) -> Fraction:
-    try:
-        return Fraction(text)
+        return int(text) if fn == "keq" else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{name} must be a rational like 9/2, got {text!r}") from exc
+        kind = "an integer" if fn == "keq" else "a rational like 9/2"
+        raise UsageError(f"d must be {kind}, got {text!r}") from exc
 
 
-def _add_format(parser: argparse.ArgumentParser, default: str) -> None:
+def _add_output(parser: argparse.ArgumentParser, handler, default: str) -> None:
+    """The ``--format`` option, and the handler whose Output it prints."""
+    parser.set_defaults(handler=handler)
     parser.add_argument(
         "--format",
-        choices=("text", "json", "csv"),
+        choices=tuple(_PRINTERS),
         default=default,
         help=f"output format (default: {default})",
     )
@@ -134,46 +151,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact capacity minimizers, spectrum algebra, and certified bound intervals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive, nonneg = _int_at_least(1), _int_at_least(0)
 
     p_kfun = sub.add_parser("kfun", help="single minimizer query")
     p_kfun.add_argument("fn", choices=("K", "keq", "kk"))
-    p_kfun.add_argument("n", type=_positive_int)
+    p_kfun.add_argument("n", type=positive)
     p_kfun.add_argument("d", nargs="?", default=None)
-    _add_format(p_kfun, "text")
-    p_kfun.set_defaults(handler=_handle_kfun)
+    _add_output(p_kfun, _handle_kfun, "text")
 
     p_table = sub.add_parser("table", help="value table over a range of n")
     p_table.add_argument("fn", choices=("K", "keq", "kk"))
-    p_table.add_argument("start", type=_positive_int)
-    p_table.add_argument("stop", type=_positive_int)
+    p_table.add_argument("start", type=positive)
+    p_table.add_argument("stop", type=positive)
     p_table.add_argument("--d", default=None, help="fixed d for keq/kk tables")
-    _add_format(p_table, "text")
-    p_table.set_defaults(handler=_handle_table)
+    _add_output(p_table, _handle_table, "text")
 
     p_spec = sub.add_parser("spectrum", help="spectrum algebra for a product expression")
     p_spec.add_argument("expr")
-    _add_format(p_spec, "text")
-    p_spec.set_defaults(handler=_handle_spectrum)
+    _add_output(p_spec, _handle_spectrum, "text")
 
     p_bound = sub.add_parser("bound", help="certified bound intervals")
     bound_sub = p_bound.add_subparsers(dest="kind", required=True)
 
     p_energy = bound_sub.add_parser("energy", help="displacement energy of a product")
     p_energy.add_argument("expr")
-    _add_format(p_energy, "json")
-    p_energy.set_defaults(handler=_handle_energy)
+    _add_output(p_energy, _handle_energy, "json")
 
     p_capacity = bound_sub.add_parser("capacity", help="regular coisotropic capacity of the ball")
-    p_capacity.add_argument("n", type=_positive_int)
-    p_capacity.add_argument("d", type=_nonneg_int)
-    _add_format(p_capacity, "json")
-    p_capacity.set_defaults(handler=_handle_capacity)
+    p_capacity.add_argument("n", type=positive)
+    p_capacity.add_argument("d", type=nonneg)
+    _add_output(p_capacity, _handle_capacity, "json")
 
     p_squeeze = bound_sub.add_parser("squeeze", help="squeezing constant of the ball")
-    p_squeeze.add_argument("n", type=_positive_int)
+    p_squeeze.add_argument("n", type=positive)
     p_squeeze.add_argument("d")
-    _add_format(p_squeeze, "json")
-    p_squeeze.set_defaults(handler=_handle_squeeze)
+    _add_output(p_squeeze, _handle_squeeze, "json")
 
     p_width = bound_sub.add_parser("width", help="energy of a ball via its Gromov width")
     p_width.add_argument("area")
@@ -182,15 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stabilize by a closed aspherical factor",
     )
-    _add_format(p_width, "json")
-    p_width.set_defaults(handler=_handle_width)
+    _add_output(p_width, _handle_width, "json")
 
     p_verify = sub.add_parser("verify", help="bulk invariant sweeps")
     p_verify.add_argument("suite", choices=verify.SUITES)
-    p_verify.add_argument("--nmax", type=_positive_int, required=True)
-    p_verify.add_argument("--dmax", type=_nonneg_int, default=None)
-    _add_format(p_verify, "text")
-    p_verify.set_defaults(handler=_handle_verify)
+    p_verify.add_argument("--nmax", type=positive, required=True)
+    p_verify.add_argument("--dmax", type=nonneg, default=None)
+    _add_output(p_verify, _handle_verify, "text")
 
     return parser
 
@@ -199,261 +209,191 @@ def build_parser() -> argparse.ArgumentParser:
 # Handlers
 # ---------------------------------------------------------------------------
 
-def _kfun_row(fn: str, n: int, d) -> tuple[str, kfun.WitnessedValue]:
+_KFUN_COLUMNS = ["n", "d", "value", "witness"]
+
+
+def _kfun_row(fn: str, n: int, d) -> tuple[str, dict, dict]:
+    """One minimizer value: its text line, its CSV cells by column and its
+    JSON value and witness."""
     if fn == "K":
-        return f"K({n})", kfun.big_k(n)
-    if fn == "keq":
-        return f"keq({n},{d})", kfun.keq(n, d)
-    return f"kk({n},{d})", kfun.kk(n, d)
-
-
-def _value_line(label: str, result: kfun.WitnessedValue) -> str:
-    if result.witness is None:
-        return f"{label} = {result.value}"
-    return f"{label} = {result.value}, witness {result.witness}"
-
-
-def _handle_kfun(args) -> int:
-    fn = args.fn
-    if fn == "K":
-        if args.d is not None:
-            raise UsageError("kfun K takes no d argument")
-        d = None
-    elif args.d is None:
-        raise UsageError(f"kfun {fn} requires a d argument")
+        label, result = f"K({n})", kfun.big_k(n)
     elif fn == "keq":
-        d = _parse_int_arg(args.d, "d")
+        label, result = f"keq({n},{d})", kfun.keq(n, d)
     else:
-        d = _parse_rational_arg(args.d, "d")
-
-    label, result = _kfun_row(fn, args.n, d)
-    query = f"kfun {fn} {args.n}" + ("" if d is None else f" {d}")
-    if args.format == "text":
-        print(_value_line(label, result))
-    elif args.format == "json":
-        _print_json({
-            "query": query,
-            "value": _extnat_json(result.value),
-            "witness": _witness_json(result.witness),
-            "provenance": [],
-            "notes": [],
-        })
+        label, result = f"kk({n},{d})", kfun.kk(n, d)
+    value = str(result.value)
+    if result.witness is None:
+        line, witness = f"{label} = {value}", ""
     else:
-        header = ["n", "d", "value", "witness"]
-        row = [args.n, "" if d is None else str(d), str(result.value),
-               "" if result.witness is None else str(result.witness)]
-        _print_csv(header, [row])
-    return 0
+        witness = str(result.witness)
+        line = f"{label} = {value}, witness {witness}"
+    cells = {"n": n, "d": "" if d is None else str(d), "value": value, "witness": witness}
+    fields = {"value": _ext_json(result.value), "witness": _witness_json(result.witness)}
+    return line, cells, fields
 
 
-def _handle_table(args) -> int:
-    fn = args.fn
+def _handle_kfun(args) -> Output:
+    d = _parse_d(args.fn, args.d, "kfun")
+    line, cells, fields = _kfun_row(args.fn, args.n, d)
+    query = f"kfun {args.fn} {args.n}" + ("" if d is None else f" {d}")
+    return Output(
+        [line],
+        {"query": query, **fields, "provenance": [], "notes": []},
+        _KFUN_COLUMNS,
+        [[cells[c] for c in _KFUN_COLUMNS]],
+    )
+
+
+def _handle_table(args) -> Output:
     if args.stop < args.start:
         raise UsageError("table requires start <= stop")
-    if fn == "K":
-        if args.d is not None:
-            raise UsageError("table K takes no --d")
-        d = None
-    elif args.d is None:
-        raise UsageError(f"table {fn} requires --d")
-    elif fn == "keq":
-        d = _parse_int_arg(args.d, "d")
-    else:
-        d = _parse_rational_arg(args.d, "d")
-
-    rows = []
-    for n in range(args.start, args.stop + 1):
-        label, result = _kfun_row(fn, n, d)
-        rows.append((n, label, result))
-
-    query = f"table {fn} {args.start} {args.stop}" + ("" if d is None else f" --d {d}")
-    if args.format == "text":
-        for _, label, result in rows:
-            print(_value_line(label, result))
-    elif args.format == "json":
-        payload_rows = []
-        for n, _, result in rows:
-            entry = {"n": n}
-            if d is not None:
-                entry["d"] = str(d)
-            entry["value"] = _extnat_json(result.value)
-            entry["witness"] = _witness_json(result.witness)
-            payload_rows.append(entry)
-        _print_json({"query": query, "rows": payload_rows, "notes": []})
-    else:
-        if d is None:
-            header = ["n", "value", "witness"]
-            data = [
-                [n, str(r.value), "" if r.witness is None else str(r.witness)]
-                for n, _, r in rows
-            ]
-        else:
-            header = ["n", "d", "value", "witness"]
-            data = [
-                [n, str(d), str(r.value), "" if r.witness is None else str(r.witness)]
-                for n, _, r in rows
-            ]
-        _print_csv(header, data)
-    return 0
+    d = _parse_d(args.fn, args.d, "table")
+    rows = [_kfun_row(args.fn, n, d) for n in range(args.start, args.stop + 1)]
+    query = f"table {args.fn} {args.start} {args.stop}" + ("" if d is None else f" --d {d}")
+    d_entry = {} if d is None else {"d": str(d)}
+    columns = _KFUN_COLUMNS if d is not None else [c for c in _KFUN_COLUMNS if c != "d"]
+    return Output(
+        [line for line, _, _ in rows],
+        {
+            "query": query,
+            "rows": [{"n": cells["n"], **d_entry, **fields} for _, cells, fields in rows],
+            "notes": [],
+        },
+        columns,
+        [[cells[c] for c in columns] for _, cells, _ in rows],
+    )
 
 
-def _handle_spectrum(args) -> int:
+def _handle_spectrum(args) -> Output:
     obj = parse_product(args.expr)
     spectrum = spectra.product_spectrum(obj)
     min_action = spectra.minimal_action(spectrum)
     split_action = spectra.split_min_action(obj)
     notes = spectra.assumption_notes(obj)
-    query = f"spectrum {format_product(obj)}"
-    if args.format == "text":
-        print(f"object: {format_product(obj)}")
-        print(f"product spectrum: {spectrum}")
-        print(f"minimal action: {min_action}")
-        print(f"split minimal action: {split_action}")
-        for note in notes:
-            print(f"note: {note}")
-    elif args.format == "json":
-        _print_json({
-            "query": query,
+    name = format_product(obj)
+    return Output(
+        [
+            f"object: {name}",
+            f"product spectrum: {spectrum}",
+            f"minimal action: {min_action}",
+            f"split minimal action: {split_action}",
+            *(f"note: {note}" for note in notes),
+        ],
+        {
+            "query": f"spectrum {name}",
             "value": {
                 "product_spectrum": _spectrum_json(spectrum),
-                "minimal_action": _extrat_json(min_action),
-                "split_min_action": _extrat_json(split_action),
+                "minimal_action": _ext_json(min_action),
+                "split_min_action": _ext_json(split_action),
             },
             "witness": None,
             "provenance": [],
             "notes": notes,
-        })
-    else:
-        _print_csv(
-            ["object", "product_spectrum", "minimal_action", "split_min_action"],
-            [[format_product(obj), str(spectrum), str(min_action), str(split_action)]],
-        )
-    return 0
+        },
+        ["object", "product_spectrum", "minimal_action", "split_min_action"],
+        [[name, str(spectrum), str(min_action), str(split_action)]],
+    )
 
 
-def _emit_interval(query: str, interval: bounds.BoundInterval, fmt: str,
-                   witness: kfun.Decomposition | None = None,
-                   notes: list[str] | None = None) -> int:
-    notes = notes or []
-    if fmt == "text":
-        print(f"{query}: [{interval.lower}, {interval.upper}]")
-        lo = ", ".join(c.id for c in interval.lower_prov) or "<trivial>"
-        hi = ", ".join(c.id for c in interval.upper_prov) or "<trivial>"
-        print(f"  lower: {lo}")
-        print(f"  upper: {hi}")
-        if witness is not None:
-            print(f"  witness: {witness}")
-        for note in notes:
-            print(f"  note: {note}")
-    elif fmt == "json":
-        _print_json({
+def _interval_output(query: str, interval: bounds.BoundInterval,
+                     witness: kfun.Decomposition | None = None,
+                     notes: list[str] = ()) -> Output:
+    lower_ids = [c.id for c in interval.lower_prov]
+    upper_ids = [c.id for c in interval.upper_prov]
+    witness_text = "" if witness is None else str(witness)
+    text = [
+        f"{query}: [{interval.lower}, {interval.upper}]",
+        f"  lower: {', '.join(lower_ids) or '<trivial>'}",
+        f"  upper: {', '.join(upper_ids) or '<trivial>'}",
+    ]
+    if witness is not None:
+        text.append(f"  witness: {witness_text}")
+    text += [f"  note: {note}" for note in notes]
+    return Output(
+        text,
+        {
             "query": query,
-            "interval": _interval_json(interval),
+            "interval": {"lower": _ext_json(interval.lower), "upper": _ext_json(interval.upper)},
             "witness": _witness_json(witness),
-            "provenance": _provenance_json(interval),
-            "notes": notes,
-        })
-    else:
-        _print_csv(
-            ["query", "lower", "upper", "lower_provenance", "upper_provenance", "witness"],
-            [[
-                query,
-                str(interval.lower),
-                str(interval.upper),
-                ";".join(c.id for c in interval.lower_prov),
-                ";".join(c.id for c in interval.upper_prov),
-                "" if witness is None else str(witness),
-            ]],
-        )
-    return 0
+            "provenance": {
+                "lower": _citations_json(interval.lower_prov),
+                "upper": _citations_json(interval.upper_prov),
+            },
+            "notes": list(notes),
+        },
+        ["query", "lower", "upper", "lower_provenance", "upper_provenance", "witness"],
+        [[
+            query,
+            str(interval.lower),
+            str(interval.upper),
+            ";".join(lower_ids),
+            ";".join(upper_ids),
+            witness_text,
+        ]],
+    )
 
 
-def _handle_energy(args) -> int:
+def _handle_energy(args) -> Output:
     obj = parse_product(args.expr)
-    interval = bounds.energy_bounds(obj)
-    return _emit_interval(
+    return _interval_output(
         f"bound energy {format_product(obj)}",
-        interval,
-        args.format,
+        bounds.energy_bounds(obj),
         notes=spectra.assumption_notes(obj),
     )
 
 
-def _handle_capacity(args) -> int:
+def _handle_capacity(args) -> Output:
     interval = bounds.capacity_bounds(args.n, args.d)
     witness = kfun.keq(args.n, args.d).witness
-    return _emit_interval(
-        f"bound capacity {args.n} {args.d}", interval, args.format, witness=witness
-    )
+    return _interval_output(f"bound capacity {args.n} {args.d}", interval, witness)
 
 
-def _handle_squeeze(args) -> int:
-    d = _parse_rational_arg(args.d, "d")
+def _handle_squeeze(args) -> Output:
+    d = _parse_d("kk", args.d, "bound squeeze")
     interval = bounds.squeeze_bounds(args.n, d)
     witness = kfun.kk(args.n, d).witness
-    return _emit_interval(
-        f"bound squeeze {args.n} {d}", interval, args.format, witness=witness
-    )
+    return _interval_output(f"bound squeeze {args.n} {d}", interval, witness)
 
 
-def _handle_width(args) -> int:
+def _handle_width(args) -> Output:
     area = parse_area(args.area)
     interval = bounds.width_energy_bound(area, args.closed_factor)
     query = f"bound width {format_pi(area)}"
     if args.closed_factor:
         query += " --closed-factor"
-    return _emit_interval(query, interval, args.format)
+    return _interval_output(query, interval)
 
 
-def _handle_verify(args) -> int:
+_CHECK_COLUMNS = ["name", "range", "pass_count", "fail_count", "first_failure"]
+
+
+def _handle_verify(args) -> Output:
     report = verify.run_suite(args.suite, args.nmax, args.dmax)
     query = f"verify {args.suite} --nmax {args.nmax}"
     if args.dmax is not None:
         query += f" --dmax {args.dmax}"
-    if args.format == "text":
-        for check in report.checks:
-            line = (
-                f"check {check.name} [{check.range_desc}]"
-                f" pass={check.pass_count} fail={check.fail_count}"
-            )
-            if check.first_failure is not None:
-                line += f" first_failure={check.first_failure}"
-            print(line)
-        status = "ok" if report.ok else "FAILED"
-        print(f"verify {args.suite}: {status}"
-              f" ({report.fail_count} failures, {report.wall_time_ms} ms)")
-    elif args.format == "json":
-        _print_json({
-            "query": query,
-            "checks": [
-                {
-                    "name": c.name,
-                    "range": c.range_desc,
-                    "pass_count": c.pass_count,
-                    "fail_count": c.fail_count,
-                    "first_failure": None
-                    if c.first_failure is None
-                    else [str(x) for x in c.first_failure],
-                }
-                for c in report.checks
-            ],
-            "wall_time_ms": report.wall_time_ms,
-        })
-    else:
-        _print_csv(
-            ["name", "range", "pass_count", "fail_count", "first_failure"],
-            [
-                [
-                    c.name,
-                    c.range_desc,
-                    c.pass_count,
-                    c.fail_count,
-                    "" if c.first_failure is None else str(c.first_failure),
-                ]
-                for c in report.checks
-            ],
-        )
-    return 0 if report.ok else 3
+    text, checks, rows = [], [], []
+    for c in report.checks:
+        cells = [c.name, c.range_desc, c.pass_count, c.fail_count]
+        line = f"check {c.name} [{c.range_desc}] pass={c.pass_count} fail={c.fail_count}"
+        if c.first_failure is None:
+            failure_json, failure = None, ""
+        else:
+            failure_json, failure = [str(x) for x in c.first_failure], str(c.first_failure)
+            line += f" first_failure={failure}"
+        text.append(line)
+        checks.append(dict(zip(_CHECK_COLUMNS, cells + [failure_json])))
+        rows.append(cells + [failure])
+    status = "ok" if report.ok else "FAILED"
+    text.append(f"verify {args.suite}: {status}"
+                f" ({report.fail_count} failures, {report.wall_time_ms} ms)")
+    return Output(
+        text,
+        {"query": query, "checks": checks, "wall_time_ms": report.wall_time_ms},
+        _CHECK_COLUMNS,
+        rows,
+        0 if report.ok else 3,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +408,12 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
-    except (ExprParseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OutOfRangeError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        out = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ExprParseError, UsageError)) else 1
+    _PRINTERS[args.format](out)
+    return out.code
 
 
 def main() -> None:

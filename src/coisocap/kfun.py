@@ -29,6 +29,9 @@ from .errors import CapExceededError, OutOfRangeError
 
 DEFAULT_ORACLE_CAP = 12
 ORACLE_CAP_ENV = "COISOCAP_ORACLE_CAP"
+# Largest n the square-sum table is built for: its list and its O(n^1.5)
+# run time (about two minutes at 10**6) grow without bound otherwise.
+BIG_K_NMAX = 10**6
 
 Rational = Union[int, Fraction]
 
@@ -209,6 +212,8 @@ def big_k_table(nmax: int) -> tuple[int, ...]:
     _require_int(nmax, "nmax")
     if nmax < 0:
         raise OutOfRangeError("nmax must be >= 0")
+    if nmax > BIG_K_NMAX:
+        raise OutOfRangeError(f"nmax must be <= {BIG_K_NMAX} (the K table size limit)")
     table = [0] * (nmax + 1)
     for m in range(1, nmax + 1):
         best = table[m - 1] + 1

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -214,17 +215,34 @@ def test_verify_bad_nmax_is_parse_error(capsys):
     assert code == 2
 
 
-def test_verify_reports_failures_with_exit_3(capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_reports_failures_with_exit_3(capsys, monkeypatch, fmt):
     def broken_kk(n, d):
         return kfun.WitnessedValue(
             kfun.ExtNat(1), kfun.Decomposition.from_pairs([kfun.Pair(1, n)])
         )
 
     monkeypatch.setattr(kfun, "kk", broken_kk)
-    code, out, _ = invoke(capsys, "verify", "kfun-props", "--nmax", "4")
+    code, out, _ = invoke(capsys, "verify", "kfun-props", "--nmax", "4", "--format", fmt)
     assert code == 3
-    assert "FAILED" in out
-    assert "first_failure=" in out
+    if fmt == "text":
+        assert "FAILED" in out
+        assert "first_failure=" in out
+    elif fmt == "json":
+        failed = [c for c in json.loads(out)["checks"] if c["fail_count"]]
+        assert failed and all(c["first_failure"] for c in failed)
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        failed = [r for r in rows if r["fail_count"] != "0"]
+        assert failed and all(r["first_failure"] for r in failed)
+
+
+def test_k_above_the_table_limit_is_a_domain_error(capsys):
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "kfun", "K", "1000000000000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err == f"error: nmax must be <= {kfun.BIG_K_NMAX} (the K table size limit)\n"
 
 
 # ---------------------------------------------------------------------------
