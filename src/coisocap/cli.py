@@ -70,7 +70,7 @@ def _rat_json(q: Fraction) -> dict:
 
 
 def _ext_json(x: kfun.ExtNat | spectra.ExtRat):
-    """"inf", a count (ExtNat) or a rational multiple of pi (ExtRat)."""
+    """Infinity as "inf", else a count (ExtNat) or a multiple of pi (ExtRat)."""
     if not x.is_finite:
         return "inf"
     return _rat_json(x.value) if isinstance(x, spectra.ExtRat) else x.value
@@ -297,7 +297,7 @@ def _handle_spectrum(args) -> Output:
 
 def _interval_output(query: str, interval: bounds.BoundInterval,
                      witness: kfun.Decomposition | None = None,
-                     notes: list[str] = ()) -> Output:
+                     notes: tuple[str, ...] | list[str] = ()) -> Output:
     lower_ids = [c.id for c in interval.lower_prov]
     upper_ids = [c.id for c in interval.upper_prov]
     witness_text = "" if witness is None else str(witness)
