@@ -10,6 +10,14 @@ Three integer minimization problems over multisets of pairs (k, n) with
 * ``kk(n, d)``: the relaxed variant,  sum(k*n) >= n  and
   sum(k*(2n - k)) <= floor(d).
 
+All three are one square-mass problem.  A pair (k, k + t) has weight
+k*k + k*t and dimension k*k + 2*k*t, so parts k with square mass
+q = sum(k*k) and slack r = sum(k*t) give weight q + r and dimension q + 2r.
+``keq`` and ``kk`` search, by iterative deepening on the cost, the cheapest
+parts whose square mass lies in the query's range and whose slack range
+holds a sum of multiples of the parts; ``big_k`` is the case r = 0 and
+takes its value from a dynamic program over 0..n.
+
 Every finite value comes with a witness decomposition; infeasible instances
 yield infinity, never an error.  ``keq_naive``/``kk_naive`` are independent
 exhaustive-enumeration oracles for cross-checking, capped at small inputs.
@@ -18,6 +26,7 @@ All arithmetic is exact (Python integers / fractions.Fraction).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -202,7 +211,7 @@ def _from_key(key: tuple[tuple[int, int], ...]) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# Square-sum minimizer (dynamic program)
+# Square-mass kernel (see the module docstring)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
@@ -229,46 +238,136 @@ def big_k_table(nmax: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _lexmin_square_parts(n: int, cost: int) -> tuple[int, ...] | None:
-    """Smallest (by the canonical tie-break) descending part tuple with
-    square sum n and part sum cost.  Backtracking over candidate largest
-    parts in ascending order; dead states are memoized."""
-    if n == 0:
-        return () if cost == 0 else None
+def _square_parts(cost: int, q_lo: int, q_hi: int, cap: int):
+    """Descending part tuples with parts <= cap, part sum ``cost`` and
+    square sum in [q_lo, q_hi], in ascending lexicographic order."""
+    if cost == 0:
+        if q_lo <= 0 <= q_hi:
+            yield ()
+        return
+    # Parts <= cap summing to cost have a square sum of the parity of cost
+    # between cost (all ones) and ``top`` (as many parts cap as fit).
+    top = (cost // cap) * cap * cap + (cost % cap) ** 2
+    lo, hi = max(q_lo, cost), min(q_hi, top)
+    if lo + (lo - cost) % 2 > hi:
+        return
+    # The square sum is at most (largest part) * cost.
+    for k in range(max(1, _ceil_div(q_lo, cost)), min(cap, cost, math.isqrt(q_hi)) + 1):
+        if k == 1:
+            yield (1,) * cost
+            continue
+        for rest in _square_parts(cost - k, q_lo - k * k, q_hi - k * k, k):
+            yield (k,) + rest
 
-    def viable(m: int, b: int, cap: int) -> bool:
-        # Necessary: parts >= 1 give b <= m, parts <= cap give m <= b*cap.
-        return 0 < b <= m <= b * cap
 
-    root_cap = math.isqrt(n)
-    if not viable(n, cost, root_cap):
-        return None
-    dead: set[tuple[int, int, int]] = set()
-    frames: list[list[int]] = [[n, cost, root_cap, 1]]
-    chosen: list[int] = []
-    while frames:
-        m, b, cap, k = frames[-1]
-        kmax = min(cap, math.isqrt(m))
-        descended = False
-        while k <= kmax:
-            nxt = k + 1
-            if k * b >= m:  # with parts <= k the square sum can still reach m
-                m2, b2 = m - k * k, b - k
-                if m2 == 0 and b2 == 0:
-                    return tuple(chosen) + (k,)
-                if viable(m2, b2, k) and (m2, b2, k) not in dead:
-                    frames[-1][3] = nxt
-                    frames.append([m2, b2, k, 1])
-                    chosen.append(k)
-                    descended = True
-                    break
-            k = nxt
-        if not descended:
-            dead.add((m, b, cap))
-            frames.pop()
-            if chosen:
-                chosen.pop()
+@lru_cache(maxsize=256)
+def _monoid(gens: tuple[int, ...]) -> tuple[int, int, list[int]]:
+    """Membership data of the monoid of sums of multiples of ``gens``.
+
+    Returns (g, bound, counts): g is the gcd of the generators, every
+    multiple of g from ``bound`` on is a member (Schur's bound on the
+    Frobenius number of gens / g), and counts[x] is the number of members
+    below x < bound.
+    """
+    g = math.gcd(*gens)
+    bound = g * (min(gens) // g - 1) * (max(gens) // g - 1)
+    member = bytearray(bound)
+    if bound:
+        member[0] = 1
+    for a in gens:
+        for x in range(a, bound):
+            if member[x - a]:
+                member[x] = 1
+    return g, bound, [0, *itertools.accumulate(member)]
+
+
+def _meets(monoid: tuple[int, int, list[int]], lo: int, hi: int) -> bool:
+    """Whether [lo, hi] holds a member of the monoid."""
+    lo = max(lo, 0)
+    g, bound, counts = monoid
+    if hi >= bound and hi // g * g >= max(lo, bound):
+        return True
+    top = min(hi, bound - 1)
+    return lo <= top and counts[top + 1] > counts[lo]
+
+
+def _least_total(k: int, lo: int, hi: int, monoid) -> int | None:
+    """Least u >= 0 with [lo - k*u, hi - k*u] meeting the monoid, or None."""
+    if monoid is None:
+        u = max(0, _ceil_div(lo, k))
+        return u if k * u <= hi else None
+    g, bound, _ = monoid
+    # Members are multiples of g, and from the bound on every multiple of g
+    # is one.  Whether a window holds a multiple of g repeats with period
+    # g / gcd(g, k), so when the first period windows lie at or above the
+    # bound and miss, all windows miss.  Any other miss has hi - k*u below
+    # bound + g, so the loop runs at most period + (bound + g) / k + 1 times.
+    period = g // math.gcd(g, k)
+    u = 0
+    while hi - k * u >= 0:
+        if _meets(monoid, lo - k * u, hi - k * u):
+            return u
+        u += 1
+        if u == period and lo - k * u >= bound:
+            return None
     return None
+
+
+def _witness_key(parts: tuple[int, ...], lo: int, hi: int) -> tuple[tuple[int, int], ...] | None:
+    """Smallest canonical key with k column ``parts`` (descending) and slack
+    in [lo, hi]; None when no slack in the range fits the parts.
+
+    The key compares the pairs of the largest k first.  Group by group, the
+    group takes the least total slack that leaves the rest completable and
+    spreads it as evenly as it goes, larger shares first.
+    """
+    groups = [(k, len(tuple(run))) for k, run in itertools.groupby(parts)]
+    key: list[tuple[int, int]] = []
+    for i, (k, count) in enumerate(groups):
+        rest = tuple(k2 for k2, _ in groups[i + 1:])
+        total = _least_total(k, lo, hi, _monoid(rest) if rest else None)
+        if total is None:
+            return None
+        lo, hi = lo - k * total, hi - k * total
+        share, extra = divmod(total, count)
+        key += [(k, k + share + 1)] * extra + [(k, k + share)] * (count - extra)
+    return tuple(key)
+
+
+@lru_cache(maxsize=2**14)
+def _square_mass_search(
+    w_lo: int, w_hi: int, d_lo: int, d_hi: int
+) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+    """Minimal cost and smallest key with weight in [w_lo, w_hi] and
+    dimension in [d_lo, d_hi]; None when no decomposition exists.
+
+    Iterative deepening on the cost from ceil(sqrt(q_lo)): each cost scans
+    its part tuples in ascending order and stops once the largest part
+    exceeds that of the best key found.  The cache holds more than the
+    2,280 distinct queries of ``verify all --nmax 15``.
+    """
+    def slack(q: int) -> tuple[int, int]:
+        # weight q + r and dimension q + 2r within their ranges, r >= 0
+        return max(0, w_lo - q, _ceil_div(d_lo - q, 2)), min(w_hi - q, (d_hi - q) // 2)
+
+    q_lo = max(1, 2 * w_lo - d_hi)
+    q_hi = min(w_hi, d_hi, 2 * w_hi - d_lo)
+    r_lo, r_hi = slack(q_lo)
+    if q_lo > q_hi or r_lo > r_hi:
+        return None
+    # q_lo ones admit any slack, so the search ends by cost q_lo.
+    cost = _ceil_sqrt(q_lo)
+    while True:
+        best = None
+        for parts in _square_parts(cost, q_lo, q_hi, cost):
+            if best is not None and parts[0] > best[0][0]:
+                break
+            key = _witness_key(parts, *slack(sum(k * k for k in parts)))
+            if key is not None and (best is None or key < best):
+                best = key
+        if best is not None:
+            return cost, best
+        cost += 1
 
 
 def big_k(n: int) -> WitnessedValue:
@@ -278,7 +377,8 @@ def big_k(n: int) -> WitnessedValue:
     if n < 1:
         raise OutOfRangeError("n must be >= 1")
     value = big_k_table(n)[n]
-    parts = _lexmin_square_parts(n, value)
+    # the first tuple in ascending order is the smallest key
+    parts = next(_square_parts(value, n, n, value), None)
     if parts is None:  # the table value is always attained
         raise AssertionError(f"no square witness found for n={n}")
     witness = Decomposition.from_pairs(Pair(k, k) for k in parts)
@@ -309,85 +409,6 @@ def square_cost_naive(n: int) -> int:
     return best[0]
 
 
-# ---------------------------------------------------------------------------
-# Exact-constraint minimizer (branch and bound)
-# ---------------------------------------------------------------------------
-
-def _offer(best: list, cost: int, key: tuple[tuple[int, int], ...]) -> None:
-    if best[0] is None or cost < best[0] or (cost == best[0] and key < best[1]):
-        best[0], best[1] = cost, key
-
-
-def _pair_key_sorted(raw: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(raw, key=lambda t: (-t[0], -t[1])))
-
-
-def _keq_seeds(n: int, d: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Constructive feasible solutions used as starting incumbents."""
-    seeds = []
-    if n <= d <= 2 * n - 1:
-        # 2n - d pairs with k = 1: one of half-dimension d - n + 1, rest of 1.
-        raw = [(1, d - n + 1)] + [(1, 1)] * (2 * n - d - 1)
-        seeds.append((2 * n - d, _pair_key_sorted(raw)))
-    for k in range(1, math.isqrt(n) + 1):
-        if n % k == 0:
-            m = n // k
-            if m >= k and k * (2 * m - k) == d:
-                seeds.append((k, ((k, m),)))
-    for cost, key in seeds:
-        assert sum(k * m for k, m in key) == n
-        assert sum(k * (2 * m - k) for k, m in key) == d
-    return seeds
-
-
-@lru_cache(maxsize=None)
-def _search_keq(n: int, d: int) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    """Minimal cost and smallest witness for weight == n, dim == d."""
-    best: list = [None, None]
-    for cost, key in _keq_seeds(n, d):
-        _offer(best, cost, key)
-    if best[0] == 1:
-        # A cost-1 solution is a single pair (1, n) with d == 2n - 1; it is
-        # unique, so no search is needed.
-        return 1, best[1]
-
-    # Node: remaining weight W, remaining dim D, lexicographic bound
-    # (k_hi, m_hi) on the next pair, accumulated cost and pairs.
-    stack: list[tuple[int, int, int, int, int, tuple]] = [(n, d, n, n, 0, ())]
-    while stack:
-        W, D, k_hi, m_hi, cost, acc = stack.pop()
-        if W == 0:
-            if D == 0:
-                _offer(best, cost, acc)
-            continue
-        if D < W:
-            continue  # every pair contributes dim >= weight
-        q = 2 * W - D  # exact square mass the remaining pairs must carry
-        if q < 1 or q > W:
-            continue  # needs 1 <= sum(k^2) <= sum(k*m)
-        k_top = min(k_hi, math.isqrt(q))
-        if k_top < 1:
-            continue
-        # future cost >= sqrt(q) and, with every future k <= k_top, >= q/k_top
-        lb = max(_ceil_sqrt(q), _ceil_div(q, k_top))
-        if best[0] is not None and cost + lb > best[0]:
-            continue
-        slack = D - W  # remaining sum of k*(m - k)
-        for k in range(1, k_top + 1):
-            if best[0] is not None and cost + k > best[0]:
-                break
-            m_top = min(W // k, k + slack // k)
-            if k == k_hi:
-                m_top = min(m_top, m_hi)
-            for m in range(k, m_top + 1):
-                stack.append(
-                    (W - k * m, D - k * (2 * m - k), k, m, cost + k, acc + ((k, m),))
-                )
-    if best[0] is None:
-        return None
-    return best[0], best[1]
-
-
 def keq(n: int, d: int) -> WitnessedValue:
     """Minimal cost over decompositions with weight exactly n and dimension
     exactly d; infinity when no decomposition exists."""
@@ -397,78 +418,11 @@ def keq(n: int, d: int) -> WitnessedValue:
         raise OutOfRangeError("n must be >= 1")
     if d < 0:
         raise OutOfRangeError("d must be >= 0")
-    found = _search_keq(n, d)
+    found = _square_mass_search(n, n, d, d)
     if found is None:
         return WitnessedValue(NAT_INF)
     cost, key = found
     return WitnessedValue(ExtNat(cost), _from_key(key))
-
-
-# ---------------------------------------------------------------------------
-# Relaxed-constraint minimizer (branch and bound)
-# ---------------------------------------------------------------------------
-
-def _kk_seeds(n: int, dcap: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    seeds = []
-    if 2 * n - 1 <= dcap:
-        seeds.append((1, ((1, n),)))
-    elif n <= dcap:
-        raw = [(1, dcap - n + 1)] + [(1, 1)] * (2 * n - dcap - 1)
-        seeds.append((2 * n - dcap, _pair_key_sorted(raw)))
-        if n >= 9 and (dcap - n + 9) ** 2 >= 36 * n:
-            k1 = _ceil_sqrt(2 * n - dcap) + 2
-            m1 = _ceil_div(n, k1)
-            if m1 >= k1 and k1 * (2 * m1 - k1) <= dcap:
-                seeds.append((k1, ((k1, m1),)))
-    for cost, key in seeds:
-        assert sum(k * m for k, m in key) >= n
-        assert sum(k * (2 * m - k) for k, m in key) <= dcap
-    return seeds
-
-
-@lru_cache(maxsize=None)
-def _search_kk(n: int, dcap: int) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    """Minimal cost and smallest witness for weight >= n, dim <= dcap."""
-    best: list = [None, None]
-    for cost, key in _kk_seeds(n, dcap):
-        _offer(best, cost, key)
-    if best[0] == 1:
-        # Cost 1 forces a single pair (1, m) with m >= n; (1, n) is the
-        # smallest such witness and is already seeded.
-        return 1, ((1, n),)
-
-    # Node: weight still needed R (feasible once <= 0), dim budget left B,
-    # lexicographic bound on the next pair, accumulated cost and pairs.
-    root_hi = max(dcap, 1)
-    stack: list[tuple[int, int, int, int, int, tuple]] = [(n, dcap, root_hi, root_hi, 0, ())]
-    while stack:
-        R, B, k_hi, m_hi, cost, acc = stack.pop()
-        if R <= 0:
-            _offer(best, cost, acc)
-            continue  # extending a feasible node only raises the cost
-        if R > B:
-            continue  # future dim >= future weight >= R
-        lb = max(1, _ceil_sqrt(2 * R - B), _ceil_div(2 * R, B + 1))
-        if best[0] is not None and cost + lb > best[0]:
-            continue
-        for k in range(1, min(k_hi, math.isqrt(B)) + 1):
-            if best[0] is not None and cost + k > best[0]:
-                break
-            m_top = (B + k * k) // (2 * k)
-            if k == k_hi:
-                m_top = min(m_top, m_hi)
-            if m_top < k:
-                continue
-            # Overshooting a finishing pair only grows dim and the witness
-            # key, so a pair with k*m > max(k*k, R) rounded up is dominated.
-            m_stop = min(m_top, max(k, _ceil_div(R, k)))
-            for m in range(k, m_stop + 1):
-                stack.append(
-                    (R - k * m, B - k * (2 * m - k), k, m, cost + k, acc + ((k, m),))
-                )
-    if best[0] is None:
-        return None
-    return best[0], best[1]
 
 
 def _floor_dim(d: Rational) -> int:
@@ -488,7 +442,8 @@ def kk(n: int, d: Rational) -> WitnessedValue:
         raise OutOfRangeError("n must be >= 1")
     if d < 0:
         raise OutOfRangeError("d must be >= 0")
-    found = _search_kk(n, _floor_dim(d))
+    dcap = _floor_dim(d)
+    found = _square_mass_search(n, dcap, 0, dcap)
     if found is None:
         return WitnessedValue(NAT_INF)
     cost, key = found

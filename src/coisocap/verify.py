@@ -7,7 +7,7 @@ failures; the first failing input is kept for diagnosis.  Suites:
   collapse, the two root bounds, linear and divisor bounds,
   subadditivity), feasibility windows, witness audits, and the
   exhaustive square-decomposition cross-check.
-* ``oracle``: branch-and-bound results against the naive enumeration
+* ``oracle``: square-mass kernel results against the naive enumeration
   oracles (clamped to the oracle cap and to d <= 2n, the range on which
   the equivalence is stated).
 * ``bounds-props``: interval sanity, normalization, conformality and

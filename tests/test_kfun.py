@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,20 @@ def test_kk_subadditive_with_inf():
                 for d2 in range(0, 2 * n2 + 1):
                     lhs = kk(n + n2, d + d2).value
                     assert lhs <= kk(n, d).value + kk(n2, d2).value
+
+
+@pytest.mark.parametrize("fn, n, d, value, key", [
+    (keq, 10**12, 3 * 10**12, NAT_INF, None),
+    (kk, 10**12, 10**13, ExtNat(1), ((1, 10**12),)),
+    (kk, 10**6, 10**6, ExtNat(1000), ((1000, 1000),)),
+    (keq, 10**4, 15000, ExtNat(80), ((70, 70), (10, 510))),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_large_inputs_answer_within_a_second(fn, n, d, value, key):
+    t0 = time.perf_counter()
+    result = fn(n, d)
+    assert time.perf_counter() - t0 < 1.0
+    assert result.value == value
+    assert (result.witness and result.witness.key()) == key
 
 
 def test_kk_rejects_bad_input():
