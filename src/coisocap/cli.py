@@ -248,6 +248,8 @@ def _handle_table(args) -> Output:
     if args.stop < args.start:
         raise UsageError("table requires start <= stop")
     d = _parse_d(args.fn, args.d, "table")
+    if args.fn == "K":
+        kfun.check_k_limit(args.stop)  # before any row is computed
     rows = [_kfun_row(args.fn, n, d) for n in range(args.start, args.stop + 1)]
     query = f"table {args.fn} {args.start} {args.stop}" + ("" if d is None else f" --d {d}")
     d_entry = {} if d is None else {"d": str(d)}

@@ -214,6 +214,12 @@ def _from_key(key: tuple[tuple[int, int], ...]) -> Decomposition:
 # Square-mass kernel (see the module docstring)
 # ---------------------------------------------------------------------------
 
+def check_k_limit(nmax: int) -> None:
+    """Refuse a K table for 0..nmax above the size limit ``BIG_K_NMAX``."""
+    if nmax > BIG_K_NMAX:
+        raise OutOfRangeError(f"nmax must be <= {BIG_K_NMAX} (the K table size limit)")
+
+
 @lru_cache(maxsize=8)
 def big_k_table(nmax: int) -> tuple[int, ...]:
     """Values of the square-sum minimizer for 0..nmax via the recurrence
@@ -221,8 +227,7 @@ def big_k_table(nmax: int) -> tuple[int, ...]:
     _require_int(nmax, "nmax")
     if nmax < 0:
         raise OutOfRangeError("nmax must be >= 0")
-    if nmax > BIG_K_NMAX:
-        raise OutOfRangeError(f"nmax must be <= {BIG_K_NMAX} (the K table size limit)")
+    check_k_limit(nmax)
     table = [0] * (nmax + 1)
     for m in range(1, nmax + 1):
         best = table[m - 1] + 1

@@ -67,7 +67,10 @@ def _sweep(name: str, range_desc: str, cells, predicate) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _kfun_checks(nmax: int, dmax: int) -> list[CheckResult]:
-    table = kfun.big_k_table(max(nmax, 1))
+    # Built before any sweep, so a grid past the K table size limit is
+    # refused at once.
+    four_square_top = max(nmax, dmax)
+    table = kfun.big_k_table(max(four_square_top, 1))
     checks = []
 
     checks.append(_sweep(
@@ -204,14 +207,11 @@ def _kfun_checks(nmax: int, dmax: int) -> list[CheckResult]:
         lambda n: table[n] == kfun.square_cost_naive(n),
     ))
 
-    four_square_top = max(nmax, dmax)
-    wide_table = kfun.big_k_table(max(four_square_top, 1))
-
     def four_square_ok(n):
         a, b, c, d = kfun.four_square(n)
         if a * a + b * b + c * c + d * d != n or not a >= b >= c >= d >= 0:
             return False
-        return n == 0 or wide_table[n] <= a + b + c + d
+        return n == 0 or table[n] <= a + b + c + d
 
     checks.append(_sweep(
         "kfun-four-square-identity",

@@ -237,9 +237,15 @@ def test_verify_reports_failures_with_exit_3(capsys, monkeypatch, fmt):
         assert failed and all(r["first_failure"] for r in failed)
 
 
-def test_k_above_the_table_limit_is_a_domain_error(capsys):
+@pytest.mark.parametrize("argv", [
+    ("kfun", "K", "1000000000000000"),
+    # refused before the first row or sweep cell, not when the grid reaches it
+    ("table", "K", "1", "1000001"),
+    ("verify", "kfun-props", "--nmax", "1", "--dmax", "1000001"),
+], ids=lambda argv: "-".join(argv[:2]))
+def test_k_above_the_table_limit_is_a_domain_error(capsys, argv):
     t0 = time.perf_counter()
-    code, out, err = invoke(capsys, "kfun", "K", "1000000000000000")
+    code, out, err = invoke(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
     assert err == f"error: nmax must be <= {kfun.BIG_K_NMAX} (the K table size limit)\n"
