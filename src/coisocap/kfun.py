@@ -43,6 +43,7 @@ ORACLE_CAP_ENV = "COISOCAP_ORACLE_CAP"
 BIG_K_NMAX = 10**6
 
 Rational = Union[int, Fraction]
+Monoid = tuple[int, int, list[int]]  # see _monoid
 
 
 def _require_int(value, name: str) -> int:
@@ -246,9 +247,8 @@ def big_k_table(nmax: int) -> tuple[int, ...]:
 def _square_parts(cost: int, q_lo: int, q_hi: int, cap: int):
     """Descending part tuples with parts <= cap, part sum ``cost`` and
     square sum in [q_lo, q_hi], in ascending lexicographic order."""
-    if cost == 0:
-        if q_lo <= 0 <= q_hi:
-            yield ()
+    if cost == 0:  # the bounds on the last part kept 0 in [q_lo, q_hi]
+        yield ()
         return
     # Parts <= cap summing to cost have a square sum of the parity of cost
     # between cost (all ones) and ``top`` (as many parts cap as fit).
@@ -266,13 +266,13 @@ def _square_parts(cost: int, q_lo: int, q_hi: int, cap: int):
 
 
 @lru_cache(maxsize=256)
-def _monoid(gens: tuple[int, ...]) -> tuple[int, int, list[int]]:
+def _monoid(gens: tuple[int, ...]) -> Monoid:
     """Membership data of the monoid of sums of multiples of ``gens``.
 
     Returns (g, bound, counts): g is the gcd of the generators, every
     multiple of g from ``bound`` on is a member (Schur's bound on the
     Frobenius number of gens / g), and counts[x] is the number of members
-    below x < bound.
+    below x, for x <= bound.
     """
     g = math.gcd(*gens)
     bound = g * (min(gens) // g - 1) * (max(gens) // g - 1)
@@ -286,7 +286,7 @@ def _monoid(gens: tuple[int, ...]) -> tuple[int, int, list[int]]:
     return g, bound, [0, *itertools.accumulate(member)]
 
 
-def _meets(monoid: tuple[int, int, list[int]], lo: int, hi: int) -> bool:
+def _meets(monoid: Monoid, lo: int, hi: int) -> bool:
     """Whether [lo, hi] holds a member of the monoid."""
     lo = max(lo, 0)
     g, bound, counts = monoid
@@ -296,7 +296,7 @@ def _meets(monoid: tuple[int, int, list[int]], lo: int, hi: int) -> bool:
     return lo <= top and counts[top + 1] > counts[lo]
 
 
-def _least_total(k: int, lo: int, hi: int, monoid) -> int | None:
+def _least_total(k: int, lo: int, hi: int, monoid: Monoid | None) -> int | None:
     """Least u >= 0 with [lo - k*u, hi - k*u] meeting the monoid, or None."""
     if monoid is None:
         u = max(0, _ceil_div(lo, k))
@@ -346,10 +346,10 @@ def _square_mass_search(
     """Minimal cost and smallest key with weight in [w_lo, w_hi] and
     dimension in [d_lo, d_hi]; None when no decomposition exists.
 
-    Iterative deepening on the cost from ceil(sqrt(q_lo)): each cost scans
-    its part tuples in ascending order and stops once the largest part
-    exceeds that of the best key found.  The cache holds more than the
-    2,280 distinct queries of ``verify all --nmax 15``.
+    Iterative deepening on the cost from the root of the least square mass
+    q_lo: each cost scans its part tuples in ascending order and stops once
+    the largest part exceeds that of the best key found.  The cache holds
+    more than the 2,280 distinct queries of ``verify all --nmax 15``.
     """
     def slack(q: int) -> tuple[int, int]:
         # weight q + r and dimension q + 2r within their ranges, r >= 0

@@ -4,7 +4,7 @@ For n <= 300 the witnesses pass the raw audits, carry the value as their
 cost, and the values respect the feasibility windows, the domination
 keq >= kk and the monotonicity of kk in d.  For n <= 12 the values and
 witnesses equal those of the exhaustive oracles.  The slack step of the
-kernel, which skips windows above the Frobenius bound, agrees with a
+kernel, which gives up early above the Frobenius bound, agrees with a
 plain scan over an exhaustive membership table.
 """
 import math
@@ -45,11 +45,12 @@ def _key(result):
 @given(queries(300))
 def test_witnesses_windows_and_order(query):
     n, d, d2 = query
-    exact, relaxed = keq(n, math.floor(d)), kk(n, d)
-    assert exact.value.is_finite == (n <= math.floor(d) <= 2 * n - 1)
-    assert relaxed.value.is_finite == (math.floor(d) >= n)
+    dint = math.floor(d)
+    exact, relaxed = keq(n, dint), kk(n, d)
+    assert exact.value.is_finite == (n <= dint <= 2 * n - 1)
+    assert relaxed.value.is_finite == (dint >= n)
     if exact.value.is_finite:
-        assert is_valid_exact_witness(exact.witness, n, math.floor(d))
+        assert is_valid_exact_witness(exact.witness, n, dint)
         assert exact.witness.cost == exact.value.value
     if relaxed.value.is_finite:
         assert is_valid_relaxed_witness(relaxed.witness, n, d)
