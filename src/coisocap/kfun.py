@@ -265,7 +265,6 @@ def _square_parts(cost: int, q_lo: int, q_hi: int, cap: int):
             yield (k,) + rest
 
 
-@lru_cache(maxsize=256)
 def _monoid(gens: tuple[int, ...]) -> Monoid:
     """Membership data of the monoid of sums of multiples of ``gens``.
 
