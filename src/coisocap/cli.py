@@ -20,9 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, kfun, spectra, verify
-from .errors import CoisocapError, ExprParseError
-from .expr import format_product, parse_area, parse_product
+from .errors import CoisocapError, ExprParseError, OutOfRangeError
+from .expr import check_rational_size, format_product, parse_area, parse_product
 from .spectra import format_pi
+
+
+# Most rows one ``table`` call prints; the rows are built before printing.
+TABLE_MAX_ROWS = 10**5
 
 
 class UsageError(CoisocapError, ValueError):
@@ -127,6 +131,8 @@ def _parse_d(fn: str, text: str | None, command: str):
         return None
     if text is None:
         raise UsageError(_D_USAGE[command][1].format(fn))
+    if fn == "kk":
+        check_rational_size(text, OutOfRangeError, "d")
     try:
         return int(text) if fn == "keq" else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -250,6 +256,8 @@ def _handle_table(args) -> Output:
     d = _parse_d(args.fn, args.d, "table")
     if args.fn == "K":
         kfun.check_k_limit(args.stop)  # before any row is computed
+    if args.stop - args.start >= TABLE_MAX_ROWS:  # each row holds about 1 KB
+        raise OutOfRangeError(f"table prints at most {TABLE_MAX_ROWS} rows")
     rows = [_kfun_row(args.fn, n, d) for n in range(args.start, args.stop + 1)]
     query = f"table {args.fn} {args.start} {args.stop}" + ("" if d is None else f" --d {d}")
     d_entry = {} if d is None else {"d": str(d)}

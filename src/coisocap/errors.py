@@ -10,7 +10,7 @@ class OutOfRangeError(CoisocapError, ValueError):
 
 
 class CapExceededError(CoisocapError, ValueError):
-    """A naive-oracle call exceeds the configured size cap."""
+    """A naive-oracle call exceeds the size cap ``kfun.ORACLE_CAP``."""
 
 
 class ExprParseError(CoisocapError, ValueError):

@@ -16,6 +16,7 @@ the canonical form; parsing it back returns an equal object.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ExprParseError
@@ -26,6 +27,25 @@ _STIEFEL_RE = re.compile(r"^V\((\d+),(\d+);([^;]+)\)$")
 _CLOSED_RE = re.compile(r"^C\(([^,;()]+),(\d+);([^;]+?)(;asph)?\)$")
 
 
+def check_rational_size(text: str, error: type[ValueError], name: str) -> None:
+    """Raise ``error`` when ``Fraction(text)`` could have a numerator or a
+    denominator of ``sys.get_int_max_str_digits()`` digits or more.
+
+    Such a value cannot be printed, and a large exponent (``1e10000000``)
+    takes seconds to build, so the token is refused before ``Fraction()``.
+    Each is bounded by the digits of its part of the mantissa plus the
+    size of the exponent.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
+    if not exponent.isdecimal():  # Fraction() refuses the token
+        return
+    size = max(sum(ch.isdecimal() for ch in part) for part in mantissa.split("/"))
+    if len(exponent) > len(str(limit)) or size + int(exponent) >= limit:
+        raise error(f"{name} needs a numerator and a denominator of fewer than {limit} digits")
+
+
 def parse_area(text: str) -> Fraction:
     """Parse a nonnegative rational in units of pi."""
     s = text.strip().replace(" ", "").replace("*", "")
@@ -34,6 +54,7 @@ def parse_area(text: str) -> Fraction:
     if s.count("pi") > 1:
         raise ExprParseError(f"bad area {text!r}")
     body = s.replace("pi", "", 1)
+    check_rational_size(body, ExprParseError, "area")
     try:
         if body == "":
             value = Fraction(1)

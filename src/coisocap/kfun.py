@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -36,8 +35,9 @@ from typing import Iterable, Union
 
 from .errors import CapExceededError, OutOfRangeError
 
-DEFAULT_ORACLE_CAP = 12
-ORACLE_CAP_ENV = "COISOCAP_ORACLE_CAP"
+# Largest n of the naive oracles, and half the largest floor(d) of kk_naive:
+# their enumeration grows exponentially with the weight.
+ORACLE_CAP = 12
 # Largest n the square-sum table is built for: its list and its O(n^1.5)
 # run time (about two minutes at 10**6) grow without bound otherwise.
 BIG_K_NMAX = 10**6
@@ -207,8 +207,12 @@ class WitnessedValue:
             raise ValueError("infinite value must not carry a witness")
 
 
-def _from_key(key: tuple[tuple[int, int], ...]) -> Decomposition:
-    return Decomposition.from_pairs(Pair(k, n) for k, n in key)
+def _witnessed(found: tuple[int, tuple[tuple[int, int], ...]] | None) -> WitnessedValue:
+    """The value of a search result (cost, key), or infinity for None."""
+    if found is None:
+        return WitnessedValue(NAT_INF)
+    cost, key = found
+    return WitnessedValue(ExtNat(cost), Decomposition.from_pairs(Pair(k, n) for k, n in key))
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +343,16 @@ def _witness_key(parts: tuple[int, ...], lo: int, hi: int) -> tuple[tuple[int, i
 
 
 @lru_cache(maxsize=2**14)
-def _square_mass_search(
-    w_lo: int, w_hi: int, d_lo: int, d_hi: int
-) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    """Minimal cost and smallest key with weight in [w_lo, w_hi] and
-    dimension in [d_lo, d_hi]; None when no decomposition exists.
+def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> WitnessedValue:
+    """Minimal cost, witnessed by the smallest key, with weight in
+    [w_lo, w_hi] and dimension in [d_lo, d_hi]; infinity when no
+    decomposition exists.
 
     Iterative deepening on the cost from the root of the least square mass
     q_lo: each cost scans its part tuples in ascending order and stops once
     the largest part exceeds that of the best key found.  The cache holds
-    more than the 2,280 distinct queries of ``verify all --nmax 15``.
+    more than the 2,280 distinct queries of ``verify all --nmax 15``, and a
+    repeated query returns the same frozen object.
     """
     def slack(q: int) -> tuple[int, int]:
         # weight q + r and dimension q + 2r within their ranges, r >= 0
@@ -358,7 +362,7 @@ def _square_mass_search(
     q_hi = min(w_hi, d_hi, 2 * w_hi - d_lo)
     r_lo, r_hi = slack(q_lo)
     if q_lo > q_hi or r_lo > r_hi:
-        return None
+        return _witnessed(None)
     # q_lo ones admit any slack, so the search ends by cost q_lo.
     cost = _ceil_sqrt(q_lo)
     while True:
@@ -370,7 +374,7 @@ def _square_mass_search(
             if key is not None and (best is None or key < best):
                 best = key
         if best is not None:
-            return cost, best
+            return _witnessed((cost, best))
         cost += 1
 
 
@@ -422,11 +426,7 @@ def keq(n: int, d: int) -> WitnessedValue:
         raise OutOfRangeError("n must be >= 1")
     if d < 0:
         raise OutOfRangeError("d must be >= 0")
-    found = _square_mass_search(n, n, d, d)
-    if found is None:
-        return WitnessedValue(NAT_INF)
-    cost, key = found
-    return WitnessedValue(ExtNat(cost), _from_key(key))
+    return _square_mass_search(n, n, d, d)
 
 
 def _floor_dim(d: Rational) -> int:
@@ -447,30 +447,12 @@ def kk(n: int, d: Rational) -> WitnessedValue:
     if d < 0:
         raise OutOfRangeError("d must be >= 0")
     dcap = _floor_dim(d)
-    found = _square_mass_search(n, dcap, 0, dcap)
-    if found is None:
-        return WitnessedValue(NAT_INF)
-    cost, key = found
-    return WitnessedValue(ExtNat(cost), _from_key(key))
+    return _square_mass_search(n, dcap, 0, dcap)
 
 
 # ---------------------------------------------------------------------------
 # Naive enumeration oracles
 # ---------------------------------------------------------------------------
-
-def oracle_cap() -> int:
-    """Size cap for the naive oracles; override with COISOCAP_ORACLE_CAP."""
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{ORACLE_CAP_ENV} must be >= 1, got {cap}")
-    return cap
-
 
 @lru_cache(maxsize=64)
 def _enumerate_upto_weight(max_weight: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -499,9 +481,8 @@ def keq_naive(n: int, d: int) -> WitnessedValue:
         raise OutOfRangeError("n must be >= 1")
     if d < 0:
         raise OutOfRangeError("d must be >= 0")
-    cap = oracle_cap()
-    if n > cap:
-        raise CapExceededError(f"naive oracle capped at n <= {cap}, got n={n}")
+    if n > ORACLE_CAP:
+        raise CapExceededError(f"naive oracle capped at n <= {ORACLE_CAP}, got n={n}")
     found = None
     for key in _enumerate_upto_weight(n):
         if sum(k * m for k, m in key) != n:
@@ -511,9 +492,7 @@ def keq_naive(n: int, d: int) -> WitnessedValue:
         cand = (sum(k for k, _ in key), key)
         if found is None or cand < found:
             found = cand
-    if found is None:
-        return WitnessedValue(NAT_INF)
-    return WitnessedValue(ExtNat(found[0]), _from_key(found[1]))
+    return _witnessed(found)
 
 
 def kk_naive(n: int, d: Rational) -> WitnessedValue:
@@ -528,13 +507,12 @@ def kk_naive(n: int, d: Rational) -> WitnessedValue:
         raise OutOfRangeError("n must be >= 1")
     if d < 0:
         raise OutOfRangeError("d must be >= 0")
-    cap = oracle_cap()
-    if n > cap:
-        raise CapExceededError(f"naive oracle capped at n <= {cap}, got n={n}")
+    if n > ORACLE_CAP:
+        raise CapExceededError(f"naive oracle capped at n <= {ORACLE_CAP}, got n={n}")
     dcap = _floor_dim(d)
-    if dcap > 2 * cap:
+    if dcap > 2 * ORACLE_CAP:
         raise CapExceededError(
-            f"naive oracle capped at floor(d) <= {2 * cap}, got floor(d)={dcap}"
+            f"naive oracle capped at floor(d) <= {2 * ORACLE_CAP}, got floor(d)={dcap}"
         )
     found = None
     for key in _enumerate_upto_weight(dcap):
@@ -545,9 +523,7 @@ def kk_naive(n: int, d: Rational) -> WitnessedValue:
         cand = (sum(k for k, _ in key), key)
         if found is None or cand < found:
             found = cand
-    if found is None:
-        return WitnessedValue(NAT_INF)
-    return WitnessedValue(ExtNat(found[0]), _from_key(found[1]))
+    return _witnessed(found)
 
 
 # ---------------------------------------------------------------------------

@@ -228,8 +228,7 @@ def _kfun_checks(nmax: int, dmax: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _oracle_checks(nmax: int, dmax: int) -> list[CheckResult]:
-    cap = kfun.oracle_cap()
-    top = min(nmax, cap)
+    top = min(nmax, kfun.ORACLE_CAP)
 
     def cells():
         for n in range(1, top + 1):

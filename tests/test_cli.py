@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import sys
 import time
 
 import pytest
 
 import coisocap.kfun as kfun
-from coisocap.cli import run
+from coisocap.cli import TABLE_MAX_ROWS, run
 
 K_ROW_1_TO_20 = [1, 2, 3, 2, 3, 4, 5, 4, 3, 4, 5, 6, 5, 6, 7, 4, 5, 6, 7, 6]
 
@@ -249,6 +250,35 @@ def test_k_above_the_table_limit_is_a_domain_error(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
     assert err == f"error: nmax must be <= {kfun.BIG_K_NMAX} (the K table size limit)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "kk", "1", "100001", "--d", "3"),
+    ("table", "keq", "7", "100007", "--d", "3"),
+    ("table", "K", "1", "100001"),
+], ids=lambda argv: argv[1])
+def test_table_above_the_row_limit_is_a_domain_error(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err == f"error: table prints at most {TABLE_MAX_ROWS} rows\n"
+
+
+@pytest.mark.parametrize("argv, code, name", [
+    (("kfun", "kk", "5", "1e10000000"), 1, "d"),
+    (("kfun", "kk", "5", "1e5000"), 1, "d"),
+    (("table", "kk", "1", "2", "--d", "1e10000000"), 1, "d"),
+    (("spectrum", "S(1;1e10000000)"), 2, "area"),
+    (("bound", "width", "1e10000000"), 2, "area"),
+], ids=["kfun-kk", "kfun-kk-5000-digits", "table-kk", "spectrum", "bound-width"])
+def test_oversized_rational_is_refused_up_front(capsys, argv, code, name):
+    t0 = time.perf_counter()
+    got, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == code and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: {name} needs a numerator and a denominator of fewer than {limit} digits\n"
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,12 @@ def test_kk_floor_reduction():
             assert kk(n, d).value == kk(n, int(d)).value
 
 
+def test_repeated_queries_return_the_cached_answer():
+    # d = 9 and d = 19/2 share floor(d), so they are one query
+    assert kk(7, 9) is kk(7, Fraction(19, 2))
+    assert keq(30, 45) is keq(30, 45)
+
+
 def test_kk_monotone_and_dominated():
     for n in range(1, 11):
         values = [kk(n, d).value for d in range(0, 2 * n + 3)]
@@ -257,17 +263,6 @@ def test_oracle_cap_enforced():
         keq_naive(13, 13)
     with pytest.raises(CapExceededError):
         kk_naive(2, 100)
-
-
-def test_oracle_cap_env_override(monkeypatch):
-    monkeypatch.setenv("COISOCAP_ORACLE_CAP", "14")
-    assert keq_naive(13, 13).value == keq(13, 13).value
-    monkeypatch.setenv("COISOCAP_ORACLE_CAP", "5")
-    with pytest.raises(CapExceededError):
-        keq_naive(6, 6)
-    monkeypatch.setenv("COISOCAP_ORACLE_CAP", "junk")
-    with pytest.raises(ValueError):
-        keq_naive(3, 3)
 
 
 # ---------------------------------------------------------------------------
