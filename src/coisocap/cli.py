@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import bounds, kfun, spectra, verify
 from .errors import CoisocapError, ExprParseError, OutOfRangeError
-from .expr import check_rational_size, format_product, parse_area, parse_product
+from .expr import check_rational_size, clip, format_product, parse_area, parse_product
 from .spectra import format_pi
 
 
@@ -107,9 +107,9 @@ def _int_at_least(lo: int):
         try:
             value = int(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+            raise argparse.ArgumentTypeError(f"expected an integer, got {clip(text)!r}") from exc
         if value < lo:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {clip(str(value))}")
         return value
 
     return parse
@@ -137,7 +137,7 @@ def _parse_d(fn: str, text: str | None, command: str):
         return int(text) if fn == "keq" else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         kind = "an integer" if fn == "keq" else "a rational like 9/2"
-        raise UsageError(f"d must be {kind}, got {text!r}") from exc
+        raise UsageError(f"d must be {kind}, got {clip(text)!r}") from exc
 
 
 def _add_output(parser: argparse.ArgumentParser, handler, default: str) -> None:
@@ -422,6 +422,9 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ExprParseError, UsageError)) else 1
+    except (TypeError, RecursionError, MemoryError) as exc:  # last resort: no traceback
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 1
     _PRINTERS[args.format](out)
     return out.code
 

@@ -27,16 +27,28 @@ _STIEFEL_RE = re.compile(r"^V\((\d+),(\d+);([^;]+)\)$")
 _CLOSED_RE = re.compile(r"^C\(([^,;()]+),(\d+);([^;]+?)(;asph)?\)$")
 
 
+def clip(text: str, width: int = 40) -> str:
+    """``text`` cut to ``width`` characters plus an ellipsis, for echoing a
+    token in an error message."""
+    return text if len(text) <= width else text[:width] + "\u2026"
+
+
+def _digit_limit() -> int:
+    """The most digits an integer may have: ``sys.get_int_max_str_digits()``,
+    or its default where the limit is switched off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def check_rational_size(text: str, error: type[ValueError], name: str) -> None:
     """Raise ``error`` when ``Fraction(text)`` could have a numerator or a
-    denominator of ``sys.get_int_max_str_digits()`` digits or more.
+    denominator of ``_digit_limit()`` digits or more.
 
     Such a value cannot be printed, and a large exponent (``1e10000000``)
     takes seconds to build, so the token is refused before ``Fraction()``.
     Each is bounded by the digits of its part of the mantissa plus the
     size of the exponent.
     """
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = _digit_limit()
     mantissa, _, exponent = text.lower().partition("e")
     exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
     if not exponent.isdecimal():  # Fraction() refuses the token
@@ -46,13 +58,22 @@ def check_rational_size(text: str, error: type[ValueError], name: str) -> None:
         raise error(f"{name} needs a numerator and a denominator of fewer than {limit} digits")
 
 
+def _parse_int(digits: str, name: str) -> int:
+    """An integer field of the grammar, refused like an oversized rational
+    when it has ``_digit_limit()`` digits or more."""
+    limit = _digit_limit()
+    if len(digits) >= limit:
+        raise ExprParseError(f"{name} needs fewer than {limit} digits")
+    return int(digits)
+
+
 def parse_area(text: str) -> Fraction:
     """Parse a nonnegative rational in units of pi."""
     s = text.strip().replace(" ", "").replace("*", "")
     if not s:
         raise ExprParseError("empty area")
     if s.count("pi") > 1:
-        raise ExprParseError(f"bad area {text!r}")
+        raise ExprParseError(f"bad area {clip(text)!r}")
     body = s.replace("pi", "", 1)
     check_rational_size(body, ExprParseError, "area")
     try:
@@ -63,9 +84,9 @@ def parse_area(text: str) -> Fraction:
         else:
             value = Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ExprParseError(f"bad area {text!r}") from exc
+        raise ExprParseError(f"bad area {clip(text)!r}") from exc
     if value < 0:
-        raise ExprParseError(f"area must be nonnegative, got {text!r}")
+        raise ExprParseError(f"area must be nonnegative, got {clip(text)!r}")
     return value
 
 
@@ -78,14 +99,14 @@ def _split_factors(text: str) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ExprParseError(f"unbalanced parentheses in {text!r}")
+                raise ExprParseError(f"unbalanced parentheses in {clip(text)!r}")
         if ch == "x" and depth == 0:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
     if depth != 0:
-        raise ExprParseError(f"unbalanced parentheses in {text!r}")
+        raise ExprParseError(f"unbalanced parentheses in {clip(text)!r}")
     parts.append("".join(current))
     return parts
 
@@ -96,29 +117,31 @@ def parse_atom(text: str):
     try:
         match = _SPHERE_RE.match(s)
         if match:
-            return Sphere(int(match.group(1)), parse_area(match.group(2)))
+            return Sphere(_parse_int(match.group(1), "m"), parse_area(match.group(2)))
         match = _STIEFEL_RE.match(s)
         if match:
-            return Stiefel(int(match.group(1)), int(match.group(2)), parse_area(match.group(3)))
+            k, n = _parse_int(match.group(1), "k"), _parse_int(match.group(2), "n")
+            return Stiefel(k, n, parse_area(match.group(3)))
         match = _CLOSED_RE.match(s)
         if match:
             label, half_dim, gen_text, asph = match.groups()
             spectrum = (
                 Spectrum.zero() if gen_text == "0" else Spectrum.lattice(parse_area(gen_text))
             )
-            return Closed(label, int(half_dim), spectrum, aspherical=asph is not None)
+            return Closed(label, _parse_int(half_dim, "half_dim"), spectrum,
+                          aspherical=asph is not None)
     except ExprParseError:
         raise
     except ValueError as exc:
         raise ExprParseError(str(exc)) from exc
-    raise ExprParseError(f"unrecognized factor {text.strip()!r}")
+    raise ExprParseError(f"unrecognized factor {clip(text.strip())!r}")
 
 
 def parse_product(text: str) -> ProductObject:
     """Parse a product expression into a ``ProductObject``."""
     pieces = _split_factors(text)
     if any(not p.strip() for p in pieces):
-        raise ExprParseError(f"empty factor in {text!r}")
+        raise ExprParseError(f"empty factor in {clip(text)!r}")
     try:
         atoms = tuple(parse_atom(p) for p in pieces)
         return ProductObject(atoms)

@@ -8,6 +8,7 @@ import pytest
 
 import coisocap.kfun as kfun
 from coisocap.cli import TABLE_MAX_ROWS, run
+from coisocap.verify import VERIFY_MAX_CELLS
 
 K_ROW_1_TO_20 = [1, 2, 3, 2, 3, 4, 5, 4, 3, 4, 5, 6, 5, 6, 7, 4, 5, 6, 7, 6]
 
@@ -279,6 +280,49 @@ def test_oversized_rational_is_refused_up_front(capsys, argv, code, name):
     assert got == code and out == ""
     limit = sys.get_int_max_str_digits()
     assert err == f"error: {name} needs a numerator and a denominator of fewer than {limit} digits\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "all", "--nmax", "200"),
+    ("verify", "kfun-props", "--nmax", "2", "--dmax", "100000"),
+], ids=["all-200", "kfun-props-dmax"])
+def test_verify_above_the_cell_budget_is_a_domain_error(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and f"more than {VERIFY_MAX_CELLS} cells" in err
+
+
+_DIGITS = "7" * 5000
+
+
+@pytest.mark.parametrize("expr, name", [
+    (f"S({_DIGITS};1)", "m"),
+    (f"V({_DIGITS},1;1)", "k"),
+    (f"V(1,{_DIGITS};1)", "n"),
+    (f"C(M,{_DIGITS};0;asph)", "half_dim"),
+], ids=["S", "V-k", "V-n", "C"])
+def test_oversized_integer_field_is_a_grammar_error(capsys, expr, name):
+    code, out, err = invoke(capsys, "spectrum", expr)
+    assert code == 2 and out == ""
+    assert err == f"error: {name} needs fewer than {sys.get_int_max_str_digits()} digits\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("kfun", "keq", "5", _DIGITS),
+    ("kfun", "keq", _DIGITS + "x", "5"),
+    ("kfun", "kk", "5", "x" * 5000),
+    ("spectrum", f"S(1;{'x' * 5000})"),
+    ("spectrum", "y" * 5000),
+    ("spectrum", "(" * 5000),
+], ids=["keq-d", "n", "kk-d", "area", "factor", "parentheses"])
+def test_echoed_tokens_are_truncated(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code in (1, 2) and out == ""
+    assert 0 < len(err.encode()) < 200
+    assert "\u2026" in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ at most 40, where every search is fast.
 import contextlib
 import io
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from coisocap import cli
 from coisocap.cli import run
 from coisocap.verify import SUITES
 
@@ -75,3 +77,16 @@ def test_run_keeps_the_exit_code_contract(argv):
         assert err.getvalue(), argv
     else:
         assert not err.getvalue(), argv
+
+
+@pytest.mark.parametrize("exc", [TypeError("bad operand"), RecursionError("too deep"), MemoryError()],
+                         ids=lambda exc: type(exc).__name__)
+def test_last_resort_errors_leave_no_traceback(monkeypatch, capsys, exc):
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_handle_kfun", handler)
+    code = run(["kfun", "K", "5"])
+    captured = capsys.readouterr()
+    assert code in (1, 2) and captured.out == ""
+    assert captured.err == f"error: {str(exc) or type(exc).__name__}\n"

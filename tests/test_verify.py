@@ -1,6 +1,10 @@
+import itertools
+import time
+
 import pytest
 
-from coisocap import run_suite
+from coisocap import bounds, kfun, run_suite, verify
+from coisocap.errors import OutOfRangeError
 from coisocap.verify import SUITES
 
 
@@ -51,3 +55,110 @@ def test_invalid_arguments():
         run_suite("all", 0)
     with pytest.raises(ValueError):
         run_suite("all", 5, -1)
+
+
+# ---------------------------------------------------------------------------
+# The grid sweeps against the per-call sweeps they replaced
+# ---------------------------------------------------------------------------
+
+def _per_call_checks(nmax, dmax):
+    """The checks that read value grids, written with one public
+    ``kfun.kk``/``kfun.keq``/``bounds.squeeze_bounds`` call per cell."""
+    table = kfun.big_k_table(max(nmax, dmax, 1))
+    ns = range(1, nmax + 1)
+
+    def window_cells():
+        for n in range(9, nmax + 1):
+            for d in range(n, 2 * n + 1):
+                if (d - n + 9) ** 2 >= 36 * n:
+                    yield (n, d)
+
+    def window_ok(n, d):
+        cost = kfun.kk(n, d).value
+        if not cost.is_finite or not kfun.lt_sqrt_plus(cost.value, 2 * n - d, 3):
+            return False
+        wit = kfun.sqrt_bound_witness(n, d)
+        return kfun.is_valid_relaxed_witness(wit, n, d) and kfun.lt_sqrt_plus(
+            wit.cost, 2 * n - d, 3
+        )
+
+    specs = [
+        ("kfun-collapse-at-diagonal", f"1<=n<={nmax}", ((n,) for n in ns),
+         lambda n: kfun.keq(n, n).value.value == kfun.kk(n, n).value.value == table[n]),
+        ("kfun-keq-dominates-kk", f"1<=n<={nmax}, 0<=d<={dmax}",
+         itertools.product(ns, range(dmax + 1)),
+         lambda n, d: kfun.keq(n, d).value >= kfun.kk(n, d).value),
+        ("kfun-kk-monotone-in-d", f"1<=n<={nmax}, 0<=d<=d'<={dmax}",
+         ((n, d, d2) for n in ns for d in range(dmax + 1) for d2 in range(d, dmax + 1)),
+         lambda n, d, d2: kfun.kk(n, d).value >= kfun.kk(n, d2).value),
+        ("kfun-keq-linear-bound", f"1<=n<={nmax}, n<=d<=2n-1",
+         ((n, d) for n in ns for d in range(n, 2 * n)),
+         lambda n, d: kfun.keq(n, d).value <= kfun.ExtNat(2 * n - d)),
+        ("kfun-kk-window-root-bound", f"9<=n<={nmax}, window d<=2n", window_cells(), window_ok),
+        ("kfun-kk-subadditive", f"1<=n,n'<={nmax}, 0<=d,d'<={dmax}",
+         itertools.product(ns, ns, range(dmax + 1), range(dmax + 1)),
+         lambda n, n2, d, d2: kfun.kk(n + n2, d + d2).value
+         <= kfun.kk(n, d).value + kfun.kk(n2, d2).value),
+        ("kfun-keq-divisor-bound", f"1<=n<={nmax}, k|n, k^2<=n",
+         ((n, k) for n in ns for k in range(1, n + 1) if n % k == 0 and k * k <= n),
+         lambda n, k: kfun.keq(n, 2 * n - k * k).value <= kfun.ExtNat(k)),
+        ("kfun-keq-feasibility-window", f"1<=n<={nmax}, 0<=d<={dmax}",
+         itertools.product(ns, range(dmax + 1)),
+         lambda n, d: kfun.keq(n, d).value.is_finite == (n <= d <= 2 * n - 1)),
+        ("kfun-kk-feasibility-window", f"1<=n<={nmax}, 0<=d<={dmax}",
+         itertools.product(ns, range(dmax + 1)),
+         lambda n, d: kfun.kk(n, d).value.is_finite == (d >= n)),
+        ("bounds-squeeze-monotone-lower", f"2<=n<={nmax}, n<=d<=d'<={dmax}",
+         ((n, d, d2) for n in range(2, nmax + 1) for d in range(n, dmax + 1)
+          for d2 in range(d, dmax + 1)),
+         lambda n, d, d2: bounds.squeeze_bounds(n, d).lower
+         <= bounds.squeeze_bounds(n, d2).lower),
+    ]
+    return {name: verify._sweep(name, desc, cells, pred) for name, desc, cells, pred in specs}
+
+
+_FAMILIES = {"kfun-props": ("kfun-",), "oracle": (), "bounds-props": ("bounds-",),
+             "all": ("kfun-", "bounds-")}
+
+
+@pytest.mark.parametrize("nmax", range(1, 9))
+def test_grid_sweeps_match_per_call_sweeps(nmax):
+    for dmax in sorted({0, nmax, 2 * nmax, 3 * nmax}):
+        reference = _per_call_checks(nmax, dmax)
+        for suite in SUITES:
+            report = run_suite(suite, nmax, dmax)
+            got = {c.name: c for c in report.checks if c.name in reference}
+            want = {name: c for name, c in reference.items()
+                    if name.startswith(_FAMILIES[suite])}
+            assert got == want, (suite, nmax, dmax)
+            cells = sum(c.pass_count + c.fail_count for c in report.checks)
+            assert cells == verify._cell_count(suite, nmax, dmax), (suite, nmax, dmax)
+
+
+def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
+    build = verify._kk_grid
+
+    def wrong(nmax, dmax):
+        grid = build(nmax, dmax)
+        assert grid[2][2:4] == [2, 1]  # kk(2,2) = kk(1,1) + kk(1,1), kk(2,3) = 1
+        grid[2][3] = 5
+        return grid
+
+    monkeypatch.setattr(verify, "_kk_grid", wrong)
+    by_name = {c.name: c for c in run_suite("kfun-props", 4).checks}
+    # kk(2,2) = 2 >= kk(2,3) fails first at d = 2, d' = 3
+    assert by_name["kfun-kk-monotone-in-d"].first_failure == (2, 2, 3)
+    # kk(1+1, 1+2) <= kk(1,1) + kk(1,2) = 2 fails first at n = n' = d = 1, d' = 2
+    assert by_name["kfun-kk-subadditive"].first_failure == (1, 1, 1, 2)
+
+
+def test_cell_budget_is_checked_before_any_work():
+    assert verify._cell_count("all", 25, 50) == 1_684_806 <= verify.VERIFY_MAX_CELLS
+    for suite, nmax, dmax in (("all", 200, 400), ("kfun-props", 2, 100_000),
+                              ("bounds-props", 10**18, 0), ("bounds-props", 3, 10**18)):
+        t0 = time.perf_counter()
+        with pytest.raises(OutOfRangeError, match="the verify cell budget"):
+            run_suite(suite, nmax, dmax)
+        assert time.perf_counter() - t0 < 1.0
+    # the oracle suite clamps its grid, so any nmax fits
+    assert run_suite("oracle", 10**18, 3).ok
