@@ -109,7 +109,9 @@ def _int_at_least(lo: int):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"expected an integer, got {clip(text)!r}") from exc
         if value < lo:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {clip(str(value))}")
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {lo}, got {clip(str(value))}"
+            )
         return value
 
     return parse

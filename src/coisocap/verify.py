@@ -18,16 +18,17 @@ The large sweeps read value grids that each suite builds once through
 the public ``kfun.kk``/``kfun.keq``/``bounds.squeeze_bounds``, one call
 per grid entry: ``kk`` over n <= 2*nmax and d <= 2*dmax, ``keq`` over
 n <= nmax and d <= max(dmax, 2n - 1), and the squeeze lower bounds over
-2 <= n <= nmax, n <= d <= dmax.  Their predicates compare exact
-integers, with None for infinity.  The diagonal, root-bound window,
-witness audit and squeeze collapse checks, which have few cells or need
-witnesses or whole intervals, still call the public functions per cell.
-Every check visits and counts each of its cells.
+2 <= n <= nmax, n <= d <= dmax.  The kfun predicates compare exact
+integers, with None for infinity; the squeeze one compares the exact
+``ExtRat`` bounds.  The diagonal, root-bound window, witness audit and
+squeeze collapse checks, which have few cells or need witnesses or whole
+intervals, still call the public functions per cell.  Every check visits
+and counts each of its cells.
 
-A suite of more than ``VERIFY_MAX_CELLS`` cells, counted from nmax and
-dmax before any grid is built, is refused with ``OutOfRangeError``.
-``verify all --nmax 25`` (1,684,806 cells) takes about 0.7 s on a 2-core
-x86-64 host with CPython 3.11.7.
+A suite of more than ``VERIFY_MAX_CELLS`` (2 * 10**6) cells, counted
+from nmax and dmax before any grid is built, is refused with
+``OutOfRangeError``.  ``verify all --nmax 25`` (1,684,806 cells) takes
+about 0.7 s on a 2-core x86-64 host with CPython 3.11.7.
 """
 from __future__ import annotations
 
@@ -583,8 +584,8 @@ def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
         kfun.check_k_limit(max(nmax, dmax))
     if _cell_count(suite, nmax, dmax) > VERIFY_MAX_CELLS:
         raise OutOfRangeError(
-            f"verify {suite} --nmax {nmax} --dmax {dmax} sweeps more than"
-            f" {VERIFY_MAX_CELLS} cells (the verify cell budget)"
+            f"verify {suite} would sweep more than {VERIFY_MAX_CELLS} cells"
+            " (the verify cell budget)"
         )
 
     start = time.monotonic()

@@ -79,8 +79,10 @@ def test_run_keeps_the_exit_code_contract(argv):
         assert not err.getvalue(), argv
 
 
-@pytest.mark.parametrize("exc", [TypeError("bad operand"), RecursionError("too deep"), MemoryError()],
-                         ids=lambda exc: type(exc).__name__)
+@pytest.mark.parametrize(
+    "exc", [TypeError("bad operand"), RecursionError("too deep"), MemoryError()],
+    ids=lambda exc: type(exc).__name__,
+)
 def test_last_resort_errors_leave_no_traceback(monkeypatch, capsys, exc):
     def handler(args):
         raise exc
