@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IntervalConflictError, OutOfRangeError
+from .errors import IntervalConflictError, OutOfRangeError, clip
 from .kfun import keq, kk, Rational, _require_int, _require_rational
 from .spectra import (
     Closed,
@@ -140,7 +140,9 @@ def capacity_bounds(n: int, d: int) -> BoundInterval:
     if n < 1:
         raise OutOfRangeError("n must be >= 1")
     if not n <= d <= 2 * n - 1:
-        raise OutOfRangeError(f"d must satisfy n <= d <= 2n - 1, got (n, d)=({n}, {d})")
+        raise OutOfRangeError(
+            f"d must satisfy n <= d <= 2n - 1, got (n, d)=({clip(str(n))}, {clip(str(d))})"
+        )
     cost = keq(n, d).value
     assert cost.is_finite  # guaranteed on the window
     lower = ExtRat.fin(Fraction(1, cost.value))
@@ -161,7 +163,9 @@ def squeeze_bounds(n: int, d: Rational) -> BoundInterval:
     if n < 2:
         raise OutOfRangeError("n must be >= 2")
     if d < n:
-        raise OutOfRangeError(f"d must be >= n, got (n, d)=({n}, {d})")
+        raise OutOfRangeError(
+            f"d must be >= n, got (n, d)=({clip(str(n))}, {clip(str(d))})"
+        )
     cost = kk(n, d).value
     assert cost.is_finite  # floor(d) >= n guarantees feasibility
     lower = ExtRat.fin(Fraction(1, cost.value))
@@ -196,7 +200,9 @@ def lagrangian_comparison(n: int, d: int) -> LagrangianComparison:
     if n < 1:
         raise OutOfRangeError("n must be >= 1")
     if not n <= d <= 2 * n - 1:
-        raise OutOfRangeError(f"d must satisfy n <= d <= 2n - 1, got (n, d)=({n}, {d})")
+        raise OutOfRangeError(
+            f"d must satisfy n <= d <= 2n - 1, got (n, d)=({clip(str(n))}, {clip(str(d))})"
+        )
     cost = keq(n, d).value
     assert cost.is_finite
     return LagrangianComparison(

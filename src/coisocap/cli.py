@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, kfun, spectra, verify
-from .errors import CoisocapError, ExprParseError, OutOfRangeError
-from .expr import check_rational_size, clip, format_product, parse_area, parse_product
+from .errors import CoisocapError, ExprParseError, OutOfRangeError, clip
+from .expr import check_rational_size, format_product, parse_area, parse_product
 from .spectra import format_pi
 
 

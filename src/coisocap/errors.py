@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the helper that keeps
+their messages short."""
 
 
 class CoisocapError(Exception):
@@ -23,3 +24,9 @@ class IntervalConflictError(CoisocapError, RuntimeError):
     This is always an internal error: it means the inequality registry
     was combined incorrectly, never that the inputs were bad.
     """
+
+
+def clip(text: str, width: int = 40) -> str:
+    """``text`` cut to ``width`` characters plus an ellipsis, for echoing a
+    token in an error message."""
+    return text if len(text) <= width else text[:width] + "\u2026"

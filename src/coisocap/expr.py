@@ -19,18 +19,12 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ExprParseError
+from .errors import ExprParseError, clip
 from .spectra import Closed, ProductObject, Sphere, Spectrum, Stiefel
 
 _SPHERE_RE = re.compile(r"^S\((\d+);([^;]+)\)$")
 _STIEFEL_RE = re.compile(r"^V\((\d+),(\d+);([^;]+)\)$")
 _CLOSED_RE = re.compile(r"^C\(([^,;()]+),(\d+);([^;]+?)(;asph)?\)$")
-
-
-def clip(text: str, width: int = 40) -> str:
-    """``text`` cut to ``width`` characters plus an ellipsis, for echoing a
-    token in an error message."""
-    return text if len(text) <= width else text[:width] + "\u2026"
 
 
 def _digit_limit() -> int:

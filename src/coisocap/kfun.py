@@ -397,7 +397,9 @@ def square_cost_naive(n: int) -> int:
     """Exhaustive minimum of the part sum over square decompositions of n.
 
     Independent of the dynamic program: plain depth-first enumeration of
-    descending parts with no pruning beyond the part cap.
+    descending parts under the part cap, abandoning a branch once its part
+    sum reaches the best complete one (parts are positive, so it cannot
+    improve on it).
     """
     _require_int(n, "n")
     if n < 1:
@@ -405,9 +407,10 @@ def square_cost_naive(n: int) -> int:
     best: list[int | None] = [None]
 
     def rec(m: int, cap: int, acc: int) -> None:
+        if best[0] is not None and acc >= best[0]:
+            return
         if m == 0:
-            if best[0] is None or acc < best[0]:
-                best[0] = acc
+            best[0] = acc
             return
         for k in range(min(cap, math.isqrt(m)), 0, -1):
             rec(m - k * k, k, acc + k)

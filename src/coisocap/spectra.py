@@ -17,6 +17,8 @@ from functools import total_ordering
 from math import gcd
 from typing import Iterable, Union
 
+from .errors import clip
+
 RatPi = Fraction  # rational multiple of pi
 
 
@@ -161,7 +163,7 @@ class Sphere:
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise ValueError(f"sphere needs integer m >= 1, got {self.m!r}")
+            raise ValueError(f"sphere needs integer m >= 1, got {clip(repr(self.m))}")
         object.__setattr__(self, "area", _as_area(self.area, "sphere area"))
 
     @property
@@ -191,9 +193,11 @@ class Stiefel:
         for name in ("k", "n"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"frame manifold needs integer {name} >= 1, got {v!r}")
+                raise ValueError(f"frame manifold needs integer {name} >= 1, got {clip(repr(v))}")
         if self.k > self.n:
-            raise ValueError(f"frame manifold needs k <= n, got ({self.k}, {self.n})")
+            raise ValueError(
+                f"frame manifold needs k <= n, got ({clip(str(self.k))}, {clip(str(self.n))})"
+            )
         object.__setattr__(self, "area", _as_area(self.area, "frame manifold area"))
 
     @property
@@ -232,7 +236,9 @@ class Closed:
             or isinstance(self.half_dim, bool)
             or self.half_dim < 1
         ):
-            raise ValueError(f"closed factor needs integer half_dim >= 1, got {self.half_dim!r}")
+            raise ValueError(
+                f"closed factor needs integer half_dim >= 1, got {clip(repr(self.half_dim))}"
+            )
         if not isinstance(self.spectrum, Spectrum):
             raise TypeError("closed factor spectrum must be a Spectrum")
         if self.aspherical and not self.spectrum.is_zero:

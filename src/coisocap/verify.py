@@ -14,6 +14,10 @@ failures; the first failing input is kept for diagnosis.  Suites:
   collapse rules of the bound engine, plus the spectrum algebra laws.
 * ``all``: everything above.
 
+Each suite declares its checks as rows of (name, range text, cells,
+predicate), where cells returns a fresh iterator over the check's
+inputs, together with the one step that builds its value grids.
+
 The large sweeps read value grids that each suite builds once through
 the public ``kfun.kk``/``kfun.keq``/``bounds.squeeze_bounds``, one call
 per grid entry: ``kk`` over n <= 2*nmax and d <= 2*dmax, ``keq`` over
@@ -25,23 +29,26 @@ squeeze collapse checks, which have few cells or need witnesses or whole
 intervals, still call the public functions per cell.  Every check visits
 and counts each of its cells.
 
-A suite of more than ``VERIFY_MAX_CELLS`` (2 * 10**6) cells, counted
-from nmax and dmax before any grid is built, is refused with
-``OutOfRangeError``.  ``verify all --nmax 25`` (1,684,806 cells) takes
-about 0.7 s on a 2-core x86-64 host with CPython 3.11.7.
+The cell budget is counted by walking the checks' own cells, up to
+``VERIFY_MAX_CELLS`` (2 * 10**6) and one more, before any grid is built;
+a suite whose walk gets past the budget is refused with
+``OutOfRangeError``.  No cell generator runs long between two cells, so
+the walk is bounded for any nmax and dmax.  ``verify all --nmax 25``
+(1,684,806 cells) takes about 0.7 s on a 2-core x86-64 host with
+CPython 3.11.7.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, kfun, spectra
 from .errors import OutOfRangeError
 
-SUITES = ("kfun-props", "oracle", "bounds-props", "all")
 # Most cells one suite sweeps, checked before any grid is built: ``verify
 # all --nmax 25`` has 1,684,806 cells and ``--nmax 26`` 1,964,923.
 VERIFY_MAX_CELLS = 2 * 10**6
@@ -83,6 +90,13 @@ def _sweep(name: str, range_desc: str, cells, predicate) -> CheckResult:
     return CheckResult(name, range_desc, npass, nfail, first)
 
 
+# A check row: name, range text, a function returning a fresh iterator over
+# the cells, and the predicate every cell must satisfy.
+Check = tuple[str, str, Callable[[], Iterable[tuple]], Callable[..., bool]]
+# A suite's declaration: the step that builds its value grids, and its checks.
+Declared = tuple[Callable[[], None], list[Check]]
+
+
 # ---------------------------------------------------------------------------
 # Value grids
 # ---------------------------------------------------------------------------
@@ -106,15 +120,6 @@ def _keq_grid(nmax: int, dmax: int) -> Grid:
     return _grid(kfun.keq, nmax, lambda n: max(dmax, 2 * n - 1))
 
 
-def _squeeze_lower_grid(nmax: int, dmax: int) -> dict[tuple[int, int], spectra.ExtRat]:
-    """The squeeze lower bound at (n, d) for 2 <= n <= nmax, n <= d <= dmax."""
-    return {
-        (n, d): bounds.squeeze_bounds(n, d).lower
-        for n in range(2, nmax + 1)
-        for d in range(n, dmax + 1)
-    }
-
-
 def _le(a: int | None, b: int | None) -> bool:
     """a <= b on grid values, None standing for infinity."""
     return b is None or (a is not None and a <= b)
@@ -124,57 +129,27 @@ def _le(a: int | None, b: int | None) -> bool:
 # kfun checks
 # ---------------------------------------------------------------------------
 
-def _kfun_checks(nmax: int, dmax: int) -> list[CheckResult]:
+def _kfun_checks(nmax: int, dmax: int) -> Declared:
     four_square_top = max(nmax, dmax)
-    table = kfun.big_k_table(max(four_square_top, 1))
-    kk, keq = _kk_grid(nmax, dmax), _keq_grid(nmax, dmax)
-    checks = []
+    kfun.check_k_limit(four_square_top)
+    table = kk = keq = None
 
-    checks.append(_sweep(
-        "kfun-collapse-at-diagonal",
-        f"1<=n<={nmax}",
-        ((n,) for n in range(1, nmax + 1)),
-        lambda n: keq[n][n] == kfun.kk(n, n).value.value == table[n],
-    ))
+    def build():
+        nonlocal table, kk, keq
+        table = kfun.big_k_table(four_square_top)
+        kk, keq = _kk_grid(nmax, dmax), _keq_grid(nmax, dmax)
 
-    checks.append(_sweep(
-        "kfun-keq-dominates-kk",
-        f"1<=n<={nmax}, 0<=d<={dmax}",
-        itertools.product(range(1, nmax + 1), range(dmax + 1)),
-        lambda n, d: _le(kk[n][d], keq[n][d]),
-    ))
-
-    checks.append(_sweep(
-        "kfun-kk-monotone-in-d",
-        f"1<=n<={nmax}, 0<=d<=d'<={dmax}",
-        (
-            (n, d, d2)
-            for n in range(1, nmax + 1)
-            for d in range(dmax + 1)
-            for d2 in range(d, dmax + 1)
-        ),
-        lambda n, d, d2: _le(kk[n][d2], kk[n][d]),
-    ))
-
-    checks.append(_sweep(
-        "kfun-square-root-bound",
-        f"1<=n<={nmax}",
-        ((n,) for n in range(1, nmax + 1)),
-        lambda n: kfun.root_bound_holds(n, table[n]),
-    ))
-
-    checks.append(_sweep(
-        "kfun-keq-linear-bound",
-        f"1<=n<={nmax}, n<=d<=2n-1",
-        ((n, d) for n in range(1, nmax + 1) for d in range(n, 2 * n)),
-        lambda n, d: _le(keq[n][d], 2 * n - d),
-    ))
+    ns, ds = range(1, nmax + 1), range(dmax + 1)
+    # (range text, cells) of the ranges several checks share
+    each_n =f"1<=n<={nmax}", lambda: ((n,) for n in ns)
+    each_nd = f"1<=n<={nmax}, 0<=d<={dmax}", lambda: ((n, d) for n in ns for d in ds)
 
     def window_cells():
+        # n <= d <= 2n with (d - n + 9)^2 >= 36n; as d - n + 9 > 0, that is
+        # d - n + 9 >= ceil(sqrt(36n)) = isqrt(36n - 1) + 1
         for n in range(9, nmax + 1):
-            for d in range(n, 2 * n + 1):
-                if (d - n + 9) ** 2 >= 36 * n:
-                    yield (n, d)
+            for d in range(max(n, n - 9 + math.isqrt(36 * n - 1) + 1), 2 * n + 1):
+                yield (n, d)
 
     def window_ok(n, d):
         cost = kfun.kk(n, d).value
@@ -185,54 +160,12 @@ def _kfun_checks(nmax: int, dmax: int) -> list[CheckResult]:
             wit.cost, 2 * n - d, 3
         )
 
-    checks.append(_sweep(
-        "kfun-kk-window-root-bound",
-        f"9<=n<={nmax}, window d<=2n",
-        window_cells(),
-        window_ok,
-    ))
-
     def subadditive(n, n2, d, d2):
         a, b = kk[n][d], kk[n2][d2]
         if a is None or b is None:
             return True
         total = kk[n + n2][d + d2]
         return total is not None and total <= a + b
-
-    checks.append(_sweep(
-        "kfun-kk-subadditive",
-        f"1<=n,n'<={nmax}, 0<=d,d'<={dmax}",
-        itertools.product(
-            range(1, nmax + 1), range(1, nmax + 1), range(dmax + 1), range(dmax + 1)
-        ),
-        subadditive,
-    ))
-
-    checks.append(_sweep(
-        "kfun-keq-divisor-bound",
-        f"1<=n<={nmax}, k|n, k^2<=n",
-        (
-            (n, k)
-            for n in range(1, nmax + 1)
-            for k in range(1, n + 1)
-            if n % k == 0 and k * k <= n
-        ),
-        lambda n, k: _le(keq[n][2 * n - k * k], k),
-    ))
-
-    checks.append(_sweep(
-        "kfun-keq-feasibility-window",
-        f"1<=n<={nmax}, 0<=d<={dmax}",
-        itertools.product(range(1, nmax + 1), range(dmax + 1)),
-        lambda n, d: (keq[n][d] is not None) == (n <= d <= 2 * n - 1),
-    ))
-
-    checks.append(_sweep(
-        "kfun-kk-feasibility-window",
-        f"1<=n<={nmax}, 0<=d<={dmax}",
-        itertools.product(range(1, nmax + 1), range(dmax + 1)),
-        lambda n, d: (kk[n][d] is not None) == (d >= n),
-    ))
 
     def witnesses_ok(n, d):
         exact = kfun.keq(n, d)
@@ -253,42 +186,77 @@ def _kfun_checks(nmax: int, dmax: int) -> list[CheckResult]:
             and square.witness.cost == square.value.value
         )
 
-    checks.append(_sweep(
-        "kfun-witness-validity",
-        f"1<=n<={nmax}, 0<=d<={dmax}",
-        itertools.product(range(1, nmax + 1), range(dmax + 1)),
-        witnesses_ok,
-    ))
-
-    exhaustive_top = min(nmax, 200)
-    checks.append(_sweep(
-        "kfun-square-cost-exhaustive",
-        f"1<=n<={exhaustive_top}",
-        ((n,) for n in range(1, exhaustive_top + 1)),
-        lambda n: table[n] == kfun.square_cost_naive(n),
-    ))
-
     def four_square_ok(n):
         a, b, c, d = kfun.four_square(n)
         if a * a + b * b + c * c + d * d != n or not a >= b >= c >= d >= 0:
             return False
         return n == 0 or table[n] <= a + b + c + d
 
-    checks.append(_sweep(
-        "kfun-four-square-identity",
-        f"0<=n<={four_square_top}",
-        ((n,) for n in range(0, four_square_top + 1)),
-        four_square_ok,
-    ))
-
-    return checks
+    exhaustive_top = min(nmax, 200)
+    return build, [
+        (
+            "kfun-collapse-at-diagonal",
+            *each_n,
+            lambda n: keq[n][n] == kfun.kk(n, n).value.value == table[n],
+        ),
+        ("kfun-keq-dominates-kk", *each_nd, lambda n, d: _le(kk[n][d], keq[n][d])),
+        (
+            "kfun-kk-monotone-in-d",
+            f"1<=n<={nmax}, 0<=d<=d'<={dmax}",
+            lambda: ((n, d, d2) for n in ns for d in ds for d2 in range(d, dmax + 1)),
+            lambda n, d, d2: _le(kk[n][d2], kk[n][d]),
+        ),
+        ("kfun-square-root-bound", *each_n, lambda n: kfun.root_bound_holds(n, table[n])),
+        (
+            "kfun-keq-linear-bound",
+            f"1<=n<={nmax}, n<=d<=2n-1",
+            lambda: ((n, d) for n in ns for d in range(n, 2 * n)),
+            lambda n, d: _le(keq[n][d], 2 * n - d),
+        ),
+        ("kfun-kk-window-root-bound", f"9<=n<={nmax}, window d<=2n", window_cells, window_ok),
+        (
+            "kfun-kk-subadditive",
+            f"1<=n,n'<={nmax}, 0<=d,d'<={dmax}",
+            lambda: itertools.product(ns, ns, ds, ds),
+            subadditive,
+        ),
+        (
+            "kfun-keq-divisor-bound",
+            f"1<=n<={nmax}, k|n, k^2<=n",
+            lambda: ((n, k) for n in ns for k in range(1, math.isqrt(n) + 1) if n % k == 0),
+            lambda n, k: _le(keq[n][2 * n - k * k], k),
+        ),
+        (
+            "kfun-keq-feasibility-window",
+            *each_nd,
+            lambda n, d: (keq[n][d] is not None) == (n <= d <= 2 * n - 1),
+        ),
+        (
+            "kfun-kk-feasibility-window",
+            *each_nd,
+            lambda n, d: (kk[n][d] is not None) == (d >= n),
+        ),
+        ("kfun-witness-validity", *each_nd, witnesses_ok),
+        (
+            "kfun-square-cost-exhaustive",
+            f"1<=n<={exhaustive_top}",
+            lambda: ((n,) for n in range(1, exhaustive_top + 1)),
+            lambda n: table[n] == kfun.square_cost_naive(n),
+        ),
+        (
+            "kfun-four-square-identity",
+            f"0<=n<={four_square_top}",
+            lambda: ((n,) for n in range(four_square_top + 1)),
+            four_square_ok,
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # oracle checks
 # ---------------------------------------------------------------------------
 
-def _oracle_checks(nmax: int, dmax: int) -> list[CheckResult]:
+def _oracle_checks(nmax: int, dmax: int) -> Declared:
     top = min(nmax, kfun.ORACLE_CAP)
 
     def cells():
@@ -308,9 +276,9 @@ def _oracle_checks(nmax: int, dmax: int) -> list[CheckResult]:
         return pred
 
     desc = f"1<=n<={top}, 0<=d<=min({dmax},2n)"
-    return [
-        _sweep("oracle-keq-agrees", desc, cells(), agree(kfun.keq, kfun.keq_naive)),
-        _sweep("oracle-kk-agrees", desc, cells(), agree(kfun.kk, kfun.kk_naive)),
+    return (lambda: None), [
+        ("oracle-keq-agrees", desc, cells, agree(kfun.keq, kfun.keq_naive)),
+        ("oracle-kk-agrees", desc, cells, agree(kfun.kk, kfun.kk_naive)),
     ]
 
 
@@ -342,41 +310,21 @@ def _sample_objects() -> tuple[spectra.ProductObject, ...]:
     )
 
 
-def _bounds_checks(nmax: int, dmax: int) -> list[CheckResult]:
-    lower = _squeeze_lower_grid(nmax, dmax)
-    checks = []
+def _bounds_checks(nmax: int, dmax: int) -> Declared:
+    """The bound engine checks, followed by the spectrum algebra checks."""
+    lower = None
+    squeeze_ns = range(2, min(nmax, dmax) + 1)
 
-    checks.append(_sweep(
-        "bounds-capacity-normalized",
-        f"1<=n<={nmax}",
-        ((n,) for n in range(1, nmax + 1)),
-        lambda n: bounds.capacity_bounds(n, 2 * n - 1).lower
-        == bounds.capacity_bounds(n, 2 * n - 1).upper
-        == spectra.ExtRat.fin(1),
-    ))
+    def squeeze_cells():
+        return ((n, d) for n in squeeze_ns for d in range(n, dmax + 1))
+
+    def build():
+        nonlocal lower
+        lower = {(n, d): bounds.squeeze_bounds(n, d).lower for n, d in squeeze_cells()}
 
     def capacity_sane(n, d):
         interval = bounds.capacity_bounds(n, d)
         return spectra.ExtRat.fin(0) < interval.lower <= interval.upper
-
-    checks.append(_sweep(
-        "bounds-capacity-interval-sane",
-        f"1<=n<={nmax}, n<=d<=2n-1",
-        ((n, d) for n in range(1, nmax + 1) for d in range(n, 2 * n)),
-        capacity_sane,
-    ))
-
-    checks.append(_sweep(
-        "bounds-squeeze-monotone-lower",
-        f"2<=n<={nmax}, n<=d<=d'<={dmax}",
-        (
-            (n, d, d2)
-            for n in range(2, nmax + 1)
-            for d in range(n, dmax + 1)
-            for d2 in range(d, dmax + 1)
-        ),
-        lambda n, d, d2: lower[n, d] <= lower[n, d2],
-    ))
 
     def collapse_ok(n, d):
         interval = bounds.squeeze_bounds(n, d)
@@ -385,13 +333,6 @@ def _bounds_checks(nmax: int, dmax: int) -> list[CheckResult]:
         if collapsed != want:
             return False
         return collapsed if d >= 2 * n - 1 else True
-
-    checks.append(_sweep(
-        "bounds-squeeze-collapse",
-        f"2<=n<={nmax}, n<=d<={dmax}",
-        ((n, d) for n in range(2, nmax + 1) for d in range(n, dmax + 1)),
-        collapse_ok,
-    ))
 
     def energy_example(expr_atoms, lo, hi):
         interval = bounds.energy_bounds(spectra.ProductObject(expr_atoms))
@@ -411,41 +352,56 @@ def _bounds_checks(nmax: int, dmax: int) -> list[CheckResult]:
         ),
         ((spectra.Sphere(2, Fraction(2)), spectra.Sphere(3, Fraction(1))), one, one),
     )
-    checks.append(_sweep(
-        "bounds-energy-examples",
-        "3 fixed products",
-        examples,
-        energy_example,
-    ))
 
     def conformal(obj, c):
         base = bounds.energy_bounds(obj)
         scaled = bounds.energy_bounds(obj.scaled(c))
         return scaled.lower == base.lower.scaled(c) and scaled.upper == base.upper.scaled(c)
 
-    checks.append(_sweep(
-        "bounds-energy-conformality",
-        "sample objects x positive rational scales",
-        itertools.product(_sample_objects(), _POSITIVE),
-        conformal,
-    ))
-
     def width_ok(a, flag):
         interval = bounds.width_energy_bound(a, flag)
         return interval.lower == interval.upper == spectra.ExtRat.fin(a)
 
-    checks.append(_sweep(
-        "bounds-width-interval",
-        "positive rational areas x {with,without} closed factor",
-        itertools.product(_POSITIVE, (False, True)),
-        width_ok,
-    ))
+    objects = _sample_objects()
+    return build, [
+        (
+            "bounds-capacity-normalized",
+            f"1<=n<={nmax}",
+            lambda: ((n,) for n in range(1, nmax + 1)),
+            lambda n: bounds.capacity_bounds(n, 2 * n - 1).lower
+            == bounds.capacity_bounds(n, 2 * n - 1).upper
+            == spectra.ExtRat.fin(1),
+        ),
+        (
+            "bounds-capacity-interval-sane",
+            f"1<=n<={nmax}, n<=d<=2n-1",
+            lambda: ((n, d) for n in range(1, nmax + 1) for d in range(n, 2 * n)),
+            capacity_sane,
+        ),
+        (
+            "bounds-squeeze-monotone-lower",
+            f"2<=n<={nmax}, n<=d<=d'<={dmax}",
+            lambda: ((n, d, d2) for n, d in squeeze_cells() for d2 in range(d, dmax + 1)),
+            lambda n, d, d2: lower[n, d] <= lower[n, d2],
+        ),
+        ("bounds-squeeze-collapse", f"2<=n<={nmax}, n<=d<={dmax}", squeeze_cells, collapse_ok),
+        ("bounds-energy-examples", "3 fixed products", lambda: examples, energy_example),
+        (
+            "bounds-energy-conformality",
+            "sample objects x positive rational scales",
+            lambda: itertools.product(objects, _POSITIVE),
+            conformal,
+        ),
+        (
+            "bounds-width-interval",
+            "positive rational areas x {with,without} closed factor",
+            lambda: itertools.product(_POSITIVE, (False, True)),
+            width_ok,
+        ),
+    ] + _spectra_checks(objects)
 
-    return checks
 
-
-def _spectra_checks() -> list[CheckResult]:
-    checks = []
+def _spectra_checks(objects: tuple[spectra.ProductObject, ...]) -> list[Check]:
     lattices = tuple(spectra.Spectrum.lattice(f) for f in _POSITIVE) + (
         spectra.Spectrum.zero(),
     )
@@ -461,13 +417,6 @@ def _spectra_checks() -> list[CheckResult]:
             return False
         return spectra.spectrum_sum(spectra.Spectrum.zero(), s1) == s1
 
-    checks.append(_sweep(
-        "spectra-sum-algebra",
-        "lattice/zero triples over a fraction grid",
-        itertools.product(lattices, lattices, lattices),
-        algebra,
-    ))
-
     def rescale(obj, c):
         split = spectra.split_min_action(obj)
         prod = spectra.minimal_action(spectra.product_spectrum(obj))
@@ -477,21 +426,6 @@ def _spectra_checks() -> list[CheckResult]:
             and spectra.minimal_action(spectra.product_spectrum(scaled)) == prod.scaled(c)
         )
 
-    checks.append(_sweep(
-        "spectra-rescaling",
-        "sample objects x positive rational scales",
-        itertools.product(_sample_objects(), _POSITIVE),
-        rescale,
-    ))
-
-    checks.append(_sweep(
-        "spectra-sphere-m-independent",
-        "1<=m,m'<=4 x positive areas",
-        itertools.product(range(1, 5), range(1, 5), _POSITIVE),
-        lambda m, m2, a: spectra.spectrum_of_atom(spectra.Sphere(m, a))
-        == spectra.spectrum_of_atom(spectra.Sphere(m2, a)),
-    ))
-
     def normal_form(gens):
         base = spectra.Spectrum.from_generators(gens)
         for perm in itertools.permutations(gens):
@@ -500,77 +434,60 @@ def _spectra_checks() -> list[CheckResult]:
         regenerated = (base.gen,) if not base.is_zero else ()
         return spectra.Spectrum.from_generators(regenerated) == base
 
-    checks.append(_sweep(
-        "spectra-normal-form",
-        "generator triples over a fraction grid",
-        ((gens,) for gens in itertools.combinations_with_replacement(_FRACTIONS, 3)),
-        normal_form,
-    ))
-
-    checks.append(_sweep(
-        "spectra-product-min-vs-split",
-        "sample objects",
-        ((obj,) for obj in _sample_objects()),
-        lambda obj: spectra.minimal_action(spectra.product_spectrum(obj))
-        <= spectra.split_min_action(obj),
-    ))
-
-    return checks
+    return [
+        (
+            "spectra-sum-algebra",
+            "lattice/zero triples over a fraction grid",
+            lambda: itertools.product(lattices, lattices, lattices),
+            algebra,
+        ),
+        (
+            "spectra-rescaling",
+            "sample objects x positive rational scales",
+            lambda: itertools.product(objects, _POSITIVE),
+            rescale,
+        ),
+        (
+            "spectra-sphere-m-independent",
+            "1<=m,m'<=4 x positive areas",
+            lambda: itertools.product(range(1, 5), range(1, 5), _POSITIVE),
+            lambda m, m2, a: spectra.spectrum_of_atom(spectra.Sphere(m, a))
+            == spectra.spectrum_of_atom(spectra.Sphere(m2, a)),
+        ),
+        (
+            "spectra-normal-form",
+            "generator triples over a fraction grid",
+            lambda: ((gens,) for gens in itertools.combinations_with_replacement(_FRACTIONS, 3)),
+            normal_form,
+        ),
+        (
+            "spectra-product-min-vs-split",
+            "sample objects",
+            lambda: ((obj,) for obj in objects),
+            lambda obj: spectra.minimal_action(spectra.product_spectrum(obj))
+            <= spectra.split_min_action(obj),
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
-def _cell_count(suite: str, nmax: int, dmax: int) -> int:
-    """The number of cells ``suite`` sweeps, from nmax and dmax alone.
-
-    The terms in closed form come first.  The sums over n run only when
-    those stay within ``VERIFY_MAX_CELLS`` (so nmax is below about 2,000
-    there); otherwise the closed-form part, already past the budget, is
-    returned.  Keep each term in step with its check's cells.
-    """
-    n, d = nmax, dmax
-    rows = n * (d + 1)  # 1<=n<=nmax, 0<=d<=dmax
-    closed, sums = 0, []
-    if suite in ("kfun-props", "all"):
-        closed += (
-            2 * n + min(n, 200) + max(n, d) + 1  # diagonal, root, exhaustive, four squares
-            + 4 * rows  # dominates, both feasibility windows, witnesses
-            + n * (d + 1) * (d + 2) // 2  # monotone in d
-            + n * (n + 1) // 2  # linear bound
-            + rows * rows  # subadditive
-        )
-        # the root-bound window: n <= d <= 2n with d - n + 9 >= 6 sqrt(n)
-        sums.append(lambda: sum(
-            max(0, m + 10 - (math.isqrt(36 * m - 1) + 1)) for m in range(9, n + 1)
-        ))
-        # the divisor bound: for each k, the multiples of k from k*k to nmax
-        sums.append(lambda: sum(n // k - k + 1 for k in range(1, math.isqrt(n) + 1)))
-    if suite in ("oracle", "all"):
-        closed += 2 * sum(min(d, 2 * m) + 1 for m in range(1, min(n, kfun.ORACLE_CAP) + 1))
-    if suite in ("bounds-props", "all"):
-        objects, scales = len(_sample_objects()), len(_POSITIVE)
-        closed += (
-            n + n * (n + 1) // 2  # normalized, interval sane
-            + 3 + objects * scales + 2 * scales  # energy examples, conformality, width
-            + (scales + 1) ** 3 + objects * scales + 16 * scales + objects  # spectra
-            + math.comb(len(_FRACTIONS) + 2, 3)  # spectra normal form
-        )
-        # squeeze: m = dmax - n + 1 values of d >= n, and m(m+1)/2 pairs d <= d'
-        sums.append(lambda: sum(
-            m + m * (m + 1) // 2 for m in (max(0, d - k + 1) for k in range(2, n + 1))
-        ))
-    if closed > VERIFY_MAX_CELLS:
-        return closed
-    return closed + sum(term() for term in sums)
+_SUITE_CHECKS = {
+    "kfun-props": (_kfun_checks,),
+    "oracle": (_oracle_checks,),
+    "bounds-props": (_bounds_checks,),
+}
+_SUITE_CHECKS["all"] = tuple(itertools.chain.from_iterable(_SUITE_CHECKS.values()))
+SUITES = tuple(_SUITE_CHECKS)
 
 
 def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
     """Run one suite over n <= nmax, d <= dmax (default 2*nmax).
 
     Refuses, before any work, a K table past ``kfun.BIG_K_NMAX`` and then
-    a suite of more than ``VERIFY_MAX_CELLS`` cells.
+    a suite whose checks have more than ``VERIFY_MAX_CELLS`` cells.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
@@ -580,23 +497,21 @@ def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
         dmax = 2 * nmax
     if not isinstance(dmax, int) or dmax < 0:
         raise ValueError("dmax must be an integer >= 0")
-    if suite in ("kfun-props", "all"):
-        kfun.check_k_limit(max(nmax, dmax))
-    if _cell_count(suite, nmax, dmax) > VERIFY_MAX_CELLS:
+    builds, checks = [], []
+    for declare in _SUITE_CHECKS[suite]:
+        build, rows = declare(nmax, dmax)
+        builds.append(build)
+        checks.extend(rows)
+    walk = itertools.chain.from_iterable(cells() for _, _, cells, _ in checks)
+    if sum(1 for _ in itertools.islice(walk, VERIFY_MAX_CELLS + 1)) > VERIFY_MAX_CELLS:
         raise OutOfRangeError(
             f"verify {suite} would sweep more than {VERIFY_MAX_CELLS} cells"
             " (the verify cell budget)"
         )
 
     start = time.monotonic()
-    checks: list[CheckResult] = []
-    if suite in ("kfun-props", "all"):
-        checks.extend(_kfun_checks(nmax, dmax))
-    if suite in ("oracle", "all"):
-        checks.extend(_oracle_checks(nmax, dmax))
-    if suite in ("bounds-props", "all"):
-        checks.extend(_bounds_checks(nmax, dmax))
-        checks.extend(_spectra_checks())
+    for build in builds:
+        build()
+    results = [_sweep(name, desc, cells(), pred) for name, desc, cells, pred in checks]
     elapsed_ms = int((time.monotonic() - start) * 1000)
-    ordered = tuple(sorted(checks, key=lambda c: c.name))
-    return VerifyReport(ordered, elapsed_ms)
+    return VerifyReport(tuple(sorted(results, key=lambda c: c.name)), elapsed_ms)

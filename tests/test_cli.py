@@ -317,7 +317,12 @@ def test_oversized_integer_field_is_a_grammar_error(capsys, expr, name):
     ("spectrum", f"S(1;{'x' * 5000})"),
     ("spectrum", "y" * 5000),
     ("spectrum", "(" * 5000),
-], ids=["keq-d", "n", "kk-d", "area", "factor", "parentheses"])
+    ("bound", "capacity", "5", _DIGITS[:4000]),
+    ("bound", "capacity", _DIGITS[:4000], "3"),
+    ("bound", "squeeze", _DIGITS[:4000], "3"),
+    ("spectrum", f"V({_DIGITS[:4000]},2;pi)"),
+], ids=["keq-d", "n", "kk-d", "area", "factor", "parentheses",
+        "capacity-d", "capacity-n", "squeeze-n", "frame-k"])
 def test_echoed_tokens_are_truncated(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code in (1, 2) and out == ""

@@ -121,7 +121,11 @@ _FAMILIES = {"kfun-props": ("kfun-",), "oracle": (), "bounds-props": ("bounds-",
              "all": ("kfun-", "bounds-")}
 
 
-@pytest.mark.parametrize("nmax", range(1, 9))
+def _cells(report):
+    return sum(c.pass_count + c.fail_count for c in report.checks)
+
+
+@pytest.mark.parametrize("nmax", [*range(1, 10), 12])
 def test_grid_sweeps_match_per_call_sweeps(nmax):
     for dmax in sorted({0, nmax, 2 * nmax, 3 * nmax}):
         reference = _per_call_checks(nmax, dmax)
@@ -131,8 +135,6 @@ def test_grid_sweeps_match_per_call_sweeps(nmax):
             want = {name: c for name, c in reference.items()
                     if name.startswith(_FAMILIES[suite])}
             assert got == want, (suite, nmax, dmax)
-            cells = sum(c.pass_count + c.fail_count for c in report.checks)
-            assert cells == verify._cell_count(suite, nmax, dmax), (suite, nmax, dmax)
 
 
 def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
@@ -152,10 +154,20 @@ def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
     assert by_name["kfun-kk-subadditive"].first_failure == (1, 1, 1, 2)
 
 
-def test_cell_budget_is_checked_before_any_work():
-    assert verify._cell_count("all", 25, 50) == 1_684_806 <= verify.VERIFY_MAX_CELLS
+def test_cell_budget_is_checked_before_any_work(monkeypatch):
+    assert _cells(run_suite("all", 25)) == 1_684_806 <= verify.VERIFY_MAX_CELLS
+    # a suite of exactly the budget runs, one cell more is refused
+    cells = _cells(run_suite("bounds-props", 4))
+    monkeypatch.setattr(verify, "VERIFY_MAX_CELLS", cells)
+    assert run_suite("bounds-props", 4).ok
+    monkeypatch.setattr(verify, "VERIFY_MAX_CELLS", cells - 1)
+    with pytest.raises(OutOfRangeError, match=f"more than {cells - 1} cells"):
+        run_suite("bounds-props", 4)
+    monkeypatch.undo()
     for suite, nmax, dmax in (("all", 200, 400), ("kfun-props", 2, 100_000),
-                              ("bounds-props", 10**18, 0), ("bounds-props", 3, 10**18)):
+                              ("bounds-props", 10**18, 0), ("bounds-props", 3, 10**18),
+                              ("kfun-props", 10**6, 0), ("kfun-props", 1999, 0),
+                              ("bounds-props", 2000, 2000)):
         t0 = time.perf_counter()
         with pytest.raises(OutOfRangeError, match="the verify cell budget"):
             run_suite(suite, nmax, dmax)
