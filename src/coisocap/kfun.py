@@ -20,7 +20,10 @@ takes its value from a dynamic program over 0..n.
 
 Every finite value comes with a witness decomposition; infeasible instances
 yield infinity, never an error.  ``keq_naive``/``kk_naive`` are independent
-exhaustive-enumeration oracles for cross-checking, capped at small inputs.
+exhaustive-enumeration oracles for cross-checking, capped at small inputs:
+one unpruned walk over every pair tuple of weight <= 2 * ORACLE_CAP, made
+on first use, keeps the least (cost, key) at each (weight, dim), and each
+oracle call is a lookup in that table.
 
 All arithmetic is exact (Python integers / fractions.Fraction).
 """
@@ -457,23 +460,32 @@ def kk(n: int, d: Rational) -> WitnessedValue:
 # Naive enumeration oracles
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _enumerate_upto_weight(max_weight: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every canonical pair tuple of total weight <= max_weight, unpruned."""
-    out: list[tuple[tuple[int, int], ...]] = []
+NaiveEntry = tuple[int, tuple[tuple[int, int], ...]]  # (cost, key)
 
-    def extend(prefix: tuple, budget: int, k_hi: int, m_hi: int) -> None:
+
+@lru_cache(maxsize=1)
+def _naive_table() -> dict[tuple[int, int], NaiveEntry]:
+    """Least (cost, key) at each (weight, dim) over every canonical pair
+    tuple of total weight <= 2 * ORACLE_CAP, from one unpruned enumeration."""
+    table: dict[tuple[int, int], NaiveEntry] = {}
+    max_weight = 2 * ORACLE_CAP
+
+    def extend(prefix, k_hi, m_hi, weight, dim, cost) -> None:
+        budget = max_weight - weight
         for k in range(1, min(k_hi, math.isqrt(budget)) + 1):
             top = budget // k
             if k == k_hi:
                 top = min(top, m_hi)
             for m in range(k, top + 1):
-                cand = prefix + ((k, m),)
-                out.append(cand)
-                extend(cand, budget - k * m, k, m)
+                key = prefix + ((k, m),)
+                at = (weight + k * m, dim + k * (2 * m - k))
+                cand = (cost + k, key)
+                if at not in table or cand < table[at]:
+                    table[at] = cand
+                extend(key, k, m, *at, cost + k)
 
-    extend((), max_weight, max_weight, max_weight)
-    return tuple(out)
+    extend((), max_weight, max_weight, 0, 0, 0)
+    return table
 
 
 def keq_naive(n: int, d: int) -> WitnessedValue:
@@ -486,23 +498,14 @@ def keq_naive(n: int, d: int) -> WitnessedValue:
         raise OutOfRangeError("d must be >= 0")
     if n > ORACLE_CAP:
         raise CapExceededError(f"naive oracle capped at n <= {ORACLE_CAP}, got n={n}")
-    found = None
-    for key in _enumerate_upto_weight(n):
-        if sum(k * m for k, m in key) != n:
-            continue
-        if sum(k * (2 * m - k) for k, m in key) != d:
-            continue
-        cand = (sum(k for k, _ in key), key)
-        if found is None or cand < found:
-            found = cand
-    return _witnessed(found)
+    return _witnessed(_naive_table().get((n, d)))
 
 
 def kk_naive(n: int, d: Rational) -> WitnessedValue:
     """Exhaustive-enumeration oracle for ``kk`` (small n and d only).
 
     Feasible decompositions satisfy weight <= dim <= floor(d), so the
-    enumeration over total weight <= floor(d) is complete.
+    enumeration over total weight <= 2 * ORACLE_CAP is complete.
     """
     _require_int(n, "n")
     _require_rational(d, "d")
@@ -517,16 +520,11 @@ def kk_naive(n: int, d: Rational) -> WitnessedValue:
         raise CapExceededError(
             f"naive oracle capped at floor(d) <= {2 * ORACLE_CAP}, got floor(d)={dcap}"
         )
-    found = None
-    for key in _enumerate_upto_weight(dcap):
-        if sum(k * m for k, m in key) < n:
-            continue
-        if sum(k * (2 * m - k) for k, m in key) > dcap:
-            continue
-        cand = (sum(k for k, _ in key), key)
-        if found is None or cand < found:
-            found = cand
-    return _witnessed(found)
+    return _witnessed(min(
+        (entry for (weight, dim), entry in _naive_table().items()
+         if weight >= n and dim <= dcap),
+        default=None,
+    ))
 
 
 # ---------------------------------------------------------------------------

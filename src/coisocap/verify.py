@@ -34,8 +34,8 @@ The cell budget is counted by walking the checks' own cells, up to
 a suite whose walk gets past the budget is refused with
 ``OutOfRangeError``.  No cell generator runs long between two cells, so
 the walk is bounded for any nmax and dmax.  ``verify all --nmax 25``
-(1,684,806 cells) takes about 0.7 s on a 2-core x86-64 host with
-CPython 3.11.7.
+(1,684,806 cells) takes about 0.3 s and ``--nmax 15`` (231,264 cells)
+about 0.1 s on a 2-core x86-64 host with CPython 3.11.7.
 """
 from __future__ import annotations
 
@@ -141,7 +141,7 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
 
     ns, ds = range(1, nmax + 1), range(dmax + 1)
     # (range text, cells) of the ranges several checks share
-    each_n =f"1<=n<={nmax}", lambda: ((n,) for n in ns)
+    each_n = f"1<=n<={nmax}", lambda: ((n,) for n in ns)
     each_nd = f"1<=n<={nmax}, 0<=d<={dmax}", lambda: ((n, d) for n in ns for d in ds)
 
     def window_cells():

@@ -1,6 +1,8 @@
 import math
+import re
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -261,9 +263,71 @@ def test_oracle_examples():
 
 def test_oracle_cap_enforced():
     with pytest.raises(CapExceededError):
-        keq_naive(13, 13)
-    with pytest.raises(CapExceededError):
         kk_naive(2, 100)
+    with pytest.raises(CapExceededError, match=re.escape("naive oracle capped at n <= 12, got n=13")):
+        keq_naive(13, 13)
+    with pytest.raises(
+        CapExceededError, match=re.escape("naive oracle capped at floor(d) <= 24, got floor(d)=25")
+    ):
+        kk_naive(2, 25)
+
+
+# Reference oracles: a separate enumeration per max weight and a linear
+# filter per query, kept to check the (weight, dim) table against.
+
+@lru_cache(maxsize=None)
+def _enumerate_upto_weight(max_weight):
+    out = []
+
+    def extend(prefix, budget, k_hi, m_hi):
+        for k in range(1, min(k_hi, math.isqrt(budget)) + 1):
+            top = budget // k
+            if k == k_hi:
+                top = min(top, m_hi)
+            for m in range(k, top + 1):
+                cand = prefix + ((k, m),)
+                out.append(cand)
+                extend(cand, budget - k * m, k, m)
+
+    extend((), max_weight, max_weight, max_weight)
+    return tuple(out)
+
+
+def _reference_filter(max_weight, keep):
+    found = None
+    for key in _enumerate_upto_weight(max_weight):
+        weight = sum(k * m for k, m in key)
+        dim = sum(k * (2 * m - k) for k, m in key)
+        if keep(weight, dim):
+            cand = (sum(k for k, _ in key), key)
+            if found is None or cand < found:
+                found = cand
+    return found
+
+
+def _assert_matches(got, found):
+    if found is None:
+        assert got.value == NAT_INF and got.witness is None
+    else:
+        assert got.value == ExtNat(found[0])
+        assert got.witness.key() == found[1]
+
+
+def test_keq_naive_matches_reference_enumeration():
+    for n in range(1, 13):
+        for d in range(31):
+            found = _reference_filter(n, lambda w, dim: w == n and dim == d)
+            _assert_matches(keq_naive(n, d), found)
+
+
+def test_kk_naive_matches_reference_enumeration():
+    by_floor = {}
+    for n in range(1, 13):
+        for j in range(75):
+            dcap = j // 3
+            if (n, dcap) not in by_floor:
+                by_floor[n, dcap] = _reference_filter(dcap, lambda w, dim: w >= n and dim <= dcap)
+            _assert_matches(kk_naive(n, Fraction(j, 3)), by_floor[n, dcap])
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,15 @@ def test_oracle_suite_clamps_to_cap():
     assert "n<=12" in by_name["oracle-keq-agrees"].range_desc
 
 
+def test_oracle_suite_enumerates_once():
+    kfun._naive_table.cache_clear()
+    report = run_suite("oracle", 12)
+    assert kfun._naive_table.cache_info().misses == 1
+    by_name = {c.name: c for c in report.checks}
+    for name in ("oracle-keq-agrees", "oracle-kk-agrees"):
+        assert (by_name[name].pass_count, by_name[name].fail_count) == (168, 0)
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         run_suite("nope", 5)
