@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IntervalConflictError, OutOfRangeError, clip
-from .kfun import keq, kk, Rational, _require_int, _require_rational
+from .kfun import ExtNat, keq, kk, Rational, _require_int, _require_n, _require_rational
 from .spectra import (
     Closed,
     ExtRat,
@@ -24,6 +24,7 @@ from .spectra import (
     RAT_INF,
     Sphere,
     Stiefel,
+    _as_area,
     minimal_action,
     split_min_action,
 )
@@ -132,27 +133,25 @@ def energy_bounds(obj: ProductObject) -> BoundInterval:
     return BoundInterval(lower, upper, lower_prov, upper_prov)
 
 
+def _reciprocal_interval(cost: ExtNat, lower_id: str, *upper_ids: str) -> BoundInterval:
+    """The interval [1/cost, 1] for a finite decomposition cost."""
+    assert cost.is_finite  # guaranteed by the callers' argument checks
+    lower = ExtRat.fin(Fraction(1, cost.value))
+    upper_prov = tuple(citation(cid) for cid in upper_ids)
+    return BoundInterval(lower, ExtRat.fin(1), (citation(lower_id),), upper_prov)
+
+
 def capacity_bounds(n: int, d: int) -> BoundInterval:
     """Interval for the dimension-d regular coisotropic capacity of the unit
     ball B^(2n), valid on the capacity window n <= d <= 2n - 1."""
     _require_int(n, "n")
     _require_int(d, "d")
-    if n < 1:
-        raise OutOfRangeError("n must be >= 1")
+    _require_n(n)
     if not n <= d <= 2 * n - 1:
         raise OutOfRangeError(
             f"d must satisfy n <= d <= 2n - 1, got (n, d)=({clip(str(n))}, {clip(str(d))})"
         )
-    cost = keq(n, d).value
-    assert cost.is_finite  # guaranteed on the window
-    lower = ExtRat.fin(Fraction(1, cost.value))
-    upper = ExtRat.fin(1)
-    return BoundInterval(
-        lower,
-        upper,
-        (citation("eq:A-coiso-d-B"),),
-        (citation("eq:A-coiso-d-Z"), citation("mono:B-in-Z")),
-    )
+    return _reciprocal_interval(keq(n, d).value, "eq:A-coiso-d-B", "eq:A-coiso-d-Z", "mono:B-in-Z")
 
 
 def squeeze_bounds(n: int, d: Rational) -> BoundInterval:
@@ -166,16 +165,7 @@ def squeeze_bounds(n: int, d: Rational) -> BoundInterval:
         raise OutOfRangeError(
             f"d must be >= n, got (n, d)=({clip(str(n))}, {clip(str(d))})"
         )
-    cost = kk(n, d).value
-    assert cost.is_finite  # floor(d) >= n guarantees feasibility
-    lower = ExtRat.fin(Fraction(1, cost.value))
-    upper = ExtRat.fin(1)
-    return BoundInterval(
-        lower,
-        upper,
-        (citation("thm:emb-d-B"),),
-        (citation("def:emb-d-B"),),
-    )
+    return _reciprocal_interval(kk(n, d).value, "thm:emb-d-B", "def:emb-d-B")
 
 
 @dataclass(frozen=True)
@@ -190,26 +180,14 @@ class LagrangianComparison:
 
 
 def lagrangian_comparison(n: int, d: int) -> LagrangianComparison:
-    """Compare pi/n with pi / keq(n, d) on the window n <= d <= 2n - 1.
+    """Compare pi/n with the lower endpoint pi / keq(n, d) of
+    ``capacity_bounds(n, d)``, which also checks the arguments.
 
     The comparison is strict exactly when n exceeds the exact decomposition
     cost; for d > n this always holds, for d = n it first holds at n = 4.
     """
-    _require_int(n, "n")
-    _require_int(d, "d")
-    if n < 1:
-        raise OutOfRangeError("n must be >= 1")
-    if not n <= d <= 2 * n - 1:
-        raise OutOfRangeError(
-            f"d must satisfy n <= d <= 2n - 1, got (n, d)=({clip(str(n))}, {clip(str(d))})"
-        )
-    cost = keq(n, d).value
-    assert cost.is_finite
-    return LagrangianComparison(
-        lagrangian_value=Fraction(1, n),
-        capacity_lower=Fraction(1, cost.value),
-        strict=n > cost.value,
-    )
+    lower = capacity_bounds(n, d).lower.value
+    return LagrangianComparison(Fraction(1, n), lower, Fraction(1, n) < lower)
 
 
 def width_energy_bound(ball_area, has_closed_aspherical_factor: bool) -> BoundInterval:
@@ -222,12 +200,7 @@ def width_energy_bound(ball_area, has_closed_aspherical_factor: bool) -> BoundIn
     the stabilization remark enters the upper provenance only when a
     closed factor is present.
     """
-    if isinstance(ball_area, float):
-        raise TypeError("ball_area must be exact (int or Fraction), not float")
-    area = Fraction(ball_area)
-    if area <= 0:
-        raise OutOfRangeError(f"ball_area must be positive, got {area}")
-    value = ExtRat.fin(area)
+    value = ExtRat.fin(_as_area(ball_area, "ball_area", OutOfRangeError))
     if has_closed_aspherical_factor:
         upper_prov = (citation("rem:e-M-M'"), citation("rem:e-Z-2n-a"))
     else:

@@ -61,6 +61,41 @@ def _require_rational(value, name: str) -> Rational:
     return value
 
 
+def _floor_dim(d: Rational) -> int:
+    return int(math.floor(d))
+
+
+def _require_n(n) -> int:
+    """Refuse an n that is not an int >= 1."""
+    if _require_int(n, "n") < 1:
+        raise OutOfRangeError("n must be >= 1")
+    return n
+
+
+def _query_cap(n, d, exact: bool) -> int:
+    """The dimension cap of a ``keq`` (``exact``: int d) or ``kk`` (floor of
+    a rational d) query, after refusing a bad n or d; types come first."""
+    _require_int(n, "n")
+    (_require_int if exact else _require_rational)(d, "d")
+    _require_n(n)
+    if d < 0:
+        raise OutOfRangeError("d must be >= 0")
+    return d if exact else _floor_dim(d)
+
+
+def _oracle_cap(n, d, exact: bool) -> int:
+    """``_query_cap`` within the naive oracles' caps: n <= ORACLE_CAP, and
+    for ``kk_naive`` floor(d) <= 2 * ORACLE_CAP."""
+    dcap = _query_cap(n, d, exact)
+    if n > ORACLE_CAP:
+        raise CapExceededError(f"naive oracle capped at n <= {ORACLE_CAP}, got n={n}")
+    if not exact and dcap > 2 * ORACLE_CAP:
+        raise CapExceededError(
+            f"naive oracle capped at floor(d) <= {2 * ORACLE_CAP}, got floor(d)={dcap}"
+        )
+    return dcap
+
+
 def _ceil_sqrt(x: int) -> int:
     if x <= 0:
         return 0
@@ -384,16 +419,11 @@ def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> Witnessed
 def big_k(n: int) -> WitnessedValue:
     """Minimal part sum over multisets of positive integers whose squares
     sum to n; the witness pairs every part k with itself."""
-    _require_int(n, "n")
-    if n < 1:
-        raise OutOfRangeError("n must be >= 1")
-    value = big_k_table(n)[n]
-    # the first tuple in ascending order is the smallest key
-    parts = next(_square_parts(value, n, n, value), None)
-    if parts is None:  # the table value is always attained
-        raise AssertionError(f"no square witness found for n={n}")
-    witness = Decomposition.from_pairs(Pair(k, k) for k in parts)
-    return WitnessedValue(ExtNat(value), witness)
+    value = big_k_table(_require_n(n))[n]
+    # The table value is always attained, and the first tuple in ascending
+    # order is the smallest key.
+    parts = next(_square_parts(value, n, n, value))
+    return _witnessed((value, tuple((k, k) for k in parts)))
 
 
 def square_cost_naive(n: int) -> int:
@@ -404,9 +434,7 @@ def square_cost_naive(n: int) -> int:
     sum reaches the best complete one (parts are positive, so it cannot
     improve on it).
     """
-    _require_int(n, "n")
-    if n < 1:
-        raise OutOfRangeError("n must be >= 1")
+    _require_n(n)
     best: list[int | None] = [None]
 
     def rec(m: int, cap: int, acc: int) -> None:
@@ -426,17 +454,8 @@ def square_cost_naive(n: int) -> int:
 def keq(n: int, d: int) -> WitnessedValue:
     """Minimal cost over decompositions with weight exactly n and dimension
     exactly d; infinity when no decomposition exists."""
-    _require_int(n, "n")
-    _require_int(d, "d")
-    if n < 1:
-        raise OutOfRangeError("n must be >= 1")
-    if d < 0:
-        raise OutOfRangeError("d must be >= 0")
+    d = _query_cap(n, d, exact=True)
     return _square_mass_search(n, n, d, d)
-
-
-def _floor_dim(d: Rational) -> int:
-    return int(math.floor(d))
 
 
 def kk(n: int, d: Rational) -> WitnessedValue:
@@ -446,13 +465,7 @@ def kk(n: int, d: Rational) -> WitnessedValue:
     Both constraint sums are integers, so replacing d by its floor is
     value-preserving.
     """
-    _require_int(n, "n")
-    _require_rational(d, "d")
-    if n < 1:
-        raise OutOfRangeError("n must be >= 1")
-    if d < 0:
-        raise OutOfRangeError("d must be >= 0")
-    dcap = _floor_dim(d)
+    dcap = _query_cap(n, d, exact=False)
     return _square_mass_search(n, dcap, 0, dcap)
 
 
@@ -490,15 +503,7 @@ def _naive_table() -> dict[tuple[int, int], NaiveEntry]:
 
 def keq_naive(n: int, d: int) -> WitnessedValue:
     """Exhaustive-enumeration oracle for ``keq`` (small n only)."""
-    _require_int(n, "n")
-    _require_int(d, "d")
-    if n < 1:
-        raise OutOfRangeError("n must be >= 1")
-    if d < 0:
-        raise OutOfRangeError("d must be >= 0")
-    if n > ORACLE_CAP:
-        raise CapExceededError(f"naive oracle capped at n <= {ORACLE_CAP}, got n={n}")
-    return _witnessed(_naive_table().get((n, d)))
+    return _witnessed(_naive_table().get((n, _oracle_cap(n, d, exact=True))))
 
 
 def kk_naive(n: int, d: Rational) -> WitnessedValue:
@@ -507,19 +512,7 @@ def kk_naive(n: int, d: Rational) -> WitnessedValue:
     Feasible decompositions satisfy weight <= dim <= floor(d), so the
     enumeration over total weight <= 2 * ORACLE_CAP is complete.
     """
-    _require_int(n, "n")
-    _require_rational(d, "d")
-    if n < 1:
-        raise OutOfRangeError("n must be >= 1")
-    if d < 0:
-        raise OutOfRangeError("d must be >= 0")
-    if n > ORACLE_CAP:
-        raise CapExceededError(f"naive oracle capped at n <= {ORACLE_CAP}, got n={n}")
-    dcap = _floor_dim(d)
-    if dcap > 2 * ORACLE_CAP:
-        raise CapExceededError(
-            f"naive oracle capped at floor(d) <= {2 * ORACLE_CAP}, got floor(d)={dcap}"
-        )
+    dcap = _oracle_cap(n, d, exact=False)
     return _witnessed(min(
         (entry for (weight, dim), entry in _naive_table().items()
          if weight >= n and dim <= dcap),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import reduce, total_ordering
 from math import gcd
 from typing import Iterable, Union
 
@@ -32,13 +32,25 @@ def format_pi(q: Fraction) -> str:
     return head if q.denominator == 1 else f"{head}/{q.denominator}"
 
 
-def _as_area(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"{what} must be exact (int or Fraction), not float")
-    area = Fraction(value)
+def _exact(value, what: str) -> Fraction:
+    """``value`` as a Fraction; a float or bool is refused, not converted."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{what} must be exact (int or Fraction), not {type(value).__name__}")
+    return Fraction(value)
+
+
+def _as_area(value, what: str, error: type[ValueError] = ValueError) -> Fraction:
+    """``value`` as a positive exact rational; ``error`` refuses the rest."""
+    area = _exact(value, what)
     if area <= 0:
-        raise ValueError(f"{what} must be positive, got {area}")
+        raise error(f"{what} must be positive, got {area}")
     return area
+
+
+def _require_count(value, owner: str, name: str) -> None:
+    """Refuse a ``name`` of ``owner`` that is not an int >= 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{owner} needs integer {name} >= 1, got {clip(repr(value))}")
 
 
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -54,12 +66,7 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         if self.gen is not None:
-            if isinstance(self.gen, float):
-                raise TypeError("lattice generator must be exact, not float")
-            g = Fraction(self.gen)
-            if g <= 0:
-                raise ValueError(f"lattice generator must be positive, got {g}")
-            object.__setattr__(self, "gen", g)
+            object.__setattr__(self, "gen", _as_area(self.gen, "lattice generator"))
 
     @classmethod
     def zero(cls) -> "Spectrum":
@@ -67,7 +74,8 @@ class Spectrum:
 
     @classmethod
     def lattice(cls, gen) -> "Spectrum":
-        return cls(Fraction(gen))
+        # _exact also refuses None, which the constructor reads as {0}
+        return cls(_exact(gen, "lattice generator"))
 
     @classmethod
     def from_generators(cls, gens: Iterable) -> "Spectrum":
@@ -75,19 +83,12 @@ class Spectrum:
         gcd-lattice of the positive generators, {0} if there are none."""
         positive = []
         for g in gens:
-            if isinstance(g, float):
-                raise TypeError("generators must be exact, not float")
-            q = Fraction(g)
+            q = _exact(g, "generators")
             if q < 0:
                 raise ValueError(f"generators must be nonnegative, got {q}")
             if q > 0:
                 positive.append(q)
-        if not positive:
-            return cls.zero()
-        acc = positive[0]
-        for q in positive[1:]:
-            acc = _fraction_gcd(acc, q)
-        return cls(acc)
+        return cls(reduce(_fraction_gcd, positive)) if positive else cls.zero()
 
     @property
     def is_zero(self) -> bool:
@@ -114,16 +115,15 @@ class ExtRat:
 
     def __post_init__(self) -> None:
         if self.value is not None:
-            if isinstance(self.value, float):
-                raise TypeError("finite ExtRat must be exact, not float")
-            v = Fraction(self.value)
+            v = _exact(self.value, "finite ExtRat")
             if v < 0:
                 raise ValueError("finite ExtRat must be nonnegative")
             object.__setattr__(self, "value", v)
 
     @classmethod
     def fin(cls, value) -> "ExtRat":
-        return cls(Fraction(value))
+        # _exact also refuses None, which the constructor reads as infinity
+        return cls(_exact(value, "finite ExtRat"))
 
     @property
     def is_finite(self) -> bool:
@@ -162,8 +162,7 @@ class Sphere:
     area: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise ValueError(f"sphere needs integer m >= 1, got {clip(repr(self.m))}")
+        _require_count(self.m, "sphere", "m")
         object.__setattr__(self, "area", _as_area(self.area, "sphere area"))
 
     @property
@@ -190,10 +189,8 @@ class Stiefel:
     area: Fraction
 
     def __post_init__(self) -> None:
-        for name in ("k", "n"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"frame manifold needs integer {name} >= 1, got {clip(repr(v))}")
+        _require_count(self.k, "frame manifold", "k")
+        _require_count(self.n, "frame manifold", "n")
         if self.k > self.n:
             raise ValueError(
                 f"frame manifold needs k <= n, got ({clip(str(self.k))}, {clip(str(self.n))})"
@@ -231,14 +228,7 @@ class Closed:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("closed factor needs a nonempty label")
-        if (
-            not isinstance(self.half_dim, int)
-            or isinstance(self.half_dim, bool)
-            or self.half_dim < 1
-        ):
-            raise ValueError(
-                f"closed factor needs integer half_dim >= 1, got {clip(repr(self.half_dim))}"
-            )
+        _require_count(self.half_dim, "closed factor", "half_dim")
         if not isinstance(self.spectrum, Spectrum):
             raise TypeError("closed factor spectrum must be a Spectrum")
         if self.aspherical and not self.spectrum.is_zero:

@@ -491,11 +491,11 @@ def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
-    if not isinstance(nmax, int) or nmax < 1:
+    if isinstance(nmax, bool) or not isinstance(nmax, int) or nmax < 1:
         raise ValueError("nmax must be an integer >= 1")
     if dmax is None:
         dmax = 2 * nmax
-    if not isinstance(dmax, int) or dmax < 0:
+    if isinstance(dmax, bool) or not isinstance(dmax, int) or dmax < 0:
         raise ValueError("dmax must be an integer >= 0")
     builds, checks = [], []
     for declare in _SUITE_CHECKS[suite]:

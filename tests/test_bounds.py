@@ -17,6 +17,7 @@ from coisocap import (
     citation,
     citation_ids,
     energy_bounds,
+    keq,
     lagrangian_comparison,
     squeeze_bounds,
     width_energy_bound,
@@ -249,3 +250,20 @@ def test_width_examples():
         width_energy_bound(Fraction(0), True)
     with pytest.raises(TypeError):
         width_energy_bound(0.5, False)
+
+
+def _lagrangian_reference(n, d):
+    """The comparison read straight from keq(n, d), as it was defined
+    before it was derived from ``capacity_bounds``."""
+    cost = keq(n, d).value.value
+    return Fraction(1, n), Fraction(1, cost), n > cost
+
+
+def test_lagrangian_comparison_matches_keq_reference():
+    for n in range(1, 41):
+        for d in range(n, 2 * n):
+            report = lagrangian_comparison(n, d)
+            value, lower, strict = _lagrangian_reference(n, d)
+            assert report.lagrangian_value == value
+            assert report.capacity_lower == lower
+            assert report.strict == strict

@@ -183,3 +183,14 @@ def test_cell_budget_is_checked_before_any_work(monkeypatch):
         assert time.perf_counter() - t0 < 1.0
     # the oracle suite clamps its grid, so any nmax fits
     assert run_suite("oracle", 10**18, 3).ok
+
+
+@pytest.mark.parametrize("args, message", [
+    (("all", True), "nmax must be an integer >= 1"),
+    (("all", 2, False), "dmax must be an integer >= 0"),
+    (("all", 2, True), "dmax must be an integer >= 0"),
+])
+def test_bool_sizes_are_refused(args, message):
+    with pytest.raises(ValueError) as info:
+        run_suite(*args)
+    assert type(info.value) is ValueError and str(info.value) == message
