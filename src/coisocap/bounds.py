@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IntervalConflictError, OutOfRangeError, clip
-from .kfun import ExtNat, keq, kk, Rational, _require_int, _require_n, _require_rational
+from .errors import (IntervalConflictError, OutOfRangeError, clip, require_area, require_exact,
+                     require_int, require_n)
+from .kfun import Decomposition, WitnessedValue, keq, kk, Rational
 from .spectra import (
     Closed,
     ExtRat,
@@ -24,7 +25,6 @@ from .spectra import (
     RAT_INF,
     Sphere,
     Stiefel,
-    _as_area,
     minimal_action,
     split_min_action,
 )
@@ -78,12 +78,15 @@ _ZERO = ExtRat.fin(0)
 
 @dataclass(frozen=True)
 class BoundInterval:
-    """Certified enclosure [lower, upper] with per-side provenance."""
+    """Certified enclosure [lower, upper] with per-side provenance, and the
+    decomposition behind a lower endpoint of the form pi / cost (None for
+    the other bounds)."""
 
     lower: ExtRat
     upper: ExtRat
     lower_prov: tuple[Citation, ...] = ()
     upper_prov: tuple[Citation, ...] = ()
+    witness: Decomposition | None = None
 
     def __post_init__(self) -> None:
         if self.upper < self.lower:
@@ -133,39 +136,41 @@ def energy_bounds(obj: ProductObject) -> BoundInterval:
     return BoundInterval(lower, upper, lower_prov, upper_prov)
 
 
-def _reciprocal_interval(cost: ExtNat, lower_id: str, *upper_ids: str) -> BoundInterval:
-    """The interval [1/cost, 1] for a finite decomposition cost."""
-    assert cost.is_finite  # guaranteed by the callers' argument checks
-    lower = ExtRat.fin(Fraction(1, cost.value))
+def _reciprocal_interval(found: WitnessedValue, lower_id: str,
+                         *upper_ids: str) -> BoundInterval:
+    """The interval [1/cost, 1] for a finite minimizer value, witnessed by
+    its decomposition."""
+    assert found.value.is_finite  # guaranteed by the callers' argument checks
+    lower = ExtRat.fin(Fraction(1, found.value.value))
     upper_prov = tuple(citation(cid) for cid in upper_ids)
-    return BoundInterval(lower, ExtRat.fin(1), (citation(lower_id),), upper_prov)
+    return BoundInterval(lower, ExtRat.fin(1), (citation(lower_id),), upper_prov, found.witness)
 
 
 def capacity_bounds(n: int, d: int) -> BoundInterval:
     """Interval for the dimension-d regular coisotropic capacity of the unit
     ball B^(2n), valid on the capacity window n <= d <= 2n - 1."""
-    _require_int(n, "n")
-    _require_int(d, "d")
-    _require_n(n)
+    require_int(n, "n")
+    require_int(d, "d")
+    require_n(n)
     if not n <= d <= 2 * n - 1:
         raise OutOfRangeError(
             f"d must satisfy n <= d <= 2n - 1, got (n, d)=({clip(str(n))}, {clip(str(d))})"
         )
-    return _reciprocal_interval(keq(n, d).value, "eq:A-coiso-d-B", "eq:A-coiso-d-Z", "mono:B-in-Z")
+    return _reciprocal_interval(keq(n, d), "eq:A-coiso-d-B", "eq:A-coiso-d-Z", "mono:B-in-Z")
 
 
 def squeeze_bounds(n: int, d: Rational) -> BoundInterval:
     """Interval for the dimension-d squeezing constant of the unit ball,
     for n >= 2 and d >= n."""
-    _require_int(n, "n")
-    _require_rational(d, "d")
+    require_int(n, "n")
+    require_exact(d, "d")
     if n < 2:
         raise OutOfRangeError("n must be >= 2")
     if d < n:
         raise OutOfRangeError(
             f"d must be >= n, got (n, d)=({clip(str(n))}, {clip(str(d))})"
         )
-    return _reciprocal_interval(kk(n, d).value, "thm:emb-d-B", "def:emb-d-B")
+    return _reciprocal_interval(kk(n, d), "thm:emb-d-B", "def:emb-d-B")
 
 
 @dataclass(frozen=True)
@@ -200,7 +205,7 @@ def width_energy_bound(ball_area, has_closed_aspherical_factor: bool) -> BoundIn
     the stabilization remark enters the upper provenance only when a
     closed factor is present.
     """
-    value = ExtRat.fin(_as_area(ball_area, "ball_area", OutOfRangeError))
+    value = ExtRat.fin(require_area(ball_area, "ball_area", OutOfRangeError))
     if has_closed_aspherical_factor:
         upper_prov = (citation("rem:e-M-M'"), citation("rem:e-Z-2n-a"))
     else:

@@ -308,10 +308,10 @@ def _handle_spectrum(args) -> Output:
 
 
 def _interval_output(query: str, interval: bounds.BoundInterval,
-                     witness: kfun.Decomposition | None = None,
                      notes: tuple[str, ...] | list[str] = ()) -> Output:
     lower_ids = [c.id for c in interval.lower_prov]
     upper_ids = [c.id for c in interval.upper_prov]
+    witness = interval.witness
     witness_text = "" if witness is None else str(witness)
     text = [
         f"{query}: [{interval.lower}, {interval.upper}]",
@@ -356,15 +356,12 @@ def _handle_energy(args) -> Output:
 
 def _handle_capacity(args) -> Output:
     interval = bounds.capacity_bounds(args.n, args.d)
-    witness = kfun.keq(args.n, args.d).witness
-    return _interval_output(f"bound capacity {args.n} {args.d}", interval, witness)
+    return _interval_output(f"bound capacity {args.n} {args.d}", interval)
 
 
 def _handle_squeeze(args) -> Output:
     d = _parse_d("kk", args.d, "bound squeeze")
-    interval = bounds.squeeze_bounds(args.n, d)
-    witness = kfun.kk(args.n, d).witness
-    return _interval_output(f"bound squeeze {args.n} {d}", interval, witness)
+    return _interval_output(f"bound squeeze {args.n} {d}", bounds.squeeze_bounds(args.n, d))
 
 
 def _handle_width(args) -> Output:

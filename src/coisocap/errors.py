@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the helper that keeps
-their messages short."""
+"""Exception types shared across the package, the argument rules every
+layer applies, and the helper that keeps their messages short."""
+from __future__ import annotations
+
+from fractions import Fraction
 
 
 class CoisocapError(Exception):
@@ -26,7 +29,39 @@ class IntervalConflictError(CoisocapError, RuntimeError):
     """
 
 
-def clip(text: str, width: int = 40) -> str:
-    """``text`` cut to ``width`` characters plus an ellipsis, for echoing a
-    token in an error message."""
-    return text if len(text) <= width else text[:width] + "\u2026"
+def clip(text: str) -> str:
+    """``text`` cut to 40 characters plus an ellipsis, for echoing a token
+    in an error message."""
+    return text if len(text) <= 40 else text[:40] + "\u2026"
+
+
+def require_int(value, name: str) -> int:
+    """``value``, refused with ``TypeError`` unless it is an int (a bool
+    is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    return value
+
+
+def require_exact(value, name: str) -> int | Fraction:
+    """``value``, refused with ``TypeError`` unless it is an int or a
+    Fraction: a float, bool, str or Decimal is never converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{name} must be an int or Fraction, got {type(value).__name__}")
+    return value
+
+
+def require_n(n) -> int:
+    """``n``, refused unless it is an int >= 1."""
+    if require_int(n, "n") < 1:
+        raise OutOfRangeError("n must be >= 1")
+    return n
+
+
+def require_area(value, name: str, error: type[ValueError] = ValueError) -> Fraction:
+    """``value`` as a Fraction, refused unless it is a positive exact
+    number; ``error`` is the class of the range refusal."""
+    area = Fraction(require_exact(value, name))
+    if area <= 0:
+        raise error(f"{name} must be positive, got {area}")
+    return area

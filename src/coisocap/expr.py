@@ -136,13 +136,7 @@ def parse_product(text: str) -> ProductObject:
     pieces = _split_factors(text)
     if any(not p.strip() for p in pieces):
         raise ExprParseError(f"empty factor in {clip(text)!r}")
-    try:
-        atoms = tuple(parse_atom(p) for p in pieces)
-        return ProductObject(atoms)
-    except ExprParseError:
-        raise
-    except ValueError as exc:
-        raise ExprParseError(str(exc)) from exc
+    return ProductObject(tuple(parse_atom(p) for p in pieces))
 
 
 def format_product(obj: ProductObject) -> str:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Iterable, Union
 
-from .errors import CapExceededError, OutOfRangeError
+from .errors import CapExceededError, OutOfRangeError, require_exact, require_int, require_n
 
 # Largest n of the naive oracles, and half the largest floor(d) of kk_naive:
 # their enumeration grows exponentially with the weight.
@@ -49,35 +49,16 @@ Rational = Union[int, Fraction]
 Monoid = tuple[int, int, list[int]]  # see _monoid
 
 
-def _require_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    return value
-
-
-def _require_rational(value, name: str) -> Rational:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise TypeError(f"{name} must be an int or Fraction, got {type(value).__name__}")
-    return value
-
-
 def _floor_dim(d: Rational) -> int:
     return int(math.floor(d))
-
-
-def _require_n(n) -> int:
-    """Refuse an n that is not an int >= 1."""
-    if _require_int(n, "n") < 1:
-        raise OutOfRangeError("n must be >= 1")
-    return n
 
 
 def _query_cap(n, d, exact: bool) -> int:
     """The dimension cap of a ``keq`` (``exact``: int d) or ``kk`` (floor of
     a rational d) query, after refusing a bad n or d; types come first."""
-    _require_int(n, "n")
-    (_require_int if exact else _require_rational)(d, "d")
-    _require_n(n)
+    require_int(n, "n")
+    (require_int if exact else require_exact)(d, "d")
+    require_n(n)
     if d < 0:
         raise OutOfRangeError("d must be >= 0")
     return d if exact else _floor_dim(d)
@@ -119,13 +100,9 @@ class ExtNat:
 
     def __post_init__(self) -> None:
         if self.value is not None:
-            _require_int(self.value, "value")
+            require_int(self.value, "value")
             if self.value < 0:
                 raise ValueError("finite ExtNat must be nonnegative")
-
-    @classmethod
-    def fin(cls, value: int) -> "ExtNat":
-        return cls(value)
 
     @property
     def is_finite(self) -> bool:
@@ -162,8 +139,8 @@ class Pair:
     n: int
 
     def __post_init__(self) -> None:
-        _require_int(self.k, "k")
-        _require_int(self.n, "n")
+        require_int(self.k, "k")
+        require_int(self.n, "n")
         if self.k < 1:
             raise ValueError(f"pair needs k >= 1, got k={self.k}")
         if self.n < self.k:
@@ -267,7 +244,7 @@ def check_k_limit(nmax: int) -> None:
 def big_k_table(nmax: int) -> tuple[int, ...]:
     """Values of the square-sum minimizer for 0..nmax via the recurrence
     table[0] = 0, table[m] = min over k*k <= m of (k + table[m - k*k])."""
-    _require_int(nmax, "nmax")
+    require_int(nmax, "nmax")
     if nmax < 0:
         raise OutOfRangeError("nmax must be >= 0")
     check_k_limit(nmax)
@@ -419,7 +396,7 @@ def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> Witnessed
 def big_k(n: int) -> WitnessedValue:
     """Minimal part sum over multisets of positive integers whose squares
     sum to n; the witness pairs every part k with itself."""
-    value = big_k_table(_require_n(n))[n]
+    value = big_k_table(require_n(n))[n]
     # The table value is always attained, and the first tuple in ascending
     # order is the smallest key.
     parts = next(_square_parts(value, n, n, value))
@@ -434,7 +411,7 @@ def square_cost_naive(n: int) -> int:
     sum reaches the best complete one (parts are positive, so it cannot
     improve on it).
     """
-    _require_n(n)
+    require_n(n)
     best: list[int | None] = [None]
 
     def rec(m: int, cap: int, acc: int) -> None:
@@ -529,7 +506,7 @@ def four_square(n: int) -> tuple[int, int, int, int]:
 
     First tuple found by brute force with descending a, b, c; deterministic.
     """
-    _require_int(n, "n")
+    require_int(n, "n")
     if n < 0:
         raise OutOfRangeError("n must be >= 0")
     for a in range(math.isqrt(n), -1, -1):
@@ -552,8 +529,8 @@ def sqrt_bound_witness(n: int, d: int) -> Decomposition:
     (ceil(sqrt(2n - d)) + 2, ceil(n / k)) is feasible for the relaxed
     constraints at (n, d) and has cost below sqrt(2n - d) + 3.
     """
-    _require_int(n, "n")
-    _require_int(d, "d")
+    require_int(n, "n")
+    require_int(d, "d")
     if n < 9:
         raise OutOfRangeError("requires n >= 9")
     if d < n:

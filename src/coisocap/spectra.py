@@ -17,7 +17,7 @@ from functools import reduce, total_ordering
 from math import gcd
 from typing import Iterable, Union
 
-from .errors import clip
+from .errors import clip, require_area, require_exact
 
 RatPi = Fraction  # rational multiple of pi
 
@@ -30,21 +30,6 @@ def format_pi(q: Fraction) -> str:
         return "0"
     head = "pi" if q.numerator == 1 else f"{q.numerator}pi"
     return head if q.denominator == 1 else f"{head}/{q.denominator}"
-
-
-def _exact(value, what: str) -> Fraction:
-    """``value`` as a Fraction; a float or bool is refused, not converted."""
-    if isinstance(value, (float, bool)):
-        raise TypeError(f"{what} must be exact (int or Fraction), not {type(value).__name__}")
-    return Fraction(value)
-
-
-def _as_area(value, what: str, error: type[ValueError] = ValueError) -> Fraction:
-    """``value`` as a positive exact rational; ``error`` refuses the rest."""
-    area = _exact(value, what)
-    if area <= 0:
-        raise error(f"{what} must be positive, got {area}")
-    return area
 
 
 def _require_count(value, owner: str, name: str) -> None:
@@ -66,7 +51,7 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         if self.gen is not None:
-            object.__setattr__(self, "gen", _as_area(self.gen, "lattice generator"))
+            object.__setattr__(self, "gen", require_area(self.gen, "lattice generator"))
 
     @classmethod
     def zero(cls) -> "Spectrum":
@@ -74,8 +59,8 @@ class Spectrum:
 
     @classmethod
     def lattice(cls, gen) -> "Spectrum":
-        # _exact also refuses None, which the constructor reads as {0}
-        return cls(_exact(gen, "lattice generator"))
+        # require_exact also refuses None, which the constructor reads as {0}
+        return cls(require_exact(gen, "lattice generator"))
 
     @classmethod
     def from_generators(cls, gens: Iterable) -> "Spectrum":
@@ -83,7 +68,7 @@ class Spectrum:
         gcd-lattice of the positive generators, {0} if there are none."""
         positive = []
         for g in gens:
-            q = _exact(g, "generators")
+            q = require_exact(g, "generators")
             if q < 0:
                 raise ValueError(f"generators must be nonnegative, got {q}")
             if q > 0:
@@ -97,7 +82,7 @@ class Spectrum:
     def scaled(self, factor) -> "Spectrum":
         if self.gen is None:
             return self
-        return Spectrum.lattice(self.gen * _as_area(factor, "scale factor"))
+        return Spectrum.lattice(self.gen * require_area(factor, "scale factor"))
 
     def __add__(self, other: "Spectrum") -> "Spectrum":
         return spectrum_sum(self, other)
@@ -115,15 +100,15 @@ class ExtRat:
 
     def __post_init__(self) -> None:
         if self.value is not None:
-            v = _exact(self.value, "finite ExtRat")
+            v = Fraction(require_exact(self.value, "finite ExtRat"))
             if v < 0:
                 raise ValueError("finite ExtRat must be nonnegative")
             object.__setattr__(self, "value", v)
 
     @classmethod
     def fin(cls, value) -> "ExtRat":
-        # _exact also refuses None, which the constructor reads as infinity
-        return cls(_exact(value, "finite ExtRat"))
+        # require_exact also refuses None, which the constructor reads as infinity
+        return cls(require_exact(value, "finite ExtRat"))
 
     @property
     def is_finite(self) -> bool:
@@ -141,7 +126,7 @@ class ExtRat:
     def scaled(self, factor) -> "ExtRat":
         if self.value is None:
             return self
-        return ExtRat.fin(self.value * _as_area(factor, "scale factor"))
+        return ExtRat.fin(self.value * require_area(factor, "scale factor"))
 
     def __str__(self) -> str:
         return "inf" if self.value is None else format_pi(self.value)
@@ -163,7 +148,7 @@ class Sphere:
 
     def __post_init__(self) -> None:
         _require_count(self.m, "sphere", "m")
-        object.__setattr__(self, "area", _as_area(self.area, "sphere area"))
+        object.__setattr__(self, "area", require_area(self.area, "sphere area"))
 
     @property
     def coiso_dim(self) -> int:
@@ -174,7 +159,7 @@ class Sphere:
         return self.m
 
     def scaled(self, factor) -> "Sphere":
-        return Sphere(self.m, self.area * _as_area(factor, "scale factor"))
+        return Sphere(self.m, self.area * require_area(factor, "scale factor"))
 
     def __str__(self) -> str:
         return f"S({self.m};{format_pi(self.area)})"
@@ -195,7 +180,7 @@ class Stiefel:
             raise ValueError(
                 f"frame manifold needs k <= n, got ({clip(str(self.k))}, {clip(str(self.n))})"
             )
-        object.__setattr__(self, "area", _as_area(self.area, "frame manifold area"))
+        object.__setattr__(self, "area", require_area(self.area, "frame manifold area"))
 
     @property
     def coiso_dim(self) -> int:
@@ -206,7 +191,7 @@ class Stiefel:
         return self.k * self.n
 
     def scaled(self, factor) -> "Stiefel":
-        return Stiefel(self.k, self.n, self.area * _as_area(factor, "scale factor"))
+        return Stiefel(self.k, self.n, self.area * require_area(factor, "scale factor"))
 
     def __str__(self) -> str:
         return f"V({self.k},{self.n};{format_pi(self.area)})"

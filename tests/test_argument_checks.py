@@ -1,6 +1,7 @@
 """Refusals of bad arguments across kfun, spectra and bounds: exact-number
-entry points refuse float and bool, and every other refusal keeps its
-exception class and message."""
+entry points refuse everything but int and Fraction, and every other
+refusal keeps its exception class and message."""
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -50,7 +51,8 @@ EXACT_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("value", [0.5, True, "1/2", Decimal("0.5")],
+                         ids=["float", "bool", "str", "Decimal"])
 @pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
 def test_exact_entry_points_refuse_float_and_bool(entry, value):
     with pytest.raises(TypeError):

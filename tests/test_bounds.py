@@ -18,6 +18,7 @@ from coisocap import (
     citation_ids,
     energy_bounds,
     keq,
+    kk,
     lagrangian_comparison,
     squeeze_bounds,
     width_energy_bound,
@@ -76,6 +77,7 @@ def test_energy_two_unit_spheres():
     assert interval.lower == PI and interval.upper == PI
     assert ids(interval.lower_prov) == ["cor:e-A-Cross", "eq:A-min"]
     assert ids(interval.upper_prov) == ["rem:e-M-M'", "rem:e-Z-2n-a"]
+    assert interval.witness is None
 
 
 def test_energy_circle_product_with_closed_sphere():
@@ -205,6 +207,16 @@ def test_squeeze_collapse_detection():
                 assert collapsed
 
 
+def test_minimizer_bounds_carry_the_minimizer_witness():
+    # the decomposition whose cost gives the lower endpoint pi / cost
+    for n in range(1, 13):
+        for d in range(n, 2 * n):
+            assert capacity_bounds(n, d).witness == keq(n, d).witness
+    for n in range(2, 13):
+        for d in range(n, 2 * n + 1):
+            assert squeeze_bounds(n, d).witness == kk(n, d).witness
+
+
 # ---------------------------------------------------------------------------
 # Lagrangian comparison and width bound
 # ---------------------------------------------------------------------------
@@ -246,6 +258,7 @@ def test_width_examples():
     solo = width_energy_bound(Fraction(1), False)
     assert solo.lower == PI and solo.upper == PI
     assert ids(solo.upper_prov) == ["rem:e-Z-2n-a"]
+    assert both.witness is None and solo.witness is None
     with pytest.raises(OutOfRangeError):
         width_energy_bound(Fraction(0), True)
     with pytest.raises(TypeError):

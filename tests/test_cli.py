@@ -241,9 +241,8 @@ def test_verify_reports_failures_with_exit_3(capsys, monkeypatch, fmt):
 
 @pytest.mark.parametrize("argv", [
     ("kfun", "K", "1000000000000000"),
-    # refused before the first row or sweep cell, not when the grid reaches it
+    # refused before the first row, not when the table reaches it
     ("table", "K", "1", "1000001"),
-    ("verify", "kfun-props", "--nmax", "1", "--dmax", "1000001"),
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_k_above_the_table_limit_is_a_domain_error(capsys, argv):
     t0 = time.perf_counter()
@@ -285,7 +284,9 @@ def test_oversized_rational_is_refused_up_front(capsys, argv, code, name):
 @pytest.mark.parametrize("argv", [
     ("verify", "all", "--nmax", "200"),
     ("verify", "kfun-props", "--nmax", "2", "--dmax", "100000"),
-], ids=["all-200", "kfun-props-dmax"])
+    # past the K table limit too: the budget is the one up-front refusal
+    ("verify", "kfun-props", "--nmax", "1", "--dmax", "1000001"),
+], ids=["all-200", "kfun-props-dmax", "kfun-props-dmax-1000001"])
 def test_verify_above_the_cell_budget_is_a_domain_error(capsys, argv):
     t0 = time.perf_counter()
     code, out, err = invoke(capsys, *argv)
