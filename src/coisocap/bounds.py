@@ -12,11 +12,10 @@ registered inequalities were combined inconsistently and raises
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (IntervalConflictError, OutOfRangeError, clip, require_area, require_exact,
-                     require_int, require_n)
+from .errors import (Frozen, IntervalConflictError, OutOfRangeError, clip, require_area,
+                     require_exact, require_int, require_n)
 from .kfun import Decomposition, WitnessedValue, keq, kk, Rational
 from .spectra import (
     Closed,
@@ -30,12 +29,14 @@ from .spectra import (
 )
 
 
-@dataclass(frozen=True)
-class Citation:
+class Citation(Frozen):
     """A stable registry key plus the inequality it stands for."""
 
-    id: str
-    statement: str
+    __slots__ = ("id", "statement")
+
+    def __init__(self, id: str, statement: str) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "statement", statement)
 
 
 _REGISTRY: dict[str, str] = {
@@ -76,30 +77,32 @@ def citation_ids() -> tuple[str, ...]:
 _ZERO = ExtRat.fin(0)
 
 
-@dataclass(frozen=True)
-class BoundInterval:
+class BoundInterval(Frozen):
     """Certified enclosure [lower, upper] with per-side provenance, and the
     decomposition behind a lower endpoint of the form pi / cost (None for
     the other bounds)."""
 
-    lower: ExtRat
-    upper: ExtRat
-    lower_prov: tuple[Citation, ...] = ()
-    upper_prov: tuple[Citation, ...] = ()
-    witness: Decomposition | None = None
+    __slots__ = ("lower", "upper", "lower_prov", "upper_prov", "witness")
 
-    def __post_init__(self) -> None:
-        if self.upper < self.lower:
-            lo = ", ".join(c.id for c in self.lower_prov) or "<none>"
-            hi = ", ".join(c.id for c in self.upper_prov) or "<none>"
+    def __init__(self, lower: ExtRat, upper: ExtRat, lower_prov: tuple[Citation, ...] = (),
+                 upper_prov: tuple[Citation, ...] = (),
+                 witness: Decomposition | None = None) -> None:
+        if upper < lower:
+            lo = ", ".join(c.id for c in lower_prov) or "<none>"
+            hi = ", ".join(c.id for c in upper_prov) or "<none>"
             raise IntervalConflictError(
-                f"crossed interval [{self.lower}, {self.upper}]:"
+                f"crossed interval [{lower}, {upper}]:"
                 f" lower backed by [{lo}], upper backed by [{hi}]"
             )
-        if self.lower != _ZERO and not self.lower_prov:
+        if lower != _ZERO and not lower_prov:
             raise ValueError("nontrivial lower bound requires provenance")
-        if self.upper.is_finite and not self.upper_prov:
+        if upper.is_finite and not upper_prov:
             raise ValueError("nontrivial upper bound requires provenance")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower_prov", lower_prov)
+        object.__setattr__(self, "upper_prov", upper_prov)
+        object.__setattr__(self, "witness", witness)
 
 
 def energy_bounds(obj: ProductObject) -> BoundInterval:
@@ -173,15 +176,18 @@ def squeeze_bounds(n: int, d: Rational) -> BoundInterval:
     return _reciprocal_interval(kk(n, d), "thm:emb-d-B", "def:emb-d-B")
 
 
-@dataclass(frozen=True)
-class LagrangianComparison:
+class LagrangianComparison(Frozen):
     """Lagrangian capacity of the unit ball against the capacity lower
     bound at (n, d); ``strict`` records whether the lower bound already
     exceeds the Lagrangian value."""
 
-    lagrangian_value: Fraction
-    capacity_lower: Fraction
-    strict: bool
+    __slots__ = ("lagrangian_value", "capacity_lower", "strict")
+
+    def __init__(self, lagrangian_value: Fraction, capacity_lower: Fraction,
+                 strict: bool) -> None:
+        object.__setattr__(self, "lagrangian_value", lagrangian_value)
+        object.__setattr__(self, "capacity_lower", capacity_lower)
+        object.__setattr__(self, "strict", strict)
 
 
 def lagrangian_comparison(n: int, d: int) -> LagrangianComparison:

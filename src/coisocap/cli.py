@@ -16,11 +16,10 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, kfun, spectra, verify
-from .errors import CoisocapError, ExprParseError, OutOfRangeError, clip
+from .errors import CoisocapError, ExprParseError, Frozen, OutOfRangeError, clip
 from .expr import check_rational_size, format_product, parse_area, parse_product
 from .spectra import format_pi
 
@@ -37,15 +36,18 @@ class UsageError(CoisocapError, ValueError):
 # The result record and its printers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Output:
+class Output(Frozen):
     """One invocation's result in every output format, with its exit code."""
 
-    text: list[str]
-    json: dict
-    csv_header: list[str]
-    csv_rows: list[list]
-    code: int = 0
+    __slots__ = ("text", "json", "csv_header", "csv_rows", "code")
+
+    def __init__(self, text: list[str], json: dict, csv_header: list[str],
+                 csv_rows: list[list], code: int = 0) -> None:
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "json", json)
+        object.__setattr__(self, "csv_header", csv_header)
+        object.__setattr__(self, "csv_rows", csv_rows)
+        object.__setattr__(self, "code", code)
 
 
 def _print_text(out: Output) -> None:

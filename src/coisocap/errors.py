@@ -1,8 +1,10 @@
-"""Exception types shared across the package, the argument rules every
-layer applies, and the helper that keeps their messages short."""
+"""Exception types shared across the package, the base of its value
+types, the argument rules every layer applies, and the helper that keeps
+their messages short."""
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 
 class CoisocapError(Exception):
@@ -27,6 +29,49 @@ class IntervalConflictError(CoisocapError, RuntimeError):
     This is always an internal error: it means the inequality registry
     was combined incorrectly, never that the inputs were bad.
     """
+
+
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    ``__init__`` through ``object.__setattr__``.  An instance equals only an
+    instance of the same class with equal fields, hashes as the tuple of its
+    fields, refuses assignment and deletion with ``AttributeError``, and
+    copies and pickles by calling its class with its fields in order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # One field value, or the tuple of several: not a descriptor, so an
+        # instance reads it unbound.
+        cls._values = attrgetter(*cls.__slots__)
+
+    def _fields(self) -> tuple:
+        values = self._values(self)
+        return values if len(self.__slots__) > 1 else (values,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def clip(text: str) -> str:

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Iterable, Union
 
-from .errors import CapExceededError, OutOfRangeError, require_exact, require_int, require_n
+from .errors import (CapExceededError, Frozen, OutOfRangeError, require_exact, require_int,
+                     require_n)
 
 # Largest n of the naive oracles, and half the largest floor(d) of kk_naive:
 # their enumeration grows exponentially with the weight.
@@ -92,17 +92,17 @@ def _ceil_div(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 @total_ordering
-@dataclass(frozen=True)
-class ExtNat:
+class ExtNat(Frozen):
     """A nonnegative integer extended with infinity (``value is None``)."""
 
-    value: int | None
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if self.value is not None:
-            require_int(self.value, "value")
-            if self.value < 0:
+    def __init__(self, value: int | None) -> None:
+        if value is not None:
+            require_int(value, "value")
+            if value < 0:
                 raise ValueError("finite ExtNat must be nonnegative")
+        object.__setattr__(self, "value", value)
 
     @property
     def is_finite(self) -> bool:
@@ -131,20 +131,20 @@ class ExtNat:
 NAT_INF = ExtNat(None)
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(Frozen):
     """One block of k frames in half-dimension n (requires 1 <= k <= n)."""
 
-    k: int
-    n: int
+    __slots__ = ("k", "n")
 
-    def __post_init__(self) -> None:
-        require_int(self.k, "k")
-        require_int(self.n, "n")
-        if self.k < 1:
-            raise ValueError(f"pair needs k >= 1, got k={self.k}")
-        if self.n < self.k:
-            raise ValueError(f"pair needs n >= k, got (k, n)=({self.k}, {self.n})")
+    def __init__(self, k: int, n: int) -> None:
+        require_int(k, "k")
+        require_int(n, "n")
+        if k < 1:
+            raise ValueError(f"pair needs k >= 1, got k={k}")
+        if n < k:
+            raise ValueError(f"pair needs n >= k, got (k, n)=({k}, {n})")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
 
     @property
     def weight(self) -> int:
@@ -160,8 +160,7 @@ def _canonical_order(pairs: Iterable[Pair]) -> tuple[Pair, ...]:
     return tuple(sorted(pairs, key=lambda p: (-p.k, -p.n)))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """A nonempty multiset of pairs in canonical order.
 
     Canonical order is descending by k, then descending by n, so equal
@@ -170,15 +169,17 @@ class Decomposition:
     key wins).
     """
 
-    pairs: tuple[Pair, ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self) -> None:
-        if not self.pairs:
+    def __init__(self, pairs: Iterable[Pair]) -> None:
+        pairs = tuple(pairs)
+        if not pairs:
             raise ValueError("decomposition must contain at least one pair")
-        if any(not isinstance(p, Pair) for p in self.pairs):
+        if any(not isinstance(p, Pair) for p in pairs):
             raise TypeError("decomposition entries must be Pair instances")
-        if self.pairs != _canonical_order(self.pairs):
+        if pairs != _canonical_order(pairs):
             raise ValueError("pairs are not in canonical order")
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Pair]) -> "Decomposition":
@@ -203,23 +204,21 @@ class Decomposition:
         return "[" + ",".join(f"({p.k},{p.n})" for p in self.pairs) + "]"
 
 
-@dataclass(frozen=True)
-class WitnessedValue:
+class WitnessedValue(Frozen):
     """An extended-integer value plus a witness exactly when finite."""
 
-    value: ExtNat
-    witness: Decomposition | None = None
+    __slots__ = ("value", "witness")
 
-    def __post_init__(self) -> None:
-        if self.value.is_finite:
-            if self.witness is None:
+    def __init__(self, value: ExtNat, witness: Decomposition | None = None) -> None:
+        if value.is_finite:
+            if witness is None:
                 raise ValueError("finite value requires a witness")
-            if self.witness.cost != self.value.value:
-                raise ValueError(
-                    f"witness cost {self.witness.cost} != value {self.value.value}"
-                )
-        elif self.witness is not None:
+            if witness.cost != value.value:
+                raise ValueError(f"witness cost {witness.cost} != value {value.value}")
+        elif witness is not None:
             raise ValueError("infinite value must not carry a witness")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
 
 
 def _witnessed(found: tuple[int, tuple[tuple[int, int], ...]] | None) -> WitnessedValue:
@@ -366,8 +365,8 @@ def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> Witnessed
     Iterative deepening on the cost from the root of the least square mass
     q_lo: each cost scans its part tuples in ascending order and stops once
     the largest part exceeds that of the best key found.  The cache holds
-    more than the 2,280 distinct queries of ``verify all --nmax 15``, and a
-    repeated query returns the same frozen object.
+    more than the 2,295 distinct queries of ``verify all --nmax 15`` (6,325
+    at ``--nmax 25``), and a repeated query returns the same frozen object.
     """
     def slack(q: int) -> tuple[int, int]:
         # weight q + r and dimension q + 2r within their ranges, r >= 0

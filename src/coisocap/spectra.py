@@ -11,13 +11,12 @@ to exactly these two shapes and group sums are computed by rational gcd.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce, total_ordering
 from math import gcd
 from typing import Iterable, Union
 
-from .errors import clip, require_area, require_exact
+from .errors import Frozen, clip, require_area, require_exact
 
 RatPi = Fraction  # rational multiple of pi
 
@@ -43,15 +42,15 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, a.denominator * b.denominator)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Frozen):
     """The trivial group {0} (``gen is None``) or the lattice gen * Z."""
 
-    gen: Fraction | None
+    __slots__ = ("gen",)
 
-    def __post_init__(self) -> None:
-        if self.gen is not None:
-            object.__setattr__(self, "gen", require_area(self.gen, "lattice generator"))
+    def __init__(self, gen: Fraction | None) -> None:
+        if gen is not None:
+            gen = require_area(gen, "lattice generator")
+        object.__setattr__(self, "gen", gen)
 
     @classmethod
     def zero(cls) -> "Spectrum":
@@ -92,18 +91,17 @@ class Spectrum:
 
 
 @total_ordering
-@dataclass(frozen=True)
-class ExtRat:
+class ExtRat(Frozen):
     """A nonnegative rational (in units of pi) extended with infinity."""
 
-    value: Fraction | None
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if self.value is not None:
-            v = Fraction(require_exact(self.value, "finite ExtRat"))
-            if v < 0:
+    def __init__(self, value: Fraction | None) -> None:
+        if value is not None:
+            value = Fraction(require_exact(value, "finite ExtRat"))
+            if value < 0:
                 raise ValueError("finite ExtRat must be nonnegative")
-            object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def fin(cls, value) -> "ExtRat":
@@ -139,16 +137,15 @@ RAT_INF = ExtRat(None)
 # Atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sphere:
+class Sphere(Frozen):
     """The sphere S^(2m-1) of area ``area`` inside R^(2m)."""
 
-    m: int
-    area: Fraction
+    __slots__ = ("m", "area")
 
-    def __post_init__(self) -> None:
-        _require_count(self.m, "sphere", "m")
-        object.__setattr__(self, "area", require_area(self.area, "sphere area"))
+    def __init__(self, m: int, area: Fraction) -> None:
+        _require_count(m, "sphere", "m")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "area", require_area(area, "sphere area"))
 
     @property
     def coiso_dim(self) -> int:
@@ -165,22 +162,19 @@ class Sphere:
         return f"S({self.m};{format_pi(self.area)})"
 
 
-@dataclass(frozen=True)
-class Stiefel:
+class Stiefel(Frozen):
     """The frame manifold V(k, n; area) inside C^(k x n), 1 <= k <= n."""
 
-    k: int
-    n: int
-    area: Fraction
+    __slots__ = ("k", "n", "area")
 
-    def __post_init__(self) -> None:
-        _require_count(self.k, "frame manifold", "k")
-        _require_count(self.n, "frame manifold", "n")
-        if self.k > self.n:
-            raise ValueError(
-                f"frame manifold needs k <= n, got ({clip(str(self.k))}, {clip(str(self.n))})"
-            )
-        object.__setattr__(self, "area", require_area(self.area, "frame manifold area"))
+    def __init__(self, k: int, n: int, area: Fraction) -> None:
+        _require_count(k, "frame manifold", "k")
+        _require_count(n, "frame manifold", "n")
+        if k > n:
+            raise ValueError(f"frame manifold needs k <= n, got ({clip(str(k))}, {clip(str(n))})")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "area", require_area(area, "frame manifold area"))
 
     @property
     def coiso_dim(self) -> int:
@@ -197,27 +191,28 @@ class Stiefel:
         return f"V({self.k},{self.n};{format_pi(self.area)})"
 
 
-@dataclass(frozen=True)
-class Closed:
+class Closed(Frozen):
     """A closed symplectic factor with a user-declared spectrum.
 
     The spectrum is taken on trust; an aspherical factor must declare the
     trivial spectrum.  Nothing geometric is verified here.
     """
 
-    label: str
-    half_dim: int
-    spectrum: Spectrum
-    aspherical: bool = False
+    __slots__ = ("label", "half_dim", "spectrum", "aspherical")
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __init__(self, label: str, half_dim: int, spectrum: Spectrum,
+                 aspherical: bool = False) -> None:
+        if not label:
             raise ValueError("closed factor needs a nonempty label")
-        _require_count(self.half_dim, "closed factor", "half_dim")
-        if not isinstance(self.spectrum, Spectrum):
+        _require_count(half_dim, "closed factor", "half_dim")
+        if not isinstance(spectrum, Spectrum):
             raise TypeError("closed factor spectrum must be a Spectrum")
-        if self.aspherical and not self.spectrum.is_zero:
+        if aspherical and not spectrum.is_zero:
             raise ValueError("an aspherical closed factor must have spectrum {0}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "half_dim", half_dim)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "aspherical", aspherical)
 
     @property
     def coiso_dim(self) -> int:
@@ -239,14 +234,13 @@ class Closed:
 CoisotropicAtom = Union[Sphere, Stiefel, Closed]
 
 
-@dataclass(frozen=True)
-class ProductObject:
+class ProductObject(Frozen):
     """A nonempty ordered product of atoms."""
 
-    atoms: tuple[CoisotropicAtom, ...]
+    __slots__ = ("atoms",)
 
-    def __post_init__(self) -> None:
-        atoms = tuple(self.atoms)
+    def __init__(self, atoms: Iterable[CoisotropicAtom]) -> None:
+        atoms = tuple(atoms)
         if not atoms:
             raise ValueError("product object must contain at least one atom")
         for atom in atoms:

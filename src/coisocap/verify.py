@@ -35,9 +35,11 @@ a suite whose walk gets past the budget is refused with
 ``OutOfRangeError``.  No cell generator runs long between two cells, so
 the walk is bounded for any nmax and dmax.  It also bounds the K table
 of ``kfun-props``, built up to max(nmax, dmax): no suite within the
-budget builds it past 1,151 (nmax 1, dmax 1,151).  ``verify all --nmax
-25`` (1,684,806 cells) takes about 0.3 s and ``--nmax 15`` (231,264
-cells) about 0.1 s on a 2-core x86-64 host with CPython 3.11.7.
+budget builds it past 1,151 (nmax 1, dmax 1,151).  Run in-process from
+a cold start, ``verify all --nmax 15`` (231,264 cells) took 0.32 s and
+``--nmax 25`` (1,684,806 cells) 1.0 s, medians of five, on a shared
+2-core x86-64 host with CPython 3.11.7 whose bare interpreter start took
+70-87 ms.
 """
 from __future__ import annotations
 
@@ -45,30 +47,34 @@ import itertools
 import math
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, kfun, spectra
-from .errors import OutOfRangeError
+from .errors import Frozen, OutOfRangeError
 
 # Most cells one suite sweeps, checked before any grid is built: ``verify
 # all --nmax 25`` has 1,684,806 cells and ``--nmax 26`` 1,964,923.
 VERIFY_MAX_CELLS = 2 * 10**6
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    range_desc: str
-    pass_count: int
-    fail_count: int
-    first_failure: tuple | None = None
+class CheckResult(Frozen):
+    __slots__ = ("name", "range_desc", "pass_count", "fail_count", "first_failure")
+
+    def __init__(self, name: str, range_desc: str, pass_count: int, fail_count: int,
+                 first_failure: tuple | None = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "range_desc", range_desc)
+        object.__setattr__(self, "pass_count", pass_count)
+        object.__setattr__(self, "fail_count", fail_count)
+        object.__setattr__(self, "first_failure", first_failure)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple[CheckResult, ...]
-    wall_time_ms: int
+class VerifyReport(Frozen):
+    __slots__ = ("checks", "wall_time_ms")
+
+    def __init__(self, checks: tuple[CheckResult, ...], wall_time_ms: int) -> None:
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "wall_time_ms", wall_time_ms)
 
     @property
     def fail_count(self) -> int:

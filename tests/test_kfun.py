@@ -69,6 +69,14 @@ def test_decomposition_canonical_order():
         Decomposition(())
     with pytest.raises(ValueError):
         Decomposition((Pair(1, 1), Pair(2, 2)))  # not canonical
+    with pytest.raises(ValueError):
+        Decomposition([Pair(1, 1), Pair(2, 2)])
+
+
+def test_decomposition_takes_any_iterable_in_canonical_order():
+    assert Decomposition([Pair(1, 1)]).pairs == (Pair(1, 1),)
+    assert Decomposition([Pair(1, 1)]) == Decomposition((Pair(1, 1),))
+    assert Decomposition(iter([Pair(2, 2), Pair(1, 5)])).key() == ((2, 2), (1, 5))
 
 
 def test_witnessed_value_consistency():
