@@ -262,6 +262,8 @@ def _handle_table(args) -> Output:
         kfun.check_k_limit(args.stop)  # before any row is computed
     if args.stop - args.start >= TABLE_MAX_ROWS:  # each row holds about 1 KB
         raise OutOfRangeError(f"table prints at most {TABLE_MAX_ROWS} rows")
+    if args.fn == "K":
+        kfun.check_k_rows(args.start, args.stop)
     rows = [_kfun_row(args.fn, n, d) for n in range(args.start, args.stop + 1)]
     query = f"table {args.fn} {args.start} {args.stop}" + ("" if d is None else f" --d {d}")
     d_entry = {} if d is None else {"d": str(d)}

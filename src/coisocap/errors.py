@@ -1,9 +1,10 @@
-"""Exception types shared across the package, the base of its value
+"""Exception types shared across the package, the bases of its value
 types, the argument rules every layer applies, and the helper that keeps
 their messages short."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from operator import attrgetter
 
 
@@ -72,6 +73,28 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+@total_ordering
+class Extended:
+    """Base of the ``Frozen`` types extended with infinity, whose field
+    ``value`` is None for infinity.  Infinity is above every finite value,
+    and only instances of one class are ordered."""
+
+    __slots__ = ()
+
+    @property
+    def is_finite(self) -> bool:
+        return self.value is not None
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.value is None:
+            return False
+        if other.value is None:
+            return True
+        return self.value < other.value
 
 
 def clip(text: str) -> str:

@@ -32,25 +32,23 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from typing import Iterable, Union
 
-from .errors import (CapExceededError, Frozen, OutOfRangeError, require_exact, require_int,
-                     require_n)
+from .errors import (CapExceededError, Extended, Frozen, OutOfRangeError, require_exact,
+                     require_int, require_n)
 
 # Largest n of the naive oracles, and half the largest floor(d) of kk_naive:
 # their enumeration grows exponentially with the weight.
 ORACLE_CAP = 12
 # Largest n the square-sum table is built for: its list and its O(n^1.5)
-# run time (about two minutes at 10**6) grow without bound otherwise.
+# run time (about two minutes at 10**6) grow without bound otherwise.  A
+# range of K rows, each building its own table, may cost no more than that
+# one table.
 BIG_K_NMAX = 10**6
 
 Rational = Union[int, Fraction]
 Monoid = tuple[int, int, list[int]]  # see _monoid
-
-
-def _floor_dim(d: Rational) -> int:
-    return int(math.floor(d))
 
 
 def _query_cap(n, d, exact: bool) -> int:
@@ -61,7 +59,7 @@ def _query_cap(n, d, exact: bool) -> int:
     require_n(n)
     if d < 0:
         raise OutOfRangeError("d must be >= 0")
-    return d if exact else _floor_dim(d)
+    return d if exact else math.floor(d)
 
 
 def _oracle_cap(n, d, exact: bool) -> int:
@@ -91,8 +89,7 @@ def _ceil_div(a: int, b: int) -> int:
 # Domain types
 # ---------------------------------------------------------------------------
 
-@total_ordering
-class ExtNat(Frozen):
+class ExtNat(Extended, Frozen):
     """A nonnegative integer extended with infinity (``value is None``)."""
 
     __slots__ = ("value",)
@@ -103,19 +100,6 @@ class ExtNat(Frozen):
             if value < 0:
                 raise ValueError("finite ExtNat must be nonnegative")
         object.__setattr__(self, "value", value)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __lt__(self, other: "ExtNat") -> bool:
-        if not isinstance(other, ExtNat):
-            return NotImplemented
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
 
     def __add__(self, other: "ExtNat") -> "ExtNat":
         if not isinstance(other, ExtNat):
@@ -155,11 +139,6 @@ class Pair(Frozen):
         return self.k * (2 * self.n - self.k)
 
 
-def _canonical_order(pairs: Iterable[Pair]) -> tuple[Pair, ...]:
-    # Descending by k, then descending by n.
-    return tuple(sorted(pairs, key=lambda p: (-p.k, -p.n)))
-
-
 class Decomposition(Frozen):
     """A nonempty multiset of pairs in canonical order.
 
@@ -177,13 +156,13 @@ class Decomposition(Frozen):
             raise ValueError("decomposition must contain at least one pair")
         if any(not isinstance(p, Pair) for p in pairs):
             raise TypeError("decomposition entries must be Pair instances")
-        if pairs != _canonical_order(pairs):
+        if any((a.k, a.n) < (b.k, b.n) for a, b in zip(pairs, pairs[1:])):
             raise ValueError("pairs are not in canonical order")
         object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Pair]) -> "Decomposition":
-        return cls(_canonical_order(pairs))
+        return cls(sorted(pairs, key=lambda p: (-p.k, -p.n)))
 
     @property
     def cost(self) -> int:
@@ -226,7 +205,7 @@ def _witnessed(found: tuple[int, tuple[tuple[int, int], ...]] | None) -> Witness
     if found is None:
         return WitnessedValue(NAT_INF)
     cost, key = found
-    return WitnessedValue(ExtNat(cost), Decomposition.from_pairs(Pair(k, n) for k, n in key))
+    return WitnessedValue(ExtNat(cost), Decomposition(Pair(k, n) for k, n in key))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +216,20 @@ def check_k_limit(nmax: int) -> None:
     """Refuse a K table for 0..nmax above the size limit ``BIG_K_NMAX``."""
     if nmax > BIG_K_NMAX:
         raise OutOfRangeError(f"nmax must be <= {BIG_K_NMAX} (the K table size limit)")
+
+
+def check_k_rows(start: int, stop: int) -> None:
+    """Refuse K rows start..stop whose tables, one per row, cost more than
+    the table at the size limit: the table for 0..n takes about
+    n * isqrt(n) steps.  The sum passes the limit within 5,762 rows, so
+    the walk is short for any range."""
+    limit = BIG_K_NMAX * math.isqrt(BIG_K_NMAX)
+    cost = 0
+    for n in range(require_n(start), stop + 1):
+        cost += n * math.isqrt(n)
+        if cost > limit:
+            raise OutOfRangeError(f"K rows {start}..{stop} cost more than one K table at the"
+                                  f" size limit (the sum of n*isqrt(n) must be <= {limit})")
 
 
 @lru_cache(maxsize=8)
@@ -578,13 +571,9 @@ def is_valid_square_witness(dec: Decomposition, n: int) -> bool:
 
 def is_valid_exact_witness(dec: Decomposition, n: int, d: int) -> bool:
     """Recheck a ``keq`` witness from raw pair data."""
-    weight = sum(p.k * p.n for p in dec.pairs)
-    dim = sum(p.k * (2 * p.n - p.k) for p in dec.pairs)
-    return all(p.n >= p.k >= 1 for p in dec.pairs) and weight == n and dim == d
+    return all(p.n >= p.k >= 1 for p in dec.pairs) and dec.weight == n and dec.dim == d
 
 
 def is_valid_relaxed_witness(dec: Decomposition, n: int, d: Rational) -> bool:
     """Recheck a ``kk`` witness from raw pair data."""
-    weight = sum(p.k * p.n for p in dec.pairs)
-    dim = sum(p.k * (2 * p.n - p.k) for p in dec.pairs)
-    return all(p.n >= p.k >= 1 for p in dec.pairs) and weight >= n and dim <= _floor_dim(d)
+    return all(p.n >= p.k >= 1 for p in dec.pairs) and dec.weight >= n and dec.dim <= math.floor(d)

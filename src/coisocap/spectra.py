@@ -12,11 +12,11 @@ to exactly these two shapes and group sums are computed by rational gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce, total_ordering
+from functools import reduce
 from math import gcd
 from typing import Iterable, Union
 
-from .errors import Frozen, clip, require_area, require_exact
+from .errors import Extended, Frozen, clip, require_area, require_exact
 
 RatPi = Fraction  # rational multiple of pi
 
@@ -90,8 +90,7 @@ class Spectrum(Frozen):
         return "{0}" if self.gen is None else f"{format_pi(self.gen)}*Z"
 
 
-@total_ordering
-class ExtRat(Frozen):
+class ExtRat(Extended, Frozen):
     """A nonnegative rational (in units of pi) extended with infinity."""
 
     __slots__ = ("value",)
@@ -107,19 +106,6 @@ class ExtRat(Frozen):
     def fin(cls, value) -> "ExtRat":
         # require_exact also refuses None, which the constructor reads as infinity
         return cls(require_exact(value, "finite ExtRat"))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __lt__(self, other: "ExtRat") -> bool:
-        if not isinstance(other, ExtRat):
-            return NotImplemented
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
 
     def scaled(self, factor) -> "ExtRat":
         if self.value is None:

@@ -175,23 +175,17 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         return total is not None and total <= a + b
 
     def witnesses_ok(n, d):
-        exact = kfun.keq(n, d)
-        if exact.value.is_finite:
-            if not kfun.is_valid_exact_witness(exact.witness, n, d):
+        for solve, valid, args in (
+            (kfun.keq, kfun.is_valid_exact_witness, (n, d)),
+            (kfun.kk, kfun.is_valid_relaxed_witness, (n, d)),
+            (kfun.big_k, kfun.is_valid_square_witness, (n,)),
+        ):
+            found = solve(*args)
+            if found.value.is_finite and not (
+                valid(found.witness, *args) and found.witness.cost == found.value.value
+            ):
                 return False
-            if exact.witness.cost != exact.value.value:
-                return False
-        relaxed = kfun.kk(n, d)
-        if relaxed.value.is_finite:
-            if not kfun.is_valid_relaxed_witness(relaxed.witness, n, d):
-                return False
-            if relaxed.witness.cost != relaxed.value.value:
-                return False
-        square = kfun.big_k(n)
-        return (
-            kfun.is_valid_square_witness(square.witness, n)
-            and square.witness.cost == square.value.value
-        )
+        return True
 
     def four_square_ok(n):
         a, b, c, d = kfun.four_square(n)

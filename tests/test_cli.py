@@ -265,6 +265,16 @@ def test_table_above_the_row_limit_is_a_domain_error(capsys, argv):
     assert err == f"error: table prints at most {TABLE_MAX_ROWS} rows\n"
 
 
+@pytest.mark.parametrize("start, stop", [("1", "100000"), ("900001", "1000000")])
+def test_table_k_rows_above_one_table_of_work_are_a_domain_error(capsys, start, stop):
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "table", "K", start, stop)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err == (f"error: K rows {start}..{stop} cost more than one K table at the size limit"
+                   " (the sum of n*isqrt(n) must be <= 1000000000)\n")
+
+
 @pytest.mark.parametrize("argv, code, name", [
     (("kfun", "kk", "5", "1e10000000"), 1, "d"),
     (("kfun", "kk", "5", "1e5000"), 1, "d"),

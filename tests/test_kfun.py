@@ -24,6 +24,8 @@ from coisocap import (
     sqrt_bound_witness,
 )
 from coisocap.kfun import (
+    BIG_K_NMAX,
+    check_k_rows,
     is_valid_exact_witness,
     is_valid_relaxed_witness,
     is_valid_square_witness,
@@ -134,6 +136,17 @@ def test_big_k_rejects_bad_input():
         big_k(0)
     with pytest.raises(TypeError):
         big_k(2.0)
+
+
+def test_k_rows_may_cost_no_more_than_the_largest_table():
+    # sum of n * isqrt(n) over 1..5761 is within 10**6 * isqrt(10**6); over 1..5762 it is not
+    check_k_rows(1, 5761)
+    check_k_rows(BIG_K_NMAX, BIG_K_NMAX)
+    for start, stop in ((1, 5762), (BIG_K_NMAX - 1, BIG_K_NMAX), (1, 10**30)):
+        with pytest.raises(OutOfRangeError, match=rf"K rows {start}\.\.{stop} cost more"):
+            check_k_rows(start, stop)
+    with pytest.raises(OutOfRangeError, match="n must be >= 1"):
+        check_k_rows(0, 5)
 
 
 # ---------------------------------------------------------------------------

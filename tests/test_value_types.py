@@ -5,6 +5,7 @@ deletion, and survives a pickle round trip.  A cold ``import
 coisocap.cli`` loads every layer and neither ``dataclasses`` nor
 ``inspect``."""
 import copy
+import operator
 import os
 import pickle
 import subprocess
@@ -164,6 +165,14 @@ def test_extended_orderings(small, large):
         assert x <= x and x >= x and not x < x and not x > x
     with pytest.raises(TypeError):
         small < 1
+
+
+@pytest.mark.parametrize("a, b", [(ExtNat(1), ExtRat.fin(1)), (NAT_INF, RAT_INF)])
+def test_no_order_across_types(a, b):
+    for x, y in ((a, b), (b, a)):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(x, y)
 
 
 def test_infinity_orderings():
