@@ -562,15 +562,13 @@ def root_bound_holds(n: int, c: int) -> bool:
     return lhs * lhs < rhs * rhs * n
 
 
-def is_valid_square_witness(dec: Decomposition, n: int) -> bool:
-    """Recheck a ``big_k`` witness from raw pair data."""
-    return all(p.n == p.k for p in dec.pairs) and sum(
-        p.k * p.k for p in dec.pairs
-    ) == n
-
-
 def is_valid_exact_witness(dec: Decomposition, n: int, d: int) -> bool:
-    """Recheck a ``keq`` witness from raw pair data."""
+    """Recheck a ``keq`` witness from raw pair data.
+
+    At d = n it rechecks a ``big_k(n)`` witness: dim - weight is the sum of
+    k * (n - k) over the pairs, so weight = dim = n forces every pair to be
+    (k, k) with the k^2 summing to n.
+    """
     return all(p.n >= p.k >= 1 for p in dec.pairs) and dec.weight == n and dec.dim == d
 
 

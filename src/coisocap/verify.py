@@ -35,11 +35,8 @@ a suite whose walk gets past the budget is refused with
 ``OutOfRangeError``.  No cell generator runs long between two cells, so
 the walk is bounded for any nmax and dmax.  It also bounds the K table
 of ``kfun-props``, built up to max(nmax, dmax): no suite within the
-budget builds it past 1,151 (nmax 1, dmax 1,151).  Run in-process from
-a cold start, ``verify all --nmax 15`` (231,264 cells) took 0.32 s and
-``--nmax 25`` (1,684,806 cells) 1.0 s, medians of five, on a shared
-2-core x86-64 host with CPython 3.11.7 whose bare interpreter start took
-70-87 ms.
+budget builds it past 1,151 (nmax 1, dmax 1,151).  README "Verification
+sweeps" gives measured wall times.
 """
 from __future__ import annotations
 
@@ -175,12 +172,11 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         return total is not None and total <= a + b
 
     def witnesses_ok(n, d):
-        for solve, valid, args in (
-            (kfun.keq, kfun.is_valid_exact_witness, (n, d)),
-            (kfun.kk, kfun.is_valid_relaxed_witness, (n, d)),
-            (kfun.big_k, kfun.is_valid_square_witness, (n,)),
+        for found, valid, args in (
+            (kfun.keq(n, d), kfun.is_valid_exact_witness, (n, d)),
+            (kfun.kk(n, d), kfun.is_valid_relaxed_witness, (n, d)),
+            (kfun.big_k(n), kfun.is_valid_exact_witness, (n, n)),
         ):
-            found = solve(*args)
             if found.value.is_finite and not (
                 valid(found.witness, *args) and found.witness.cost == found.value.value
             ):

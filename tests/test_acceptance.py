@@ -26,7 +26,6 @@ from coisocap.cli import run
 from coisocap.kfun import (
     is_valid_exact_witness,
     is_valid_relaxed_witness,
-    is_valid_square_witness,
     lt_sqrt_plus,
     root_bound_holds,
 )
@@ -197,7 +196,7 @@ def test_criterion_10_witness_audit():
         # (20, 60), and the square minimizer witnesses.
         for n in range(1, 31):
             square = big_k(n)
-            assert is_valid_square_witness(square.witness, n), n
+            assert is_valid_exact_witness(square.witness, n, n), n
             assert square.witness.cost == square.value.value, n
             for d in range(0, 61):
                 exact = keq(n, d)

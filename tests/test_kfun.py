@@ -28,7 +28,6 @@ from coisocap.kfun import (
     check_k_rows,
     is_valid_exact_witness,
     is_valid_relaxed_witness,
-    is_valid_square_witness,
     lt_sqrt_plus,
     root_bound_holds,
     square_cost_naive,
@@ -127,8 +126,17 @@ def test_big_k_matches_exhaustive_enumeration():
 def test_big_k_witness_audits():
     for n in range(1, 60):
         result = big_k(n)
-        assert is_valid_square_witness(result.witness, n)
+        assert is_valid_exact_witness(result.witness, n, n)
         assert result.witness.cost == result.value.value
+
+
+def test_big_k_is_keq_on_the_diagonal():
+    # K(n) = keq(n, n): weight = dim = n forces every pair to be (k, k).
+    # The values agree over the table to 5000, the whole answer (witness
+    # included, so the smallest-key tie-break too) to 600.
+    table = big_k_table(5000)
+    assert [n for n in range(1, 5001) if table[n] != keq(n, n).value.value] == []
+    assert [n for n in range(1, 601) if big_k(n) != keq(n, n)] == []
 
 
 def test_big_k_rejects_bad_input():
