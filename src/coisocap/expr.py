@@ -6,7 +6,8 @@ Grammar (whitespace-insensitive, factors joined by ``x``):
     factor   = "S(" m ";" area ")"                       sphere S^(2m-1)
              | "V(" k "," n ";" area ")"                 frame manifold
              | "C(" label "," halfdim ";" gen [";asph"] ")"   closed factor
-    area     = rational with optional "pi" ("pi", "pi/2", "3pi/2", "3/2", ...)
+    area     = rational with an optional "pi" that ends its numerator or
+               the whole token ("pi", "pi/2", "3pi/2", "3/2pi", "3/2", ...)
     gen      = "0" (trivial spectrum) | area (lattice generator)
 
 Areas are measured in units of pi, so a bare rational and the same
@@ -66,9 +67,15 @@ def parse_area(text: str) -> Fraction:
     s = text.strip().replace(" ", "").replace("*", "")
     if not s:
         raise ExprParseError("empty area")
-    if s.count("pi") > 1:
+    # "pi" may only end the numerator or the whole token
+    num, slash, den = s.partition("/")
+    if num.endswith("pi"):
+        num = num[:-2]
+    elif den.endswith("pi"):
+        den = den[:-2]
+    body = num + slash + den
+    if "pi" in body:
         raise ExprParseError(f"bad area {clip(text)!r}")
-    body = s.replace("pi", "", 1)
     check_rational_size(body, ExprParseError, "area")
     try:
         if body == "":

@@ -14,29 +14,31 @@ failures; the first failing input is kept for diagnosis.  Suites:
   collapse rules of the bound engine, plus the spectrum algebra laws.
 * ``all``: everything above.
 
-Each suite declares its checks as rows of (name, range text, cells,
-predicate), where cells returns a fresh iterator over the check's
-inputs, together with the one step that builds its value grids.
+Each suite declares its value grids, each by a function returning a fresh
+iterator over the grid's index cells; the one step that builds them; and
+its checks, as rows of (name, range text, cells, predicate), where cells
+returns a fresh iterator over the check's inputs.
 
-The large sweeps read value grids that each suite builds once through
-the public ``kfun.kk``/``kfun.keq``/``bounds.squeeze_bounds``, one call
-per grid entry: ``kk`` over n <= 2*nmax and d <= 2*dmax, ``keq`` over
-n <= nmax and d <= max(dmax, 2n - 1), and the squeeze lower bounds over
-2 <= n <= nmax, n <= d <= dmax.  The kfun predicates compare exact
-integers, with None for infinity; the squeeze one compares the exact
-``ExtRat`` bounds.  The diagonal, root-bound window, witness audit and
-squeeze collapse checks, which have few cells or need witnesses or whole
+The large sweeps read the grids, built once through the public
+``kfun.kk``/``kfun.keq``/``bounds.squeeze_bounds``, one call per index
+cell: ``kk`` over n <= 2*nmax and d <= 2*dmax, ``keq`` over n <= nmax
+and d <= max(dmax, 2n - 1), and the squeeze lower bounds over
+2 <= n <= nmax, n <= d <= dmax; ``kfun-props`` also builds the K table
+over 0..max(nmax, dmax).  The kfun predicates compare exact integers,
+with None for infinity; the squeeze one compares the exact ``ExtRat``
+bounds.  The diagonal, root-bound window, witness audit and squeeze
+collapse checks, which have few cells or need witnesses or whole
 intervals, still call the public functions per cell.  Every check visits
 and counts each of its cells.
 
-The cell budget is counted by walking the checks' own cells, up to
-``VERIFY_MAX_CELLS`` (2 * 10**6) and one more, before any grid is built;
-a suite whose walk gets past the budget is refused with
-``OutOfRangeError``.  No cell generator runs long between two cells, so
-the walk is bounded for any nmax and dmax.  It also bounds the K table
-of ``kfun-props``, built up to max(nmax, dmax): no suite within the
-budget builds it past 1,151 (nmax 1, dmax 1,151).  README "Verification
-sweeps" gives measured wall times.
+The budget is counted, before any grid is built, by walking the grids'
+index cells and the checks' cells, up to ``VERIFY_MAX_CELLS``
+(2 * 10**6) and one more; a suite whose walk gets past it is refused
+with ``OutOfRangeError``.  No generator runs long between two cells, so
+the walk is bounded for any nmax and dmax.  ``all --nmax 26`` is the
+largest default ``all`` run, ``kfun-props --dmax 0`` is admitted up to
+nmax 831, and no suite builds the K table past 1,149 (nmax 1,
+dmax 1,149).  README "Verification sweeps" gives measured wall times.
 """
 from __future__ import annotations
 
@@ -48,9 +50,10 @@ from fractions import Fraction
 
 from . import bounds, kfun, spectra
 from .errors import Frozen, OutOfRangeError
+from .expr import parse_product
 
-# Most cells one suite sweeps, checked before any grid is built: ``verify
-# all --nmax 25`` has 1,684,806 cells and ``--nmax 26`` 1,964,923.
+# Most grid entries and cells one suite sweeps, checked before any grid is
+# built: ``verify all --nmax 26`` counts 1,972,789 and ``--nmax 27`` 2,287,121.
 VERIFY_MAX_CELLS = 2 * 10**6
 
 
@@ -98,8 +101,10 @@ def _sweep(name: str, range_desc: str, cells, predicate) -> CheckResult:
 # A check row: name, range text, a function returning a fresh iterator over
 # the cells, and the predicate every cell must satisfy.
 Check = tuple[str, str, Callable[[], Iterable[tuple]], Callable[..., bool]]
-# A suite's declaration: the step that builds its value grids, and its checks.
-Declared = tuple[Callable[[], None], list[Check]]
+# A suite's declaration: its value grids, each as a function returning a
+# fresh iterator over the grid's index cells; the step that builds those
+# grids; and its checks.
+Declared = tuple[list[Callable[[], Iterable]], Callable[[], None], list[Check]]
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +114,33 @@ Declared = tuple[Callable[[], None], list[Check]]
 Grid = list[list[int | None]]
 
 
-def _grid(fn, rows: int, top) -> Grid:
-    """``fn(n, d).value`` at [n][d] for 1 <= n <= rows and 0 <= d <= top(n),
-    as an int or None for infinity; row 0 is empty."""
-    return [[]] + [[fn(n, d).value.value for d in range(top(n) + 1)] for n in range(1, rows + 1)]
+def _grid(fn, cells: Iterable[tuple[int, int]]) -> Grid:
+    """``fn(n, d).value`` at [n][d], as an int or None for infinity, for the
+    (n, d) of ``cells``: d = 0, 1, ... of each row n = 1, 2, ... in turn."""
+    grid: Grid = [[]]
+    for n, d in cells:
+        if d == 0:
+            grid.append([])
+        grid[n].append(fn(n, d).value.value)
+    return grid
+
+
+def _kk_cells(nmax: int, dmax: int) -> Iterable[tuple[int, int]]:
+    """n <= 2*nmax and d <= 2*dmax, the range of the subadditive sums."""
+    return ((n, d) for n in range(1, 2 * nmax + 1) for d in range(2 * dmax + 1))
+
+
+def _keq_cells(nmax: int, dmax: int) -> Iterable[tuple[int, int]]:
+    """n <= nmax, d <= dmax and the capacity window n <= d <= 2n - 1."""
+    return ((n, d) for n in range(1, nmax + 1) for d in range(max(dmax, 2 * n - 1) + 1))
 
 
 def _kk_grid(nmax: int, dmax: int) -> Grid:
-    """kk over n <= 2*nmax and d <= 2*dmax, the range of the subadditive sums."""
-    return _grid(kfun.kk, 2 * nmax, lambda n: 2 * dmax)
+    return _grid(kfun.kk, _kk_cells(nmax, dmax))
 
 
 def _keq_grid(nmax: int, dmax: int) -> Grid:
-    """keq over n <= nmax, d <= dmax and the capacity window n <= d <= 2n - 1."""
-    return _grid(kfun.keq, nmax, lambda n: max(dmax, 2 * n - 1))
+    return _grid(kfun.keq, _keq_cells(nmax, dmax))
 
 
 def _le(a: int | None, b: int | None) -> bool:
@@ -190,7 +208,12 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         return n == 0 or table[n] <= a + b + c + d
 
     exhaustive_top = min(nmax, 200)
-    return build, [
+    grids = [
+        lambda: range(four_square_top + 1),
+        lambda: _kk_cells(nmax, dmax),
+        lambda: _keq_cells(nmax, dmax),
+    ]
+    return grids, build, [
         (
             "kfun-collapse-at-diagonal",
             *each_n,
@@ -273,7 +296,7 @@ def _oracle_checks(nmax: int, dmax: int) -> Declared:
         return pred
 
     desc = f"1<=n<={top}, 0<=d<=min({dmax},2n)"
-    return (lambda: None), [
+    return [], (lambda: None), [
         ("oracle-keq-agrees", desc, cells, agree(kfun.keq, kfun.keq_naive)),
         ("oracle-kk-agrees", desc, cells, agree(kfun.kk, kfun.kk_naive)),
     ]
@@ -289,22 +312,14 @@ _FRACTIONS = tuple(
 _POSITIVE = tuple(f for f in _FRACTIONS if f > 0)
 
 
-def _sample_objects() -> tuple[spectra.ProductObject, ...]:
-    torus = spectra.Closed("T2", 1, spectra.Spectrum.zero(), aspherical=True)
-    round_sphere = spectra.Closed("S2", 1, spectra.Spectrum.lattice(1))
-    small_sphere = spectra.Closed("S2w", 1, spectra.Spectrum.lattice(Fraction(1, 3)))
-    return (
-        spectra.ProductObject((spectra.Sphere(2, Fraction(1)),)),
-        spectra.ProductObject((spectra.Sphere(2, Fraction(1)), spectra.Sphere(2, Fraction(1)))),
-        spectra.ProductObject((spectra.Sphere(2, Fraction(2)), spectra.Sphere(3, Fraction(1)))),
-        spectra.ProductObject((spectra.Sphere(1, Fraction(1, 2)), spectra.Sphere(1, Fraction(1, 3)))),
-        spectra.ProductObject((spectra.Sphere(1, Fraction(1)), torus)),
-        spectra.ProductObject((spectra.Sphere(1, Fraction(1)), round_sphere)),
-        spectra.ProductObject((spectra.Sphere(2, Fraction(1)), small_sphere)),
-        spectra.ProductObject((spectra.Stiefel(2, 3, Fraction(1)), spectra.Sphere(2, Fraction(1, 2)))),
-        spectra.ProductObject((spectra.Stiefel(1, 4, Fraction(3, 2)),)),
-        spectra.ProductObject((torus,)),
-    )
+# The sample products of the conformality and spectrum checks, and the
+# products whose energy interval is [pi, pi], as ``format_product`` writes them.
+_SAMPLE_PRODUCTS = (
+    "S(2;pi)", "S(2;pi) x S(2;pi)", "S(2;2pi) x S(3;pi)", "S(1;pi/2) x S(1;pi/3)",
+    "S(1;pi) x C(T2,1;0;asph)", "S(1;pi) x C(S2,1;pi)", "S(2;pi) x C(S2w,1;pi/3)",
+    "V(2,3;pi) x S(2;pi/2)", "V(1,4;3pi/2)", "C(T2,1;0;asph)",
+)
+_ENERGY_EXAMPLES = ("S(2;pi) x S(2;pi)", "S(1;pi) x S(1;pi) x C(S2,1;pi)", "S(2;2pi) x S(3;pi)")
 
 
 def _bounds_checks(nmax: int, dmax: int) -> Declared:
@@ -331,24 +346,9 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
             return False
         return collapsed if d >= 2 * n - 1 else True
 
-    def energy_example(expr_atoms, lo, hi):
-        interval = bounds.energy_bounds(spectra.ProductObject(expr_atoms))
-        return interval.lower == lo and interval.upper == hi
-
-    one = spectra.ExtRat.fin(1)
-    examples = (
-        ((spectra.Sphere(2, Fraction(1)), spectra.Sphere(2, Fraction(1))), one, one),
-        (
-            (
-                spectra.Sphere(1, Fraction(1)),
-                spectra.Sphere(1, Fraction(1)),
-                spectra.Closed("S2", 1, spectra.Spectrum.lattice(1)),
-            ),
-            one,
-            one,
-        ),
-        ((spectra.Sphere(2, Fraction(2)), spectra.Sphere(3, Fraction(1))), one, one),
-    )
+    def energy_is_pi(text):
+        interval = bounds.energy_bounds(parse_product(text))
+        return interval.lower == interval.upper == spectra.ExtRat.fin(1)
 
     def conformal(obj, c):
         base = bounds.energy_bounds(obj)
@@ -359,8 +359,8 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
         interval = bounds.width_energy_bound(a, flag)
         return interval.lower == interval.upper == spectra.ExtRat.fin(a)
 
-    objects = _sample_objects()
-    return build, [
+    objects = tuple(map(parse_product, _SAMPLE_PRODUCTS))
+    return [squeeze_cells], build, [
         (
             "bounds-capacity-normalized",
             f"1<=n<={nmax}",
@@ -382,7 +382,7 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
             lambda n, d, d2: lower[n, d] <= lower[n, d2],
         ),
         ("bounds-squeeze-collapse", f"2<=n<={nmax}, n<=d<={dmax}", squeeze_cells, collapse_ok),
-        ("bounds-energy-examples", "3 fixed products", lambda: examples, energy_example),
+        ("bounds-energy-examples", "3 fixed products", lambda: zip(_ENERGY_EXAMPLES), energy_is_pi),
         (
             "bounds-energy-conformality",
             "sample objects x positive rational scales",
@@ -483,8 +483,8 @@ SUITES = tuple(_SUITE_CHECKS)
 def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
     """Run one suite over n <= nmax, d <= dmax (default 2*nmax).
 
-    Refuses, before any work, a suite whose checks have more than
-    ``VERIFY_MAX_CELLS`` cells.
+    Refuses, before any work, a suite whose grid entries and check cells
+    number more than ``VERIFY_MAX_CELLS``.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
@@ -494,12 +494,11 @@ def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
         dmax = 2 * nmax
     if isinstance(dmax, bool) or not isinstance(dmax, int) or dmax < 0:
         raise ValueError("dmax must be an integer >= 0")
-    builds, checks = [], []
-    for declare in _SUITE_CHECKS[suite]:
-        build, rows = declare(nmax, dmax)
-        builds.append(build)
-        checks.extend(rows)
-    walk = itertools.chain.from_iterable(cells() for _, _, cells, _ in checks)
+    declared = [declare(nmax, dmax) for declare in _SUITE_CHECKS[suite]]
+    checks = [row for _, _, rows in declared for row in rows]
+    cell_sets = [cells for grids, _, _ in declared for cells in grids]
+    cell_sets += [cells for _, _, cells, _ in checks]
+    walk = itertools.chain.from_iterable(cells() for cells in cell_sets)
     if sum(1 for _ in itertools.islice(walk, VERIFY_MAX_CELLS + 1)) > VERIFY_MAX_CELLS:
         raise OutOfRangeError(
             f"verify {suite} would sweep more than {VERIFY_MAX_CELLS} cells"
@@ -507,7 +506,7 @@ def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
         )
 
     start = time.monotonic()
-    for build in builds:
+    for _, build, _ in declared:
         build()
     results = [_sweep(name, desc, cells(), pred) for name, desc, cells, pred in checks]
     elapsed_ms = int((time.monotonic() - start) * 1000)

@@ -296,7 +296,9 @@ def test_oversized_rational_is_refused_up_front(capsys, argv, code, name):
     ("verify", "kfun-props", "--nmax", "2", "--dmax", "100000"),
     # past the K table limit too: the budget is the one up-front refusal
     ("verify", "kfun-props", "--nmax", "1", "--dmax", "1000001"),
-], ids=["all-200", "kfun-props-dmax", "kfun-props-dmax-1000001"])
+    # within the cells alone, but not with the keq grid's capacity window
+    ("verify", "kfun-props", "--nmax", "1000", "--dmax", "0"),
+], ids=["all-200", "kfun-props-dmax", "kfun-props-dmax-1000001", "kfun-props-nmax-1000"])
 def test_verify_above_the_cell_budget_is_a_domain_error(capsys, argv):
     t0 = time.perf_counter()
     code, out, err = invoke(capsys, *argv)

@@ -29,7 +29,7 @@ def test_parse_area_forms():
 
 
 def test_parse_area_rejects_junk():
-    for bad in ("", "pi pi", "pipi", "two", "1/0", "-pi", "-1/2"):
+    for bad in ("", "pi pi", "pipi", "two", "1/0", "-pi", "-1/2", "2pi3", "1/pi2", "pi3/2"):
         with pytest.raises(ExprParseError):
             parse_area(bad)
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from coisocap import bounds, kfun, run_suite, verify
+from coisocap import bounds, format_product, kfun, parse_product, run_suite, verify
 from coisocap.errors import OutOfRangeError
 from coisocap.verify import SUITES
 
@@ -165,12 +165,13 @@ def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
 
 def test_cell_budget_is_checked_before_any_work(monkeypatch):
     assert _cells(run_suite("all", 25)) == 1_684_806 <= verify.VERIFY_MAX_CELLS
-    # a suite of exactly the budget runs, one cell more is refused
-    cells = _cells(run_suite("bounds-props", 4))
-    monkeypatch.setattr(verify, "VERIFY_MAX_CELLS", cells)
+    # a suite of exactly the budget runs, one unit more is refused; the budget
+    # counts the squeeze grid entries, 2<=n<=4 and n<=d<=8, besides the cells
+    units = _cells(run_suite("bounds-props", 4)) + 7 + 6 + 5
+    monkeypatch.setattr(verify, "VERIFY_MAX_CELLS", units)
     assert run_suite("bounds-props", 4).ok
-    monkeypatch.setattr(verify, "VERIFY_MAX_CELLS", cells - 1)
-    with pytest.raises(OutOfRangeError, match=f"more than {cells - 1} cells"):
+    monkeypatch.setattr(verify, "VERIFY_MAX_CELLS", units - 1)
+    with pytest.raises(OutOfRangeError, match=f"more than {units - 1} cells"):
         run_suite("bounds-props", 4)
     monkeypatch.undo()
     for suite, nmax, dmax in (("all", 200, 400), ("kfun-props", 2, 100_000),
@@ -183,6 +184,11 @@ def test_cell_budget_is_checked_before_any_work(monkeypatch):
         assert time.perf_counter() - t0 < 1.0
     # the oracle suite clamps its grid, so any nmax fits
     assert run_suite("oracle", 10**18, 3).ok
+
+
+def test_fixed_products_are_canonical():
+    for text in verify._SAMPLE_PRODUCTS + verify._ENERGY_EXAMPLES:
+        assert format_product(parse_product(text)) == text
 
 
 @pytest.mark.parametrize("args, message", [
