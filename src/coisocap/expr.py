@@ -6,8 +6,10 @@ Grammar (whitespace-insensitive, factors joined by ``x``):
     factor   = "S(" m ";" area ")"                       sphere S^(2m-1)
              | "V(" k "," n ";" area ")"                 frame manifold
              | "C(" label "," halfdim ";" gen [";asph"] ")"   closed factor
-    area     = rational with an optional "pi" that ends its numerator or
-               the whole token ("pi", "pi/2", "3pi/2", "3/2pi", "3/2", ...)
+    area     = rational with an optional "pi" that ends its numerator, where
+               "pi" alone is 1, or the whole token; a "*" may join only a
+               nonempty coefficient to that "pi" ("pi", "pi/2", "3pi/2",
+               "3*pi/2", "3/2pi", "3/2*pi", "3/2", ...)
     gen      = "0" (trivial spectrum) | area (lattice generator)
 
 Areas are measured in units of pi, so a bare rational and the same
@@ -64,26 +66,19 @@ def _parse_int(digits: str, name: str) -> int:
 
 def parse_area(text: str) -> Fraction:
     """Parse a nonnegative rational in units of pi."""
-    s = text.strip().replace(" ", "").replace("*", "")
+    s = text.strip().replace(" ", "")
     if not s:
         raise ExprParseError("empty area")
-    # "pi" may only end the numerator or the whole token
-    num, slash, den = s.partition("/")
-    if num.endswith("pi"):
-        num = num[:-2]
-    elif den.endswith("pi"):
-        den = den[:-2]
-    body = num + slash + den
-    if "pi" in body:
-        raise ExprParseError(f"bad area {clip(text)!r}")
-    check_rational_size(body, ExprParseError, "area")
+    # "pi" may end the numerator, where "pi" alone stands for 1, or the whole
+    # token; a "*" may stand only between a nonempty coefficient and that "pi"
+    coef, pi, rest = s.partition("pi")
+    if pi and rest[:1] in ("", "/"):
+        if coef != "*":
+            coef = coef.removesuffix("*") or "1"
+        s = coef + rest
+    check_rational_size(s, ExprParseError, "area")
     try:
-        if body == "":
-            value = Fraction(1)
-        elif body.startswith("/"):
-            value = Fraction("1" + body)
-        else:
-            value = Fraction(body)
+        value = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ExprParseError(f"bad area {clip(text)!r}") from exc
     if value < 0:

@@ -36,9 +36,10 @@ index cells and the checks' cells, up to ``VERIFY_MAX_CELLS``
 (2 * 10**6) and one more; a suite whose walk gets past it is refused
 with ``OutOfRangeError``.  No generator runs long between two cells, so
 the walk is bounded for any nmax and dmax.  ``all --nmax 26`` is the
-largest default ``all`` run; ``kfun-props --dmax 0`` is admitted up to
-nmax 831, 47-55 s on a 2-core x86-64 host (README "Verification
-sweeps"); no suite builds the K table past 1,149 (nmax 1, dmax 1,149).
+largest default ``all`` run.  The budget counts calls, not their cost,
+so the costliest admitted runs take minutes; README "Verification
+sweeps" gives them with measured times.  No suite builds the K table
+past 1,149 (nmax 1, dmax 1,149).
 """
 from __future__ import annotations
 

@@ -161,6 +161,16 @@ def test_bound_width(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, token", [
+    (("bound", "width", "3*2"), "3*2"),
+    (("spectrum", "S(1;/2)"), "/2"),
+], ids=["star-between-digits", "empty-numerator"])
+def test_misplaced_star_or_slash_is_a_bad_area(capsys, argv, token):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: bad area {token!r}\n"
+
+
 def test_bound_text_format(capsys):
     code, out, _ = invoke(capsys, "bound", "capacity", "4", "7", "--format", "text")
     assert code == 0

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coisocap import (
     Closed,
@@ -9,6 +10,7 @@ from coisocap import (
     Spectrum,
     Sphere,
     Stiefel,
+    format_pi,
     format_product,
     parse_area,
     parse_product,
@@ -25,13 +27,23 @@ def test_parse_area_forms():
     assert parse_area("3/2") == Fraction(3, 2)
     assert parse_area("2") == Fraction(2)
     assert parse_area(" 2 * pi ") == Fraction(2)
+    assert parse_area("2*pi/3") == Fraction(2, 3)
+    assert parse_area("3/2*pi") == Fraction(3, 2)
     assert parse_area("0") == Fraction(0)
 
 
 def test_parse_area_rejects_junk():
-    for bad in ("", "pi pi", "pipi", "two", "1/0", "-pi", "-1/2", "2pi3", "1/pi2", "pi3/2"):
+    for bad in ("", "pi pi", "pipi", "two", "1/0", "-pi", "-1/2", "2pi3", "1/pi2", "pi3/2",
+                "2*3", "2*3pi", "3*2", "*2", "2**pi", "pi*", "*pi", "/2", "/2pi"):
         with pytest.raises(ExprParseError):
             parse_area(bad)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.fractions(min_value=0))
+def test_parse_area_reads_back_every_written_area(q):
+    assert parse_area(format_pi(q)) == q
+    assert parse_area(f"{q.numerator}*pi/{q.denominator}") == q
 
 
 def test_parse_atoms():
