@@ -129,7 +129,7 @@ def require_n(n) -> int:
 def require_area(value, name: str, error: type[ValueError] = ValueError) -> Fraction:
     """``value`` as a Fraction, refused unless it is a positive exact
     number; ``error`` is the class of the range refusal."""
-    area = Fraction(require_exact(value, name))
+    area = value if type(value) is Fraction else Fraction(require_exact(value, name))
     if area <= 0:
         raise error(f"{name} must be positive, got {area}")
     return area

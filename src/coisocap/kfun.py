@@ -462,9 +462,11 @@ def _naive_table() -> dict[tuple[int, int], NaiveEntry]:
                 key = prefix + ((k, m),)
                 at = (weight + k * m, dim + k * (2 * m - k))
                 cand = (cost + k, key)
-                if at not in table or cand < table[at]:
+                held = table.get(at)
+                if held is None or cand < held:
                     table[at] = cand
-                extend(key, k, m, *at, cost + k)
+                if at[0] < max_weight:  # at the weight cap the child's loop is empty
+                    extend(key, k, m, *at, cost + k)
 
     extend((), max_weight, max_weight, 0, 0, 0)
     return table

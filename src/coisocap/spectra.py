@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import Extended, Frozen, clip, require_area, require_exact
@@ -38,8 +38,8 @@ def _require_count(value, owner: str, name: str) -> None:
 
 
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
+    """gcd(p/q, r/s) = gcd(p, r) / lcm(q, s) for fractions in lowest terms."""
+    return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
 
 
 class Spectrum(Frozen):
@@ -97,7 +97,8 @@ class ExtRat(Extended, Frozen):
 
     def __init__(self, value: Fraction | None) -> None:
         if value is not None:
-            value = Fraction(require_exact(value, "finite ExtRat"))
+            if type(value) is not Fraction:
+                value = Fraction(require_exact(value, "finite ExtRat"))
             if value < 0:
                 raise ValueError("finite ExtRat must be nonnegative")
         object.__setattr__(self, "value", value)

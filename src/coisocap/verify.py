@@ -22,14 +22,16 @@ returns a fresh iterator over the check's inputs.
 The large sweeps read the grids, built once through the public
 ``kfun.kk``/``kfun.keq``/``bounds.squeeze_bounds``, one call per index
 cell: ``kk`` over n <= 2*nmax and d <= 2*dmax, ``keq`` over n <= nmax
-and d <= max(dmax, 2n - 1), and the squeeze lower bounds over
+and d <= max(dmax, 2n - 1), and the squeeze intervals over
 2 <= n <= nmax, n <= d <= dmax; ``kfun-props`` also builds the K table
-over 0..max(nmax, dmax).  The kfun predicates compare exact integers,
-with None for infinity; the squeeze one compares the exact ``ExtRat``
-bounds.  The diagonal, root-bound window, witness audit and squeeze
-collapse checks, which have few cells or need witnesses or whole
-intervals, still call the public functions per cell.  Every check visits
-and counts each of its cells.
+over 0..max(nmax, dmax) and the K answers ``kfun.big_k(n)`` for
+n <= nmax, once each.  The kfun predicates compare exact integers, with
+None for infinity; the squeeze monotonicity and collapse checks both
+read the squeeze intervals.  The diagonal, root-bound window and witness
+audit checks, which have few cells or need witnesses, still call
+``kk``/``keq`` per cell, and the capacity checks call
+``bounds.capacity_bounds`` once per cell.  Every check visits and counts
+each of its cells.
 
 The budget is counted, before any grid is built, by walking the grids'
 index cells and the checks' cells, up to ``VERIFY_MAX_CELLS``
@@ -155,14 +157,16 @@ def _le(a: int | None, b: int | None) -> bool:
 
 def _kfun_checks(nmax: int, dmax: int) -> Declared:
     four_square_top = max(nmax, dmax)
-    table = kk = keq = None
+    ns, ds = range(1, nmax + 1), range(dmax + 1)
+    table = kk = keq = big_k = None
 
     def build():
-        nonlocal table, kk, keq
+        nonlocal table, kk, keq, big_k
         table = kfun.big_k_table(four_square_top)
         kk, keq = _kk_grid(nmax, dmax), _keq_grid(nmax, dmax)
+        # the K table's grid, 0..max(nmax, dmax), counts these calls in the budget
+        big_k = {n: kfun.big_k(n) for n in ns}
 
-    ns, ds = range(1, nmax + 1), range(dmax + 1)
     # (range text, cells) of the ranges several checks share
     each_n = f"1<=n<={nmax}", lambda: ((n,) for n in ns)
     each_nd = f"1<=n<={nmax}, 0<=d<={dmax}", lambda: ((n, d) for n in ns for d in ds)
@@ -194,7 +198,7 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         for found, valid, args in (
             (kfun.keq(n, d), kfun.is_valid_exact_witness, (n, d)),
             (kfun.kk(n, d), kfun.is_valid_relaxed_witness, (n, d)),
-            (kfun.big_k(n), kfun.is_valid_exact_witness, (n, n)),
+            (big_k[n], kfun.is_valid_exact_witness, (n, n)),
         ):
             if found.value.is_finite and not (
                 valid(found.witness, *args) and found.witness.cost == found.value.value
@@ -325,22 +329,26 @@ _ENERGY_EXAMPLES = ("S(2;pi) x S(2;pi)", "S(1;pi) x S(1;pi) x C(S2,1;pi)", "S(2;
 
 def _bounds_checks(nmax: int, dmax: int) -> Declared:
     """The bound engine checks, followed by the spectrum algebra checks."""
-    lower = None
+    squeeze = None
     squeeze_ns = range(2, min(nmax, dmax) + 1)
 
     def squeeze_cells():
         return ((n, d) for n in squeeze_ns for d in range(n, dmax + 1))
 
     def build():
-        nonlocal lower
-        lower = {(n, d): bounds.squeeze_bounds(n, d).lower for n, d in squeeze_cells()}
+        nonlocal squeeze
+        squeeze = {(n, d): bounds.squeeze_bounds(n, d) for n, d in squeeze_cells()}
+
+    def capacity_normalized(n):
+        interval = bounds.capacity_bounds(n, 2 * n - 1)
+        return interval.lower == interval.upper == spectra.ExtRat.fin(1)
 
     def capacity_sane(n, d):
         interval = bounds.capacity_bounds(n, d)
         return spectra.ExtRat.fin(0) < interval.lower <= interval.upper
 
     def collapse_ok(n, d):
-        interval = bounds.squeeze_bounds(n, d)
+        interval = squeeze[n, d]
         collapsed = interval.lower == interval.upper == spectra.ExtRat.fin(1)
         want = kfun.kk(n, d).value == kfun.ExtNat(1)
         if collapsed != want:
@@ -366,9 +374,7 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
             "bounds-capacity-normalized",
             f"1<=n<={nmax}",
             lambda: ((n,) for n in range(1, nmax + 1)),
-            lambda n: bounds.capacity_bounds(n, 2 * n - 1).lower
-            == bounds.capacity_bounds(n, 2 * n - 1).upper
-            == spectra.ExtRat.fin(1),
+            capacity_normalized,
         ),
         (
             "bounds-capacity-interval-sane",
@@ -380,7 +386,7 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
             "bounds-squeeze-monotone-lower",
             f"2<=n<={nmax}, n<=d<=d'<={dmax}",
             lambda: ((n, d, d2) for n, d in squeeze_cells() for d2 in range(d, dmax + 1)),
-            lambda n, d, d2: lower[n, d] <= lower[n, d2],
+            lambda n, d, d2: squeeze[n, d].lower <= squeeze[n, d2].lower,
         ),
         ("bounds-squeeze-collapse", f"2<=n<={nmax}, n<=d<={dmax}", squeeze_cells, collapse_ok),
         ("bounds-energy-examples", "3 fixed products", lambda: zip(_ENERGY_EXAMPLES), energy_is_pi),

@@ -25,6 +25,8 @@ from coisocap import (
 )
 from coisocap.kfun import (
     BIG_K_NMAX,
+    ORACLE_CAP,
+    _naive_table,
     check_k_rows,
     is_valid_exact_witness,
     is_valid_relaxed_witness,
@@ -332,6 +334,21 @@ def _reference_filter(max_weight, keep):
             if found is None or cand < found:
                 found = cand
     return found
+
+
+def test_naive_table_matches_the_unpruned_walk_entry_for_entry():
+    # least (cost, key) at each (weight, dim) over every canonical pair tuple
+    # of the plain walk, which also visits the empty children at the cap
+    want = {}
+    for key in _enumerate_upto_weight(2 * ORACLE_CAP):
+        at = (sum(k * m for k, m in key), sum(k * (2 * m - k) for k, m in key))
+        cand = (sum(k for k, _ in key), key)
+        if at not in want or cand < want[at]:
+            want[at] = cand
+    got = _naive_table()
+    assert len(want) == 300 and set(got) == set(want)
+    for at, (cost, key) in want.items():
+        assert got[at] == (cost, key), at
 
 
 def _assert_matches(got, found):

@@ -1,7 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coisocap import (
     Closed,
@@ -58,6 +61,20 @@ def test_spectrum_normal_form():
         Spectrum.lattice(0)
     with pytest.raises(ValueError):
         Spectrum.from_generators([Fraction(-1, 2)])
+
+
+def _cross_multiplied_gcd(a, b):
+    return Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+                    a.denominator * b.denominator)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12)),
+                min_size=1, max_size=6))
+def test_generator_gcd_matches_the_cross_multiplied_fold(gens):
+    got = Spectrum.from_generators(gens)
+    assert got == Spectrum(reduce(_cross_multiplied_gcd, gens))
+    assert type(got.gen) is Fraction
 
 
 def test_spectrum_sum_examples():

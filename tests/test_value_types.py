@@ -35,6 +35,7 @@ from coisocap import (
     WitnessedValue,
 )
 from coisocap.cli import Output
+from coisocap.errors import require_area
 
 DEC = Decomposition((Pair(2, 3), Pair(1, 1)))
 CITE = Citation("eq:c-L", "the Lagrangian capacity of the unit ball equals pi / n")
@@ -141,6 +142,23 @@ def test_exact_fields_are_normalised_to_fractions():
     assert type(Sphere(1, 2).area) is Fraction
     assert type(Stiefel(1, 1, 2).area) is Fraction
     assert ProductObject([SPHERE]).atoms == (SPHERE,)
+
+
+class _Half(Fraction):
+    """A Fraction subclass, which the value path must not carry along."""
+
+
+@pytest.mark.parametrize("value", [3, Fraction(3, 2), _Half(3, 2)],
+                         ids=["int", "Fraction", "subclass"])
+@pytest.mark.parametrize("read", [
+    lambda v: require_area(v, "area"),
+    lambda v: ExtRat.fin(v).value,
+    lambda v: Spectrum.lattice(v).gen,
+    lambda v: Sphere(1, v).area,
+], ids=["require_area", "ExtRat.fin", "Spectrum.lattice", "Sphere"])
+def test_the_value_path_holds_exact_fractions(read, value):
+    got = read(value)
+    assert type(got) is Fraction and got == value
 
 
 def test_no_equality_across_types():

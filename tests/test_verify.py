@@ -57,6 +57,25 @@ def test_oracle_suite_enumerates_once():
         assert (by_name[name].pass_count, by_name[name].fail_count) == (168, 0)
 
 
+def test_each_value_is_computed_once(monkeypatch):
+    # counts calls, not time: each K answer, squeeze interval and capacity
+    # interval the sweep reads is fetched once
+    calls = {}
+    for module, name in ((kfun, "big_k"), (bounds, "squeeze_bounds"),
+                         (bounds, "capacity_bounds")):
+        def counted(*args, fn=getattr(module, name), log=calls.setdefault(name, [])):
+            log.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert run_suite("all", 6).ok
+    assert calls["big_k"] == [(n,) for n in range(1, 7)]
+    assert calls["squeeze_bounds"] == [(n, d) for n in range(2, 7) for d in range(n, 13)]
+    # bounds-capacity-normalized, then bounds-capacity-interval-sane
+    assert calls["capacity_bounds"] == [(n, 2 * n - 1) for n in range(1, 7)] + [
+        (n, d) for n in range(1, 7) for d in range(n, 2 * n)]
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         run_suite("nope", 5)
