@@ -48,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import deque
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 
@@ -506,7 +507,9 @@ def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
     cell_sets = [cells for grids, _, _ in declared for cells in grids]
     cell_sets += [cells for _, _, cells, _ in checks]
     walk = itertools.chain.from_iterable(cells() for cells in cell_sets)
-    if sum(1 for _ in itertools.islice(walk, VERIFY_MAX_CELLS + 1)) > VERIFY_MAX_CELLS:
+    # step through the budget in C, not in a Python loop; a unit left over is one too many
+    deque(itertools.islice(walk, VERIFY_MAX_CELLS), maxlen=0)
+    if any(True for _ in walk):
         raise OutOfRangeError(
             f"verify {suite} would sweep more than {VERIFY_MAX_CELLS} cells"
             " (the verify cell budget)"
