@@ -4,7 +4,6 @@ their messages short."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from operator import attrgetter
 
 
@@ -75,7 +74,6 @@ class Frozen:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-@total_ordering
 class Extended:
     """Base of the ``Frozen`` types extended with infinity, whose field
     ``value`` is None for infinity.  Infinity is above every finite value,
@@ -90,11 +88,22 @@ class Extended:
     def __lt__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
+        return self.value is not None and (other.value is None or self.value < other.value)
+
+    def __le__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other.value is None or (self.value is not None and self.value <= other.value)
+
+    def __gt__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other.value is not None and (self.value is None or self.value > other.value)
+
+    def __ge__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value is None or (other.value is not None and self.value >= other.value)
 
 
 def clip(text: str) -> str:

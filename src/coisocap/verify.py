@@ -16,8 +16,15 @@ failures; the first failing input is kept for diagnosis.  Suites:
 
 Each suite declares its value grids, each by a function returning a fresh
 iterator over the grid's index cells; the one step that builds them; and
-its checks, as rows of (name, range text, cells, predicate), where cells
-returns a fresh iterator over the check's inputs.
+its checks, as rows of (name, range text, cells, flags), where cells
+returns a fresh iterator over the check's inputs and flags, given cells,
+returns one pass byte per cell in the order of cells().  A check's
+passes and failures are counted from its flags in C; only a failing
+check steps through cells() again, to its first failing input.  Most
+checks get their flags from one predicate call per cell, mapped in C.
+``kfun-kk-subadditive``, nearly all the cells of a large ``all`` run,
+builds its flags a lane at a time: one list comprehension over d' for
+each (n, n', d), and a lane of passes where kk(n, d) is infinite.
 
 The large sweeps read the grids, built once through the public
 ``kfun.kk``/``kfun.keq``/``bounds.squeeze_bounds``, one call per index
@@ -30,8 +37,8 @@ None for infinity; the squeeze monotonicity and collapse checks both
 read the squeeze intervals.  The diagonal, root-bound window and witness
 audit checks, which have few cells or need witnesses, still call
 ``kk``/``keq`` per cell, and the capacity checks call
-``bounds.capacity_bounds`` once per cell.  Every check visits and counts
-each of its cells.
+``bounds.capacity_bounds`` once per cell.  Every check still visits and
+counts each of its cells.
 
 The budget is counted, before any grid is built, by walking the grids'
 index cells and the checks' cells, up to ``VERIFY_MAX_CELLS``
@@ -51,6 +58,7 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable
 from fractions import Fraction
+from functools import partial
 
 from . import bounds, kfun, spectra
 from .errors import Frozen, OutOfRangeError
@@ -89,22 +97,35 @@ class VerifyReport(Frozen):
         return self.fail_count == 0
 
 
-def _sweep(name: str, range_desc: str, cells, predicate) -> CheckResult:
-    npass = nfail = 0
-    first = None
-    for cell in cells:
-        if predicate(*cell):
-            npass += 1
-        else:
-            nfail += 1
-            if first is None:
-                first = cell
-    return CheckResult(name, range_desc, npass, nfail, first)
-
-
+Cells = Callable[[], Iterable[tuple]]
 # A check row: name, range text, a function returning a fresh iterator over
-# the cells, and the predicate every cell must satisfy.
-Check = tuple[str, str, Callable[[], Iterable[tuple]], Callable[..., bool]]
+# the cells, and a function of that one returning the cells' pass flags,
+# one byte each, in the order of the cells.
+Check = tuple[str, str, Cells, Callable[[Cells], bytearray]]
+
+
+def _sweep(name: str, range_desc: str, cells: Cells,
+           flags: Callable[[Cells], bytearray]) -> CheckResult:
+    """Counts the flags of ``cells``; a failing check reads its first failing
+    cell from a fresh ``cells()``."""
+    passed = flags(cells)
+    npass = passed.count(1)
+    first = None
+    if npass < len(passed):
+        first = next(itertools.islice(cells(), passed.find(0), None))
+    return CheckResult(name, range_desc, npass, len(passed) - npass, first)
+
+
+def _cell_flags(predicate, cells) -> bytearray:
+    """One byte per cell of ``cells()``, 1 where ``predicate`` holds."""
+    return bytearray(map(bool, itertools.starmap(predicate, cells())))
+
+
+def _each(predicate) -> Callable[[Cells], bytearray]:
+    """The flags function of a check that calls ``predicate`` on each cell."""
+    return partial(_cell_flags, predicate)
+
+
 # A suite's declaration: its value grids, each as a function returning a
 # fresh iterator over the grid's index cells; the step that builds those
 # grids; and its checks.
@@ -188,12 +209,19 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
             wit.cost, 2 * n - d, 3
         )
 
-    def subadditive(n, n2, d, d2):
-        a, b = kk[n][d], kk[n2][d2]
-        if a is None or b is None:
-            return True
-        total = kk[n + n2][d + d2]
-        return total is not None and total <= a + b
+    def subadditive_flags(cells):
+        # kk(n + n', d + d') <= kk(n, d) + kk(n', d') unless a term is infinite,
+        # one lane of cells d' = 0..dmax per (n, n', d), in the order of cells()
+        width = dmax + 1
+        flags = bytearray()
+        for n, n2 in itertools.product(ns, ns):
+            row2, total = kk[n2][:width], kk[n + n2]
+            for d in ds:
+                a = kk[n][d]
+                flags += b"\x01" * width if a is None else bytearray(
+                    [b is None or (t is not None and t <= a + b)
+                     for b, t in zip(row2, total[d:d + width])])
+        return flags
 
     def witnesses_ok(n, d):
         for found, valid, args in (
@@ -223,57 +251,62 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         (
             "kfun-collapse-at-diagonal",
             *each_n,
-            lambda n: keq[n][n] == kfun.kk(n, n).value.value == table[n],
+            _each(lambda n: keq[n][n] == kfun.kk(n, n).value.value == table[n]),
         ),
-        ("kfun-keq-dominates-kk", *each_nd, lambda n, d: _le(kk[n][d], keq[n][d])),
+        ("kfun-keq-dominates-kk", *each_nd, _each(lambda n, d: _le(kk[n][d], keq[n][d]))),
         (
             "kfun-kk-monotone-in-d",
             f"1<=n<={nmax}, 0<=d<=d'<={dmax}",
             lambda: ((n, d, d2) for n in ns for d in ds for d2 in range(d, dmax + 1)),
-            lambda n, d, d2: _le(kk[n][d2], kk[n][d]),
+            _each(lambda n, d, d2: _le(kk[n][d2], kk[n][d])),
         ),
-        ("kfun-square-root-bound", *each_n, lambda n: kfun.root_bound_holds(n, table[n])),
+        ("kfun-square-root-bound", *each_n, _each(lambda n: kfun.root_bound_holds(n, table[n]))),
         (
             "kfun-keq-linear-bound",
             f"1<=n<={nmax}, n<=d<=2n-1",
             lambda: ((n, d) for n in ns for d in range(n, 2 * n)),
-            lambda n, d: _le(keq[n][d], 2 * n - d),
+            _each(lambda n, d: _le(keq[n][d], 2 * n - d)),
         ),
-        ("kfun-kk-window-root-bound", f"9<=n<={nmax}, window d<=2n", window_cells, window_ok),
+        (
+            "kfun-kk-window-root-bound",
+            f"9<=n<={nmax}, window d<=2n",
+            window_cells,
+            _each(window_ok),
+        ),
         (
             "kfun-kk-subadditive",
             f"1<=n,n'<={nmax}, 0<=d,d'<={dmax}",
             lambda: itertools.product(ns, ns, ds, ds),
-            subadditive,
+            subadditive_flags,
         ),
         (
             "kfun-keq-divisor-bound",
             f"1<=n<={nmax}, k|n, k^2<=n",
             lambda: ((n, k) for n in ns for k in range(1, math.isqrt(n) + 1) if n % k == 0),
-            lambda n, k: _le(keq[n][2 * n - k * k], k),
+            _each(lambda n, k: _le(keq[n][2 * n - k * k], k)),
         ),
         (
             "kfun-keq-feasibility-window",
             *each_nd,
-            lambda n, d: (keq[n][d] is not None) == (n <= d <= 2 * n - 1),
+            _each(lambda n, d: (keq[n][d] is not None) == (n <= d <= 2 * n - 1)),
         ),
         (
             "kfun-kk-feasibility-window",
             *each_nd,
-            lambda n, d: (kk[n][d] is not None) == (d >= n),
+            _each(lambda n, d: (kk[n][d] is not None) == (d >= n)),
         ),
-        ("kfun-witness-validity", *each_nd, witnesses_ok),
+        ("kfun-witness-validity", *each_nd, _each(witnesses_ok)),
         (
             "kfun-square-cost-exhaustive",
             f"1<=n<={exhaustive_top}",
             lambda: ((n,) for n in range(1, exhaustive_top + 1)),
-            lambda n: table[n] == kfun.square_cost_naive(n),
+            _each(lambda n: table[n] == kfun.square_cost_naive(n)),
         ),
         (
             "kfun-four-square-identity",
             f"0<=n<={four_square_top}",
             lambda: ((n,) for n in range(four_square_top + 1)),
-            four_square_ok,
+            _each(four_square_ok),
         ),
     ]
 
@@ -303,8 +336,8 @@ def _oracle_checks(nmax: int, dmax: int) -> Declared:
 
     desc = f"1<=n<={top}, 0<=d<=min({dmax},2n)"
     return [], (lambda: None), [
-        ("oracle-keq-agrees", desc, cells, agree(kfun.keq, kfun.keq_naive)),
-        ("oracle-kk-agrees", desc, cells, agree(kfun.kk, kfun.kk_naive)),
+        ("oracle-keq-agrees", desc, cells, _each(agree(kfun.keq, kfun.keq_naive))),
+        ("oracle-kk-agrees", desc, cells, _each(agree(kfun.kk, kfun.kk_naive))),
     ]
 
 
@@ -375,33 +408,43 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
             "bounds-capacity-normalized",
             f"1<=n<={nmax}",
             lambda: ((n,) for n in range(1, nmax + 1)),
-            capacity_normalized,
+            _each(capacity_normalized),
         ),
         (
             "bounds-capacity-interval-sane",
             f"1<=n<={nmax}, n<=d<=2n-1",
             lambda: ((n, d) for n in range(1, nmax + 1) for d in range(n, 2 * n)),
-            capacity_sane,
+            _each(capacity_sane),
         ),
         (
             "bounds-squeeze-monotone-lower",
             f"2<=n<={nmax}, n<=d<=d'<={dmax}",
             lambda: ((n, d, d2) for n, d in squeeze_cells() for d2 in range(d, dmax + 1)),
-            lambda n, d, d2: squeeze[n, d].lower <= squeeze[n, d2].lower,
+            _each(lambda n, d, d2: squeeze[n, d].lower <= squeeze[n, d2].lower),
         ),
-        ("bounds-squeeze-collapse", f"2<=n<={nmax}, n<=d<={dmax}", squeeze_cells, collapse_ok),
-        ("bounds-energy-examples", "3 fixed products", lambda: zip(_ENERGY_EXAMPLES), energy_is_pi),
+        (
+            "bounds-squeeze-collapse",
+            f"2<=n<={nmax}, n<=d<={dmax}",
+            squeeze_cells,
+            _each(collapse_ok),
+        ),
+        (
+            "bounds-energy-examples",
+            "3 fixed products",
+            lambda: zip(_ENERGY_EXAMPLES),
+            _each(energy_is_pi),
+        ),
         (
             "bounds-energy-conformality",
             "sample objects x positive rational scales",
             lambda: itertools.product(objects, _POSITIVE),
-            conformal,
+            _each(conformal),
         ),
         (
             "bounds-width-interval",
             "positive rational areas x {with,without} closed factor",
             lambda: itertools.product(_POSITIVE, (False, True)),
-            width_ok,
+            _each(width_ok),
         ),
     ] + _spectra_checks(objects)
 
@@ -444,33 +487,33 @@ def _spectra_checks(objects: tuple[spectra.ProductObject, ...]) -> list[Check]:
             "spectra-sum-algebra",
             "lattice/zero triples over a fraction grid",
             lambda: itertools.product(lattices, lattices, lattices),
-            algebra,
+            _each(algebra),
         ),
         (
             "spectra-rescaling",
             "sample objects x positive rational scales",
             lambda: itertools.product(objects, _POSITIVE),
-            rescale,
+            _each(rescale),
         ),
         (
             "spectra-sphere-m-independent",
             "1<=m,m'<=4 x positive areas",
             lambda: itertools.product(range(1, 5), range(1, 5), _POSITIVE),
-            lambda m, m2, a: spectra.spectrum_of_atom(spectra.Sphere(m, a))
-            == spectra.spectrum_of_atom(spectra.Sphere(m2, a)),
+            _each(lambda m, m2, a: spectra.spectrum_of_atom(spectra.Sphere(m, a))
+                  == spectra.spectrum_of_atom(spectra.Sphere(m2, a))),
         ),
         (
             "spectra-normal-form",
             "generator triples over a fraction grid",
             lambda: ((gens,) for gens in itertools.combinations_with_replacement(_FRACTIONS, 3)),
-            normal_form,
+            _each(normal_form),
         ),
         (
             "spectra-product-min-vs-split",
             "sample objects",
             lambda: ((obj,) for obj in objects),
-            lambda obj: spectra.minimal_action(spectra.product_spectrum(obj))
-            <= spectra.split_min_action(obj),
+            _each(lambda obj: spectra.minimal_action(spectra.product_spectrum(obj))
+                  <= spectra.split_min_action(obj)),
         ),
     ]
 
@@ -518,6 +561,6 @@ def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
     start = time.monotonic()
     for _, build, _ in declared:
         build()
-    results = [_sweep(name, desc, cells(), pred) for name, desc, cells, pred in checks]
+    results = [_sweep(*check) for check in checks]
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return VerifyReport(tuple(sorted(results, key=lambda c: c.name)), elapsed_ms)

@@ -5,6 +5,7 @@ deletion, and survives a pickle round trip.  A cold ``import
 coisocap.cli`` loads every layer and neither ``dataclasses`` nor
 ``inspect``."""
 import copy
+import itertools
 import operator
 import os
 import pickle
@@ -191,6 +192,21 @@ def test_no_order_across_types(a, b):
         for compare in (operator.lt, operator.le, operator.gt, operator.ge):
             with pytest.raises(TypeError):
                 compare(x, y)
+
+
+def test_extended_operators_follow_the_infinity_order():
+    # each list in ascending order: infinity above every finite value
+    nats = [ExtNat(0), ExtNat(1), NAT_INF]
+    rats = [ExtRat.fin(0), ExtRat.fin(Fraction(1, 3)), ExtRat.fin(1), RAT_INF]
+    for values in (nats, rats):
+        for (i, x), (j, y) in itertools.product(enumerate(values), repeat=2):
+            for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+                assert compare(x, y) is compare(i, j), (x, compare.__name__, y)
+    for x, y in itertools.product(nats, rats):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(TypeError):
+                    compare(a, b)
 
 
 def test_infinity_orderings():

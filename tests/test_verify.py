@@ -1,7 +1,10 @@
 import itertools
 import time
+from functools import partial
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coisocap import bounds, format_product, kfun, parse_product, run_suite, verify
 from coisocap.errors import OutOfRangeError
@@ -89,6 +92,33 @@ def test_invalid_arguments():
 # The grid sweeps against the per-call sweeps they replaced
 # ---------------------------------------------------------------------------
 
+def _reference_sweep(name, desc, cells, predicate):
+    """One predicate call per cell of the iterator ``cells``, counted in a
+    Python loop, keeping the first failing cell."""
+    npass = nfail = 0
+    first = None
+    for cell in cells:
+        if predicate(*cell):
+            npass += 1
+        else:
+            nfail += 1
+            if first is None:
+                first = cell
+    return verify.CheckResult(name, desc, npass, nfail, first)
+
+
+def _subadditive(kk):
+    """The subadditivity rule on the grid ``kk``, one cell at a time."""
+    def holds(n, n2, d, d2):
+        a, b = kk[n][d], kk[n2][d2]
+        if a is None or b is None:
+            return True
+        total = kk[n + n2][d + d2]
+        return total is not None and total <= a + b
+
+    return holds
+
+
 def _per_call_checks(nmax, dmax):
     """The checks that read value grids, written with one public
     ``kfun.kk``/``kfun.keq``/``bounds.squeeze_bounds`` call per cell."""
@@ -142,7 +172,7 @@ def _per_call_checks(nmax, dmax):
          lambda n, d, d2: bounds.squeeze_bounds(n, d).lower
          <= bounds.squeeze_bounds(n, d2).lower),
     ]
-    return {name: verify._sweep(name, desc, cells, pred) for name, desc, cells, pred in specs}
+    return {name: _reference_sweep(name, desc, cells, pred) for name, desc, cells, pred in specs}
 
 
 _FAMILIES = {"kfun-props": ("kfun-",), "oracle": (), "bounds-props": ("bounds-",),
@@ -180,6 +210,74 @@ def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
     assert by_name["kfun-kk-monotone-in-d"].first_failure == (2, 2, 3)
     # kk(1+1, 1+2) <= kk(1,1) + kk(1,2) = 2 fails first at n = n' = d = 1, d' = 2
     assert by_name["kfun-kk-subadditive"].first_failure == (1, 1, 1, 2)
+
+    # the subadditivity lanes, one per (n, n', d), against the per-cell rule
+    # on the same wrong grid, for nmax 4 and dmax 8
+    for (n, d), value, first in (
+        # kk(1,2) = 0: a lane whose kk(n,d) is finite fails at d' = 2,
+        # kk(1+1, 2+2) = 1 > 0 + 0
+        ((1, 2), 0, (1, 1, 2, 2)),
+        # kk(8,8) = 9: the lanes (4, 4, 0..3) pass whole, as kk(4, 0..3) is
+        # infinite, then kk(4,4) + kk(4,4) = 4 < 9
+        ((8, 8), 9, (4, 4, 4, 4)),
+        # kk(5,9) infinite: kk(1,1) + kk(4,8) = 2 is finite
+        ((5, 9), None, (1, 4, 1, 8)),
+    ):
+        grid = build(4, 8)
+        grid[n][d] = value
+        monkeypatch.setattr(verify, "_kk_grid", lambda nmax, dmax, grid=grid: grid)
+        got = {c.name: c for c in run_suite("kfun-props", 4).checks}["kfun-kk-subadditive"]
+        want = _reference_sweep(got.name, got.range_desc,
+                                itertools.product(range(1, 5), range(1, 5), range(9), range(9)),
+                                _subadditive(grid))
+        assert got == want and got.first_failure == first, (n, d, value)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_subadditivity_lanes_match_the_per_cell_rule(data):
+    nmax = data.draw(st.integers(1, 5))
+    dmax = data.draw(st.integers(0, 2 * nmax + 1))
+    grid = verify._kk_grid(nmax, dmax)
+    wrong = data.draw(st.lists(st.tuples(
+        st.integers(1, 2 * nmax), st.integers(0, 2 * dmax), st.none() | st.integers(0, 9)),
+        max_size=6))
+    for n, d, value in wrong:
+        grid[n][d] = value
+    _, build, rows = verify._kfun_checks(nmax, dmax)
+    with mock.patch.object(verify, "_kk_grid", lambda nmax, dmax: grid):
+        build()
+    (cells, flags), = ((cells, flags) for name, _, cells, flags in rows
+                       if name == "kfun-kk-subadditive")
+    assert list(flags(cells)) == [int(_subadditive(grid)(*cell)) for cell in cells()]
+
+
+def _failing_every(k, predicate):
+    """``predicate``, made to fail at every k-th call as well (k None: never)."""
+    if k is None:
+        return predicate
+    calls = itertools.count(1)
+    return lambda *cell: next(calls) % k != 0 and predicate(*cell)
+
+
+@pytest.mark.parametrize("nmax, dmax", [(1, 0), (4, 8), (7, 3), (9, 27)])
+def test_sweep_matches_the_per_cell_loop(nmax, dmax):
+    declares = {declare for suite in SUITES for declare in verify._SUITE_CHECKS[suite]}
+    lanes = []
+    for declare in declares:
+        _, build, rows = declare(nmax, dmax)
+        build()
+        for name, desc, cells, flags in rows:
+            if not (isinstance(flags, partial) and flags.func is verify._cell_flags):
+                lanes.append(name)
+                continue
+            predicate, = flags.args
+            for k in (None, 1, 2, 7):
+                got = verify._sweep(name, desc, cells, verify._each(_failing_every(k, predicate)))
+                want = _reference_sweep(name, desc, cells(), _failing_every(k, predicate))
+                assert got == want, (name, k)
+    # checked against the per-cell rule by the two tests above
+    assert lanes == ["kfun-kk-subadditive"]
 
 
 def test_cell_budget_is_checked_before_any_work(monkeypatch):
