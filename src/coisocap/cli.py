@@ -7,14 +7,18 @@ Subcommands: ``kfun`` (single minimizer queries), ``table`` (value tables),
 Every handler returns one ``Output`` record that holds its result in all
 three formats; ``run`` prints the one ``--format`` selects.
 
+One call builds and imports only what its argv uses.  ``build_parser``
+names every command and ``bound`` kind, so usage, help and "invalid
+choice" errors read the same, but gives arguments only to the ones argv
+names.  ``json`` and ``csv`` are imported by their printers.  Importing
+this module still imports every layer.
+
 Exit codes: 0 success, 1 domain error (violated precondition or oracle
 cap), 2 parse error (argv or expression grammar), 3 verification failure.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from fractions import Fraction
 
@@ -55,10 +59,14 @@ def _print_text(out: Output) -> None:
 
 
 def _print_json(out: Output) -> None:
+    import json
+
     print(json.dumps(out.json, indent=2))
 
 
 def _print_csv(out: Output) -> None:
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(out.csv_header)
     writer.writerows(out.csv_rows)
@@ -155,63 +163,110 @@ def _add_output(parser: argparse.ArgumentParser, handler, default: str) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coisocap",
-        description="Exact capacity minimizers, spectrum algebra, and certified bound intervals.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    positive, nonneg = _int_at_least(1), _int_at_least(0)
+_FUNCTIONS = ("K", "keq", "kk")
+_POSITIVE, _NONNEG = _int_at_least(1), _int_at_least(0)
 
-    p_kfun = sub.add_parser("kfun", help="single minimizer query")
-    p_kfun.add_argument("fn", choices=("K", "keq", "kk"))
-    p_kfun.add_argument("n", type=positive)
-    p_kfun.add_argument("d", nargs="?", default=None)
-    _add_output(p_kfun, _handle_kfun, "text")
 
-    p_table = sub.add_parser("table", help="value table over a range of n")
-    p_table.add_argument("fn", choices=("K", "keq", "kk"))
-    p_table.add_argument("start", type=positive)
-    p_table.add_argument("stop", type=positive)
-    p_table.add_argument("--d", default=None, help="fixed d for keq/kk tables")
-    _add_output(p_table, _handle_table, "text")
+def _kfun_arguments(p: argparse.ArgumentParser, words) -> None:
+    p.add_argument("fn", choices=_FUNCTIONS)
+    p.add_argument("n", type=_POSITIVE)
+    p.add_argument("d", nargs="?", default=None)
+    _add_output(p, _handle_kfun, "text")
 
-    p_spec = sub.add_parser("spectrum", help="spectrum algebra for a product expression")
-    p_spec.add_argument("expr")
-    _add_output(p_spec, _handle_spectrum, "text")
 
-    p_bound = sub.add_parser("bound", help="certified bound intervals")
-    bound_sub = p_bound.add_subparsers(dest="kind", required=True)
+def _table_arguments(p: argparse.ArgumentParser, words) -> None:
+    p.add_argument("fn", choices=_FUNCTIONS)
+    p.add_argument("start", type=_POSITIVE)
+    p.add_argument("stop", type=_POSITIVE)
+    p.add_argument("--d", default=None, help="fixed d for keq/kk tables")
+    _add_output(p, _handle_table, "text")
 
-    p_energy = bound_sub.add_parser("energy", help="displacement energy of a product")
-    p_energy.add_argument("expr")
-    _add_output(p_energy, _handle_energy, "json")
 
-    p_capacity = bound_sub.add_parser("capacity", help="regular coisotropic capacity of the ball")
-    p_capacity.add_argument("n", type=positive)
-    p_capacity.add_argument("d", type=nonneg)
-    _add_output(p_capacity, _handle_capacity, "json")
+def _spectrum_arguments(p: argparse.ArgumentParser, words) -> None:
+    p.add_argument("expr")
+    _add_output(p, _handle_spectrum, "text")
 
-    p_squeeze = bound_sub.add_parser("squeeze", help="squeezing constant of the ball")
-    p_squeeze.add_argument("n", type=positive)
-    p_squeeze.add_argument("d")
-    _add_output(p_squeeze, _handle_squeeze, "json")
 
-    p_width = bound_sub.add_parser("width", help="energy of a ball via its Gromov width")
-    p_width.add_argument("area")
-    p_width.add_argument(
+def _energy_arguments(p: argparse.ArgumentParser, words) -> None:
+    p.add_argument("expr")
+    _add_output(p, _handle_energy, "json")
+
+
+def _capacity_arguments(p: argparse.ArgumentParser, words) -> None:
+    p.add_argument("n", type=_POSITIVE)
+    p.add_argument("d", type=_NONNEG)
+    _add_output(p, _handle_capacity, "json")
+
+
+def _squeeze_arguments(p: argparse.ArgumentParser, words) -> None:
+    p.add_argument("n", type=_POSITIVE)
+    p.add_argument("d")
+    _add_output(p, _handle_squeeze, "json")
+
+
+def _width_arguments(p: argparse.ArgumentParser, words) -> None:
+    p.add_argument("area")
+    p.add_argument(
         "--closed-factor",
         action="store_true",
         help="stabilize by a closed aspherical factor",
     )
-    _add_output(p_width, _handle_width, "json")
+    _add_output(p, _handle_width, "json")
 
-    p_verify = sub.add_parser("verify", help="bulk invariant sweeps")
-    p_verify.add_argument("suite", choices=verify.SUITES)
-    p_verify.add_argument("--nmax", type=positive, required=True)
-    p_verify.add_argument("--dmax", type=nonneg, default=None)
-    _add_output(p_verify, _handle_verify, "text")
 
+def _verify_arguments(p: argparse.ArgumentParser, words) -> None:
+    p.add_argument("suite", choices=verify.SUITES)
+    p.add_argument("--nmax", type=_POSITIVE, required=True)
+    p.add_argument("--dmax", type=_NONNEG, default=None)
+    _add_output(p, _handle_verify, "text")
+
+
+def _bound_arguments(p: argparse.ArgumentParser, words) -> None:
+    _add_commands(p, "kind", _BOUND_KINDS, words)
+
+
+# {name: (help, add_arguments)} for the commands and for the kinds of ``bound``
+_COMMANDS = {
+    "kfun": ("single minimizer query", _kfun_arguments),
+    "table": ("value table over a range of n", _table_arguments),
+    "spectrum": ("spectrum algebra for a product expression", _spectrum_arguments),
+    "bound": ("certified bound intervals", _bound_arguments),
+    "verify": ("bulk invariant sweeps", _verify_arguments),
+}
+_BOUND_KINDS = {
+    "energy": ("displacement energy of a product", _energy_arguments),
+    "capacity": ("regular coisotropic capacity of the ball", _capacity_arguments),
+    "squeeze": ("squeezing constant of the ball", _squeeze_arguments),
+    "width": ("energy of a ball via its Gromov width", _width_arguments),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict,
+                  words: list[str] | None) -> None:
+    """Name each command of ``commands`` under ``parser``, and give arguments
+    to the one ``words[0]`` names, or to each one when ``words`` is None.
+
+    ``words`` are the argv tokens that do not start with "-".  argparse
+    takes the command from the first of them; where it takes another token,
+    that token is no command, and the error it stops with shows only the
+    names, so a command without arguments is never read."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, add_arguments) in commands.items():
+        command = sub.add_parser(name, help=help_text)
+        if words is None or words[:1] == [name]:
+            add_arguments(command, None if words is None else words[1:])
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The argparse tree for ``argv``: every command and ``bound`` kind is
+    named, but only the ones ``argv`` names get their arguments; with no
+    argv, every one does."""
+    parser = argparse.ArgumentParser(
+        prog="coisocap",
+        description="Exact capacity minimizers, spectrum algebra, and certified bound intervals.",
+    )
+    words = None if argv is None else [t for t in argv if not t.startswith("-")]
+    _add_commands(parser, "command", _COMMANDS, words)
     return parser
 
 
@@ -415,7 +470,9 @@ def _handle_verify(args) -> Output:
 
 def run(argv: list[str] | None = None) -> int:
     """Execute one invocation; returns the process exit code."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,6 +1,7 @@
 """Text grammar for product objects, shared by the CLI and tests.
 
-Grammar (whitespace-insensitive, factors joined by ``x``):
+Grammar (factors joined by ``x``; blanks are dropped, except that blanks
+between two digits are a parse error, so ``1 0`` is not read as ``10``):
 
     product  = factor { "x" factor }
     factor   = "S(" m ";" area ")"                       sphere S^(2m-1)
@@ -28,6 +29,7 @@ from .spectra import Closed, ProductObject, Sphere, Spectrum, Stiefel
 _SPHERE_RE = re.compile(r"^S\((\d+);([^;]+)\)$")
 _STIEFEL_RE = re.compile(r"^V\((\d+),(\d+);([^;]+)\)$")
 _CLOSED_RE = re.compile(r"^C\(([^,;()]+),(\d+);([^;]+?)(;asph)?\)$")
+_DIGIT_GAP_RE = re.compile(r"\d\s+\d")
 
 
 def _digit_limit() -> int:
@@ -69,6 +71,8 @@ def parse_area(text: str) -> Fraction:
     s = text.strip().replace(" ", "")
     if not s:
         raise ExprParseError("empty area")
+    if _DIGIT_GAP_RE.search(text):
+        raise ExprParseError(f"bad area {clip(text)!r}")
     # "pi" may end the numerator, where "pi" alone stands for 1, or the whole
     # token; a "*" may stand only between a nonempty coefficient and that "pi"
     coef, pi, rest = s.partition("pi")
@@ -109,6 +113,8 @@ def _split_factors(text: str) -> list[str]:
 
 def parse_atom(text: str):
     """Parse a single factor."""
+    if _DIGIT_GAP_RE.search(text):
+        raise ExprParseError(f"unrecognized factor {clip(text.strip())!r}")
     s = "".join(text.split())
     try:
         match = _SPHERE_RE.match(s)

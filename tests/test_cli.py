@@ -171,6 +171,16 @@ def test_misplaced_star_or_slash_is_a_bad_area(capsys, argv, token):
     assert err == f"error: bad area {token!r}\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("spectrum", "S(1 0;pi)"), "unrecognized factor 'S(1 0;pi)'"),
+    (("spectrum", "S(1;1 2pi)"), "unrecognized factor 'S(1;1 2pi)'"),
+    (("bound", "energy", "S(2;pi) x V(1,2 3;pi)"), "unrecognized factor 'V(1,2 3;pi)'"),
+    (("bound", "width", "1 2"), "bad area '1 2'"),
+], ids=["sphere-m", "sphere-area", "frame-n", "width"])
+def test_blanks_between_digits_are_a_parse_error(capsys, argv, err):
+    assert invoke(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
 def test_bound_text_format(capsys):
     code, out, _ = invoke(capsys, "bound", "capacity", "4", "7", "--format", "text")
     assert code == 0

@@ -34,7 +34,8 @@ def test_parse_area_forms():
 
 def test_parse_area_rejects_junk():
     for bad in ("", "pi pi", "pipi", "two", "1/0", "-pi", "-1/2", "2pi3", "1/pi2", "pi3/2",
-                "2*3", "2*3pi", "3*2", "*2", "2**pi", "pi*", "*pi", "/2", "/2pi"):
+                "2*3", "2*3pi", "3*2", "*2", "2**pi", "pi*", "*pi", "/2", "/2pi",
+                "1 2", "1 2pi", "3/2 1", "1  0 pi"):
         with pytest.raises(ExprParseError):
             parse_area(bad)
 
@@ -53,6 +54,8 @@ def test_parse_atoms():
     assert parse_atom("C(T2,1;0;asph)") == Closed("T2", 1, Spectrum.zero(), aspherical=True)
     assert parse_atom("C(S2,1;pi)") == Closed("S2", 1, Spectrum.lattice(1))
     assert parse_atom("C(M,2;2pi/3)") == Closed("M", 2, Spectrum.lattice(Fraction(2, 3)))
+    assert parse_atom("S(1;3 pi)") == parse_atom("S(1;3 * pi) ") == Sphere(1, Fraction(3))
+    assert parse_atom(" S( 2 ; pi )") == Sphere(2, Fraction(1))
 
 
 def test_parse_atom_rejects_bad_factors():
@@ -63,6 +66,10 @@ def test_parse_atom_rejects_bad_factors():
         "C(M,1;pi;asph)",   # aspherical with nonzero spectrum
         "T(1;pi)",          # unknown head
         "S(2,pi)",          # wrong separator
+        "S(1 0;pi)",        # blanks between the digits of m
+        "S(1;1 2pi)",       # ... of an area
+        "V(1,2 3;pi)",      # ... of n
+        "C(M,1;1\t2)",      # a tab is a blank too
     ):
         with pytest.raises(ExprParseError):
             parse_atom(bad)

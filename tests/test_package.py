@@ -91,6 +91,18 @@ def test_importtime_reports_every_layer_of_a_cold_cli_import():
     assert {f"coisocap.{layer}" for layer in (*EXPORTS, "cli")} <= timed
 
 
+@pytest.mark.parametrize("call, printers", [
+    ("", []),
+    ("run(['kfun', 'keq', '5', '7'])", []),
+    ("run(['kfun', 'keq', '5', '7', '--format', 'json'])", ["json"]),
+    ("run(['kfun', 'keq', '5', '7', '--format', 'csv'])", ["csv"]),
+], ids=["import", "text", "json", "csv"])
+def test_cli_imports_json_and_csv_only_to_print_them(call, printers):
+    loaded = cold(f"import sys\nfrom coisocap.cli import run\n{call}\n"
+                  "print(*(m for m in ('json', 'csv') if m in sys.modules), file=sys.stderr)")
+    assert loaded.stderr.split() == printers
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         coisocap.no_such_name  # noqa: B018
