@@ -16,14 +16,15 @@ q = sum(k*k) and slack r = sum(k*t) give weight q + r and dimension q + 2r.
 ``keq`` and ``kk`` search, by iterative deepening on the cost, the cheapest
 parts whose square mass lies in the query's range and whose slack range
 holds a sum of multiples of the parts; ``big_k`` is the case r = 0 and
-takes its value from a dynamic program over 0..n.
+takes its value from a dynamic program over 0..n.  ``square_mass_costs``
+gives the ``keq`` values of a whole range at once, one scan per q.
 
 Every finite value comes with a witness decomposition; infeasible instances
 yield infinity, never an error.  ``keq_naive``/``kk_naive`` are independent
 exhaustive-enumeration oracles for cross-checking, capped at small inputs:
-one unpruned walk over every pair tuple of weight <= 2 * ORACLE_CAP, made
-on first use, keeps the least (cost, key) at each (weight, dim), and each
-oracle call is a lookup in that table.
+one unpruned walk over every pair tuple of dimension <= 2 * ORACLE_CAP,
+made on first use, keeps the least (cost, key) at each (weight, dim), and
+each oracle call is a lookup in that table.
 
 All arithmetic is exact (Python integers / fractions.Fraction).
 """
@@ -39,7 +40,7 @@ from .errors import (CapExceededError, Extended, Frozen, OutOfRangeError, requir
                      require_int, require_n)
 
 # Largest n of the naive oracles, and half the largest floor(d) of kk_naive:
-# their enumeration grows exponentially with the weight.
+# their enumeration grows exponentially with the dimension.
 ORACLE_CAP = 12
 # Largest n the square-sum table is built for: its list and its O(n^1.5)
 # run time (about two minutes at 10**6) grow without bound otherwise.  A
@@ -358,7 +359,7 @@ def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> Witnessed
     Iterative deepening on the cost from the root of the least square mass
     q_lo: each cost scans its part tuples in ascending order and stops once
     the largest part exceeds that of the best key found.  The cache holds
-    more than the 2,295 distinct queries of ``verify all --nmax 15`` (6,325
+    more than the 930 distinct queries of ``verify all --nmax 15`` (2,550
     at ``--nmax 25``), and a repeated query returns the same frozen object.
     """
     def slack(q: int) -> tuple[int, int]:
@@ -383,6 +384,36 @@ def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> Witnessed
         if best is not None:
             return _witnessed((cost, best))
         cost += 1
+
+
+def square_mass_costs(top: int) -> list[list[int]]:
+    """C[q][r] = keq(q + r, q + 2r), values only, for q >= 1 and q + r <= top
+    (C[0] is empty): the least cost of parts with square sum q whose
+    distinct parts generate the slack r.
+
+    One scan per q answers every r: it walks the part tuples of the levels
+    K(q), K(q) + 2, ... (the part sum has the parity of q), and each r
+    takes the first level at which some tuple's distinct parts generate it.
+    At level q the all-ones tuple generates every r, so the scan ends there.
+    """
+    table = big_k_table(top)
+    costs: list[list[int]] = [[]]
+    for q in range(1, top + 1):
+        row = [0] * (top - q + 1)
+        left = range(len(row))
+        cost = table[q]
+        while left:
+            for parts in _square_parts(cost, q, q, cost):
+                monoid = _monoid(tuple(set(parts)))
+                for r in left:
+                    if _meets(monoid, r, r):
+                        row[r] = cost
+                left = [r for r in left if not row[r]]
+                if not left:
+                    break
+            cost += 2
+        costs.append(row)
+    return costs
 
 
 def big_k(n: int) -> WitnessedValue:
@@ -448,14 +479,17 @@ NaiveEntry = tuple[int, tuple[tuple[int, int], ...]]  # (cost, key)
 @lru_cache(maxsize=1)
 def _naive_table() -> dict[tuple[int, int], NaiveEntry]:
     """Least (cost, key) at each (weight, dim) over every canonical pair
-    tuple of total weight <= 2 * ORACLE_CAP, from one unpruned enumeration."""
+    tuple of total dimension <= 2 * ORACLE_CAP, from one unpruned
+    enumeration.  That holds every entry the oracles read: ``keq_naive``'s
+    n <= ORACLE_CAP is finite only at dim <= 2n - 1, and ``kk_naive``
+    reads dim <= floor(d) <= 2 * ORACLE_CAP."""
     table: dict[tuple[int, int], NaiveEntry] = {}
-    max_weight = 2 * ORACLE_CAP
+    max_dim = 2 * ORACLE_CAP
 
     def extend(prefix, k_hi, m_hi, weight, dim, cost) -> None:
-        budget = max_weight - weight
+        budget = max_dim - dim
         for k in range(1, min(k_hi, math.isqrt(budget)) + 1):
-            top = budget // k
+            top = (budget + k * k) // (2 * k)  # the pair's dim k*(2m - k) fits the budget
             if k == k_hi:
                 top = min(top, m_hi)
             for m in range(k, top + 1):
@@ -465,10 +499,10 @@ def _naive_table() -> dict[tuple[int, int], NaiveEntry]:
                 held = table.get(at)
                 if held is None or cand < held:
                     table[at] = cand
-                if at[0] < max_weight:  # at the weight cap the child's loop is empty
+                if at[1] < max_dim:  # at the dimension cap the child's loop is empty
                     extend(key, k, m, *at, cost + k)
 
-    extend((), max_weight, max_weight, 0, 0, 0)
+    extend((), max_dim, max_dim, 0, 0, 0)
     return table
 
 
@@ -480,8 +514,8 @@ def keq_naive(n: int, d: int) -> WitnessedValue:
 def kk_naive(n: int, d: Rational) -> WitnessedValue:
     """Exhaustive-enumeration oracle for ``kk`` (small n and d only).
 
-    Feasible decompositions satisfy weight <= dim <= floor(d), so the
-    enumeration over total weight <= 2 * ORACLE_CAP is complete.
+    Feasible decompositions satisfy dim <= floor(d) <= 2 * ORACLE_CAP, so
+    the enumeration over total dimension <= 2 * ORACLE_CAP is complete.
     """
     dcap = _oracle_cap(n, d, exact=False)
     return _witnessed(min(

@@ -26,12 +26,14 @@ checks get their flags from one predicate call per cell, mapped in C.
 builds its flags a lane at a time: one list comprehension over d' for
 each (n, n', d), and a lane of passes where kk(n, d) is infinite.
 
-The large sweeps read the grids, built once through the public
-``kfun.kk``/``kfun.keq``/``bounds.squeeze_bounds``, one call per index
-cell: ``kk`` over n <= 2*nmax and d <= 2*dmax, ``keq`` over n <= nmax
-and d <= max(dmax, 2n - 1), and the squeeze intervals over
-2 <= n <= nmax, n <= d <= dmax; ``kfun-props`` also builds the K table
-over 0..max(nmax, dmax) and the K answers ``kfun.big_k(n)`` for
+The large sweeps read the grids, built once each: ``kk`` over
+n <= 2*nmax and d <= 2*dmax and ``keq`` over n <= nmax and
+d <= max(dmax, 2n - 1), both values only, from one table of
+``kfun.square_mass_costs`` (keq(n, d) = C(2n - d, d - n) on the capacity
+window, and kk a running minimum of keq over n <= n' <= d' <= d); and the
+squeeze intervals over 2 <= n <= nmax, n <= d <= dmax, one
+``bounds.squeeze_bounds`` call per cell.  ``kfun-props`` also builds the
+K table over 0..max(nmax, dmax) and the K answers ``kfun.big_k(n)`` for
 n <= nmax, once each.  The kfun predicates compare exact integers, with
 None for infinity; the squeeze monotonicity and collapse checks both
 read the squeeze intervals.  The diagonal, root-bound window and witness
@@ -58,7 +60,7 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from . import bounds, kfun, spectra
 from .errors import Frozen, OutOfRangeError
@@ -139,17 +141,6 @@ Declared = tuple[list[Callable[[], Iterable]], Callable[[], None], list[Check]]
 Grid = list[list[int | None]]
 
 
-def _grid(fn, cells: Iterable[tuple[int, int]]) -> Grid:
-    """``fn(n, d).value`` at [n][d], as an int or None for infinity, for the
-    (n, d) of ``cells``: d = 0, 1, ... of each row n = 1, 2, ... in turn."""
-    grid: Grid = [[]]
-    for n, d in cells:
-        if d == 0:
-            grid.append([])
-        grid[n].append(fn(n, d).value.value)
-    return grid
-
-
 def _kk_cells(nmax: int, dmax: int) -> Iterable[tuple[int, int]]:
     """n <= 2*nmax and d <= 2*dmax, the range of the subadditive sums."""
     return ((n, d) for n in range(1, 2 * nmax + 1) for d in range(2 * dmax + 1))
@@ -160,12 +151,49 @@ def _keq_cells(nmax: int, dmax: int) -> Iterable[tuple[int, int]]:
     return ((n, d) for n in range(1, nmax + 1) for d in range(max(dmax, 2 * n - 1) + 1))
 
 
+def _kk_reach(nmax: int, dmax: int) -> int:
+    """The largest n of a keq(n, d) that the kk grid's values depend on: its
+    rows n <= 2*nmax read keq at n <= n' <= d' <= min(2n - 2, 2*dmax)."""
+    return min(4 * nmax - 2, 2 * dmax)
+
+
+@lru_cache(maxsize=1)
+def _costs(nmax: int, dmax: int) -> list[list[int]]:
+    """The square-mass cost table of both grids, built once per run."""
+    return kfun.square_mass_costs(max(nmax, _kk_reach(nmax, dmax)))
+
+
 def _kk_grid(nmax: int, dmax: int) -> Grid:
-    return _grid(kfun.kk, _kk_cells(nmax, dmax))
+    """kk at [n][d] for the cells of ``_kk_cells``, from the keq values.
+
+    kk(n, d) is None for d < n, 1 for d >= 2n - 1 (the pair (1, n)), and
+    min(kk(n + 1, d), kk(n, d - 1), keq(n, d)) between, as a decomposition
+    has weight n and dimension d or leaves room in one of them.  The rows
+    are built from the top down, from max(2*nmax, ``_kk_reach``) with the
+    row above taken as None: kk is None there at every d <= ``_kk_reach``,
+    all that the rows n <= 2*nmax read of it.
+    """
+    costs, width = _costs(nmax, dmax), 2 * dmax + 1
+    rows: Grid = []
+    above: list[int | None] = [None] * width
+    for n in range(max(2 * nmax, _kk_reach(nmax, dmax)), 0, -1):
+        row: list[int | None] = [None] * min(n, width)
+        for d in range(n, min(2 * n - 1, width)):
+            row.append(min(v for v in (row[-1], above[d], costs[2 * n - d][d - n])
+                           if v is not None))
+        row += [1] * (width - len(row))
+        if n <= 2 * nmax:
+            rows.append(row)
+        above = row
+    return [[], *reversed(rows)]
 
 
 def _keq_grid(nmax: int, dmax: int) -> Grid:
-    return _grid(kfun.keq, _keq_cells(nmax, dmax))
+    """keq at [n][d] for the cells of ``_keq_cells``: C(2n - d, d - n) of the
+    cost table on the capacity window n <= d <= 2n - 1, None elsewhere."""
+    costs = _costs(nmax, dmax)
+    return [[], *([None] * n + [costs[2 * n - d][d - n] for d in range(n, 2 * n)]
+                  + [None] * (dmax - 2 * n + 1) for n in range(1, nmax + 1))]
 
 
 def _le(a: int | None, b: int | None) -> bool:

@@ -337,16 +337,17 @@ def _reference_filter(max_weight, keep):
 
 
 def test_naive_table_matches_the_unpruned_walk_entry_for_entry():
-    # least (cost, key) at each (weight, dim) over every canonical pair tuple
-    # of the plain walk, which also visits the empty children at the cap
+    # least (cost, key) at each (weight, dim <= 2 * ORACLE_CAP) over every
+    # canonical pair tuple of the plain walk, which also visits the empty
+    # children at the cap; dim >= weight, so the weight cap loses none
     want = {}
     for key in _enumerate_upto_weight(2 * ORACLE_CAP):
         at = (sum(k * m for k, m in key), sum(k * (2 * m - k) for k, m in key))
         cand = (sum(k for k, _ in key), key)
-        if at not in want or cand < want[at]:
+        if at[1] <= 2 * ORACLE_CAP and (at not in want or cand < want[at]):
             want[at] = cand
     got = _naive_table()
-    assert len(want) == 300 and set(got) == set(want)
+    assert len(want) == 156 and set(got) == set(want)
     for at, (cost, key) in want.items():
         assert got[at] == (cost, key), at
 

@@ -4,7 +4,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coisocap import bounds, format_product, kfun, parse_product, run_suite, verify
 from coisocap.errors import OutOfRangeError
@@ -231,6 +231,37 @@ def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
                                 itertools.product(range(1, 5), range(1, 5), range(9), range(9)),
                                 _subadditive(grid))
         assert got == want and got.first_failure == first, (n, d, value)
+
+
+def _grid(fn, cells):
+    """``fn(n, d).value`` at [n][d], as an int or None for infinity, for the
+    (n, d) of ``cells``: d = 0, 1, ... of each row n = 1, 2, ... in turn.
+    The reference of the value grids: one public kernel call per cell."""
+    grid = [[]]
+    for n, d in cells:
+        if d == 0:
+            grid.append([])
+        grid[n].append(fn(n, d).value.value)
+    return grid
+
+
+def test_grids_match_the_per_call_kernel():
+    # every keq cell of the capacity window for n <= 200, with the cells
+    # d < n before it, and every kk cell for n <= 60, d <= 120
+    assert verify._keq_grid(200, 0) == _grid(kfun.keq, verify._keq_cells(200, 0))
+    assert verify._kk_grid(30, 60) == _grid(kfun.kk, verify._kk_cells(30, 60))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 12), st.integers(0, 40))
+@example(1, 0)
+@example(12, 0)
+@example(1, 40)
+@example(3, 40)
+@example(12, 40)
+def test_grids_match_the_per_call_grids(nmax, dmax):
+    assert verify._kk_grid(nmax, dmax) == _grid(kfun.kk, verify._kk_cells(nmax, dmax))
+    assert verify._keq_grid(nmax, dmax) == _grid(kfun.keq, verify._keq_cells(nmax, dmax))
 
 
 @settings(max_examples=150, deadline=None, database=None)
