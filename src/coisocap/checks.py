@@ -1,0 +1,486 @@
+"""The suites of ``verify``: their value grids and checks.
+
+``verify.run_suite`` imports this module on its first call, so a CLI call
+other than ``verify`` never compiles it.  ``SUITE_CHECKS`` maps each suite
+to its declarations, each a function of (nmax, dmax) returning the
+suite's grids, build step and check rows in the form ``verify`` documents:
+
+* ``kfun-props``: the minimizer relations (monotonicity, domination,
+  collapse, the two root bounds, linear and divisor bounds,
+  subadditivity), feasibility windows, witness audits, and the
+  exhaustive square-decomposition cross-check.
+* ``oracle``: square-mass kernel results against the naive enumeration
+  oracles (clamped to the oracle cap and to d <= 2n, the range on which
+  the equivalence is stated).
+* ``bounds-props``: interval sanity, normalization, conformality and
+  collapse rules of the bound engine, plus the spectrum algebra laws.
+* ``all``: everything above.
+
+Most checks get their flags from one predicate call per cell, mapped in
+C.  ``kfun-kk-subadditive``, nearly all the cells of a large ``all`` run,
+builds its flags a lane at a time: one list comprehension over d' for
+each (n, n', d), and a lane of passes where kk(n, d) is infinite.
+
+The large sweeps read the grids, built once each: ``kk`` over
+n <= 2*nmax and d <= 2*dmax and ``keq`` over n <= nmax and
+d <= max(dmax, 2n - 1), both values only, from one table of
+``kfun.square_mass_costs`` (keq(n, d) = C(2n - d, d - n) on the capacity
+window, and kk a running minimum of keq over n <= n' <= d' <= d); and the
+squeeze intervals over 2 <= n <= nmax, n <= d <= dmax, one
+``bounds.squeeze_bounds`` call per cell.  ``kfun-props`` also builds the
+K table over 0..max(nmax, dmax) and the K answers ``kfun.big_k(n)`` for
+n <= nmax, once each.  The kfun predicates compare exact integers, with
+None for infinity; the squeeze monotonicity and collapse checks both
+read the squeeze intervals.  The diagonal, root-bound window and witness
+audit checks, which have few cells or need witnesses, still call
+``kk``/``keq`` per cell, and the capacity checks call
+``bounds.capacity_bounds`` once per cell.  Every check still visits and
+counts each of its cells.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+from collections.abc import Callable, Iterable
+from fractions import Fraction
+from functools import lru_cache, partial
+
+from . import bounds, kfun, spectra
+from .expr import parse_product
+from .verify import Cells, Check, Declared
+
+
+def _cell_flags(predicate, cells) -> bytearray:
+    """One byte per cell of ``cells()``, 1 where ``predicate`` holds."""
+    return bytearray(map(bool, itertools.starmap(predicate, cells())))
+
+
+def _each(predicate) -> Callable[[Cells], bytearray]:
+    """The flags function of a check that calls ``predicate`` on each cell."""
+    return partial(_cell_flags, predicate)
+
+
+# ---------------------------------------------------------------------------
+# Value grids
+# ---------------------------------------------------------------------------
+
+Grid = list[list[int | None]]
+
+
+def _kk_cells(nmax: int, dmax: int) -> Iterable[tuple[int, int]]:
+    """n <= 2*nmax and d <= 2*dmax, the range of the subadditive sums."""
+    return ((n, d) for n in range(1, 2 * nmax + 1) for d in range(2 * dmax + 1))
+
+
+def _keq_cells(nmax: int, dmax: int) -> Iterable[tuple[int, int]]:
+    """n <= nmax, d <= dmax and the capacity window n <= d <= 2n - 1."""
+    return ((n, d) for n in range(1, nmax + 1) for d in range(max(dmax, 2 * n - 1) + 1))
+
+
+def _kk_reach(nmax: int, dmax: int) -> int:
+    """The largest n of a keq(n, d) that the kk grid's values depend on: its
+    rows n <= 2*nmax read keq at n <= n' <= d' <= min(2n - 2, 2*dmax)."""
+    return min(4 * nmax - 2, 2 * dmax)
+
+
+@lru_cache(maxsize=1)
+def _costs(nmax: int, dmax: int) -> list[list[int]]:
+    """The square-mass cost table of both grids, built once per run."""
+    return kfun.square_mass_costs(max(nmax, _kk_reach(nmax, dmax)))
+
+
+def _kk_grid(nmax: int, dmax: int) -> Grid:
+    """kk at [n][d] for the cells of ``_kk_cells``, from the keq values.
+
+    kk(n, d) is None for d < n, 1 for d >= 2n - 1 (the pair (1, n)), and
+    min(kk(n + 1, d), kk(n, d - 1), keq(n, d)) between, as a decomposition
+    has weight n and dimension d or leaves room in one of them.  The rows
+    are built from the top down, from max(2*nmax, ``_kk_reach``) with the
+    row above taken as None: kk is None there at every d <= ``_kk_reach``,
+    all that the rows n <= 2*nmax read of it.
+    """
+    costs, width = _costs(nmax, dmax), 2 * dmax + 1
+    rows: Grid = []
+    above: list[int | None] = [None] * width
+    for n in range(max(2 * nmax, _kk_reach(nmax, dmax)), 0, -1):
+        row: list[int | None] = [None] * min(n, width)
+        for d in range(n, min(2 * n - 1, width)):
+            row.append(min(v for v in (row[-1], above[d], costs[2 * n - d][d - n])
+                           if v is not None))
+        row += [1] * (width - len(row))
+        if n <= 2 * nmax:
+            rows.append(row)
+        above = row
+    return [[], *reversed(rows)]
+
+
+def _keq_grid(nmax: int, dmax: int) -> Grid:
+    """keq at [n][d] for the cells of ``_keq_cells``: C(2n - d, d - n) of the
+    cost table on the capacity window n <= d <= 2n - 1, None elsewhere."""
+    costs = _costs(nmax, dmax)
+    return [[], *([None] * n + [costs[2 * n - d][d - n] for d in range(n, 2 * n)]
+                  + [None] * (dmax - 2 * n + 1) for n in range(1, nmax + 1))]
+
+
+def _le(a: int | None, b: int | None) -> bool:
+    """a <= b on grid values, None standing for infinity."""
+    return b is None or (a is not None and a <= b)
+
+
+# ---------------------------------------------------------------------------
+# kfun checks
+# ---------------------------------------------------------------------------
+
+def _kfun_checks(nmax: int, dmax: int) -> Declared:
+    four_square_top = max(nmax, dmax)
+    ns, ds = range(1, nmax + 1), range(dmax + 1)
+    table = kk = keq = big_k = None
+
+    def build():
+        nonlocal table, kk, keq, big_k
+        table = kfun.big_k_table(four_square_top)
+        kk, keq = _kk_grid(nmax, dmax), _keq_grid(nmax, dmax)
+        # the K table's grid, 0..max(nmax, dmax), counts these calls in the budget
+        big_k = {n: kfun.big_k(n) for n in ns}
+
+    # (range text, cells) of the ranges several checks share
+    each_n = f"1<=n<={nmax}", lambda: ((n,) for n in ns)
+    each_nd = f"1<=n<={nmax}, 0<=d<={dmax}", lambda: ((n, d) for n in ns for d in ds)
+
+    def window_cells():
+        # n <= d <= 2n with (d - n + 9)^2 >= 36n; as d - n + 9 > 0, that is
+        # d - n + 9 >= ceil(sqrt(36n)) = isqrt(36n - 1) + 1
+        for n in range(9, nmax + 1):
+            for d in range(max(n, n - 9 + math.isqrt(36 * n - 1) + 1), 2 * n + 1):
+                yield (n, d)
+
+    def window_ok(n, d):
+        cost = kfun.kk(n, d).value
+        if not cost.is_finite or not kfun.lt_sqrt_plus(cost.value, 2 * n - d, 3):
+            return False
+        wit = kfun.sqrt_bound_witness(n, d)
+        return kfun.is_valid_relaxed_witness(wit, n, d) and kfun.lt_sqrt_plus(
+            wit.cost, 2 * n - d, 3
+        )
+
+    def subadditive_flags(cells):
+        # kk(n + n', d + d') <= kk(n, d) + kk(n', d') unless a term is infinite,
+        # one lane of cells d' = 0..dmax per (n, n', d), in the order of cells()
+        width = dmax + 1
+        flags = bytearray()
+        for n, n2 in itertools.product(ns, ns):
+            row2, total = kk[n2][:width], kk[n + n2]
+            for d in ds:
+                a = kk[n][d]
+                flags += b"\x01" * width if a is None else bytearray(
+                    [b is None or (t is not None and t <= a + b)
+                     for b, t in zip(row2, total[d:d + width])])
+        return flags
+
+    def witnesses_ok(n, d):
+        for found, valid, args in (
+            (kfun.keq(n, d), kfun.is_valid_exact_witness, (n, d)),
+            (kfun.kk(n, d), kfun.is_valid_relaxed_witness, (n, d)),
+            (big_k[n], kfun.is_valid_exact_witness, (n, n)),
+        ):
+            if found.value.is_finite and not (
+                valid(found.witness, *args) and found.witness.cost == found.value.value
+            ):
+                return False
+        return True
+
+    def four_square_ok(n):
+        a, b, c, d = kfun.four_square(n)
+        if a * a + b * b + c * c + d * d != n or not a >= b >= c >= d >= 0:
+            return False
+        return n == 0 or table[n] <= a + b + c + d
+
+    exhaustive_top = min(nmax, 200)
+    grids = [
+        lambda: range(four_square_top + 1),
+        lambda: _kk_cells(nmax, dmax),
+        lambda: _keq_cells(nmax, dmax),
+    ]
+    return grids, build, [
+        (
+            "kfun-collapse-at-diagonal",
+            *each_n,
+            _each(lambda n: keq[n][n] == kfun.kk(n, n).value.value == table[n]),
+        ),
+        ("kfun-keq-dominates-kk", *each_nd, _each(lambda n, d: _le(kk[n][d], keq[n][d]))),
+        (
+            "kfun-kk-monotone-in-d",
+            f"1<=n<={nmax}, 0<=d<=d'<={dmax}",
+            lambda: ((n, d, d2) for n in ns for d in ds for d2 in range(d, dmax + 1)),
+            _each(lambda n, d, d2: _le(kk[n][d2], kk[n][d])),
+        ),
+        ("kfun-square-root-bound", *each_n, _each(lambda n: kfun.root_bound_holds(n, table[n]))),
+        (
+            "kfun-keq-linear-bound",
+            f"1<=n<={nmax}, n<=d<=2n-1",
+            lambda: ((n, d) for n in ns for d in range(n, 2 * n)),
+            _each(lambda n, d: _le(keq[n][d], 2 * n - d)),
+        ),
+        (
+            "kfun-kk-window-root-bound",
+            f"9<=n<={nmax}, window d<=2n",
+            window_cells,
+            _each(window_ok),
+        ),
+        (
+            "kfun-kk-subadditive",
+            f"1<=n,n'<={nmax}, 0<=d,d'<={dmax}",
+            lambda: itertools.product(ns, ns, ds, ds),
+            subadditive_flags,
+        ),
+        (
+            "kfun-keq-divisor-bound",
+            f"1<=n<={nmax}, k|n, k^2<=n",
+            lambda: ((n, k) for n in ns for k in range(1, math.isqrt(n) + 1) if n % k == 0),
+            _each(lambda n, k: _le(keq[n][2 * n - k * k], k)),
+        ),
+        (
+            "kfun-keq-feasibility-window",
+            *each_nd,
+            _each(lambda n, d: (keq[n][d] is not None) == (n <= d <= 2 * n - 1)),
+        ),
+        (
+            "kfun-kk-feasibility-window",
+            *each_nd,
+            _each(lambda n, d: (kk[n][d] is not None) == (d >= n)),
+        ),
+        ("kfun-witness-validity", *each_nd, _each(witnesses_ok)),
+        (
+            "kfun-square-cost-exhaustive",
+            f"1<=n<={exhaustive_top}",
+            lambda: ((n,) for n in range(1, exhaustive_top + 1)),
+            _each(lambda n: table[n] == kfun.square_cost_naive(n)),
+        ),
+        (
+            "kfun-four-square-identity",
+            f"0<=n<={four_square_top}",
+            lambda: ((n,) for n in range(four_square_top + 1)),
+            _each(four_square_ok),
+        ),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# oracle checks
+# ---------------------------------------------------------------------------
+
+def _oracle_checks(nmax: int, dmax: int) -> Declared:
+    top = min(nmax, kfun.ORACLE_CAP)
+
+    def cells():
+        for n in range(1, top + 1):
+            for d in range(min(dmax, 2 * n) + 1):
+                yield (n, d)
+
+    def agree(fast, naive):
+        def pred(n, d):
+            a, b = fast(n, d), naive(n, d)
+            if a.value != b.value:
+                return False
+            if a.value.is_finite and a.witness.key() != b.witness.key():
+                return False
+            return True
+
+        return pred
+
+    desc = f"1<=n<={top}, 0<=d<=min({dmax},2n)"
+    return [], (lambda: None), [
+        ("oracle-keq-agrees", desc, cells, _each(agree(kfun.keq, kfun.keq_naive))),
+        ("oracle-kk-agrees", desc, cells, _each(agree(kfun.kk, kfun.kk_naive))),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# bounds and spectra checks
+# ---------------------------------------------------------------------------
+
+_FRACTIONS = tuple(
+    sorted({Fraction(p, q) for p in range(0, 4) for q in range(1, 4)})
+)
+_POSITIVE = tuple(f for f in _FRACTIONS if f > 0)
+
+
+# The sample products of the conformality and spectrum checks, and the
+# products whose energy interval is [pi, pi], as ``format_product`` writes them.
+_SAMPLE_PRODUCTS = (
+    "S(2;pi)", "S(2;pi) x S(2;pi)", "S(2;2pi) x S(3;pi)", "S(1;pi/2) x S(1;pi/3)",
+    "S(1;pi) x C(T2,1;0;asph)", "S(1;pi) x C(S2,1;pi)", "S(2;pi) x C(S2w,1;pi/3)",
+    "V(2,3;pi) x S(2;pi/2)", "V(1,4;3pi/2)", "C(T2,1;0;asph)",
+)
+_ENERGY_EXAMPLES = ("S(2;pi) x S(2;pi)", "S(1;pi) x S(1;pi) x C(S2,1;pi)", "S(2;2pi) x S(3;pi)")
+
+
+def _bounds_checks(nmax: int, dmax: int) -> Declared:
+    """The bound engine checks, followed by the spectrum algebra checks."""
+    squeeze = None
+    squeeze_ns = range(2, min(nmax, dmax) + 1)
+
+    def squeeze_cells():
+        return ((n, d) for n in squeeze_ns for d in range(n, dmax + 1))
+
+    def build():
+        nonlocal squeeze
+        squeeze = {(n, d): bounds.squeeze_bounds(n, d) for n, d in squeeze_cells()}
+
+    def capacity_normalized(n):
+        interval = bounds.capacity_bounds(n, 2 * n - 1)
+        return interval.lower == interval.upper == spectra.ExtRat.fin(1)
+
+    def capacity_sane(n, d):
+        interval = bounds.capacity_bounds(n, d)
+        return spectra.ExtRat.fin(0) < interval.lower <= interval.upper
+
+    def collapse_ok(n, d):
+        interval = squeeze[n, d]
+        collapsed = interval.lower == interval.upper == spectra.ExtRat.fin(1)
+        want = kfun.kk(n, d).value == kfun.ExtNat(1)
+        if collapsed != want:
+            return False
+        return collapsed if d >= 2 * n - 1 else True
+
+    def energy_is_pi(text):
+        interval = bounds.energy_bounds(parse_product(text))
+        return interval.lower == interval.upper == spectra.ExtRat.fin(1)
+
+    def conformal(obj, c):
+        base = bounds.energy_bounds(obj)
+        scaled = bounds.energy_bounds(obj.scaled(c))
+        return scaled.lower == base.lower.scaled(c) and scaled.upper == base.upper.scaled(c)
+
+    def width_ok(a, flag):
+        interval = bounds.width_energy_bound(a, flag)
+        return interval.lower == interval.upper == spectra.ExtRat.fin(a)
+
+    objects = tuple(map(parse_product, _SAMPLE_PRODUCTS))
+    return [squeeze_cells], build, [
+        (
+            "bounds-capacity-normalized",
+            f"1<=n<={nmax}",
+            lambda: ((n,) for n in range(1, nmax + 1)),
+            _each(capacity_normalized),
+        ),
+        (
+            "bounds-capacity-interval-sane",
+            f"1<=n<={nmax}, n<=d<=2n-1",
+            lambda: ((n, d) for n in range(1, nmax + 1) for d in range(n, 2 * n)),
+            _each(capacity_sane),
+        ),
+        (
+            "bounds-squeeze-monotone-lower",
+            f"2<=n<={nmax}, n<=d<=d'<={dmax}",
+            lambda: ((n, d, d2) for n, d in squeeze_cells() for d2 in range(d, dmax + 1)),
+            _each(lambda n, d, d2: squeeze[n, d].lower <= squeeze[n, d2].lower),
+        ),
+        (
+            "bounds-squeeze-collapse",
+            f"2<=n<={nmax}, n<=d<={dmax}",
+            squeeze_cells,
+            _each(collapse_ok),
+        ),
+        (
+            "bounds-energy-examples",
+            "3 fixed products",
+            lambda: zip(_ENERGY_EXAMPLES),
+            _each(energy_is_pi),
+        ),
+        (
+            "bounds-energy-conformality",
+            "sample objects x positive rational scales",
+            lambda: itertools.product(objects, _POSITIVE),
+            _each(conformal),
+        ),
+        (
+            "bounds-width-interval",
+            "positive rational areas x {with,without} closed factor",
+            lambda: itertools.product(_POSITIVE, (False, True)),
+            _each(width_ok),
+        ),
+    ] + _spectra_checks(objects)
+
+
+def _spectra_checks(objects: tuple[spectra.ProductObject, ...]) -> list[Check]:
+    lattices = tuple(spectra.Spectrum.lattice(f) for f in _POSITIVE) + (
+        spectra.Spectrum.zero(),
+    )
+
+    def algebra(s1, s2, s3):
+        if spectra.spectrum_sum(s1, s2) != spectra.spectrum_sum(s2, s1):
+            return False
+        left = spectra.spectrum_sum(spectra.spectrum_sum(s1, s2), s3)
+        right = spectra.spectrum_sum(s1, spectra.spectrum_sum(s2, s3))
+        if left != right:
+            return False
+        if spectra.spectrum_sum(s1, s1) != s1:
+            return False
+        return spectra.spectrum_sum(spectra.Spectrum.zero(), s1) == s1
+
+    def rescale(obj, c):
+        split = spectra.split_min_action(obj)
+        prod = spectra.minimal_action(spectra.product_spectrum(obj))
+        scaled = obj.scaled(c)
+        return (
+            spectra.split_min_action(scaled) == split.scaled(c)
+            and spectra.minimal_action(spectra.product_spectrum(scaled)) == prod.scaled(c)
+        )
+
+    def normal_form(gens):
+        base = spectra.Spectrum.from_generators(gens)
+        for perm in itertools.permutations(gens):
+            if spectra.Spectrum.from_generators(perm) != base:
+                return False
+        regenerated = (base.gen,) if not base.is_zero else ()
+        return spectra.Spectrum.from_generators(regenerated) == base
+
+    return [
+        (
+            "spectra-sum-algebra",
+            "lattice/zero triples over a fraction grid",
+            lambda: itertools.product(lattices, lattices, lattices),
+            _each(algebra),
+        ),
+        (
+            "spectra-rescaling",
+            "sample objects x positive rational scales",
+            lambda: itertools.product(objects, _POSITIVE),
+            _each(rescale),
+        ),
+        (
+            "spectra-sphere-m-independent",
+            "1<=m,m'<=4 x positive areas",
+            lambda: itertools.product(range(1, 5), range(1, 5), _POSITIVE),
+            _each(lambda m, m2, a: spectra.spectrum_of_atom(spectra.Sphere(m, a))
+                  == spectra.spectrum_of_atom(spectra.Sphere(m2, a))),
+        ),
+        (
+            "spectra-normal-form",
+            "generator triples over a fraction grid",
+            lambda: ((gens,) for gens in itertools.combinations_with_replacement(_FRACTIONS, 3)),
+            _each(normal_form),
+        ),
+        (
+            "spectra-product-min-vs-split",
+            "sample objects",
+            lambda: ((obj,) for obj in objects),
+            _each(lambda obj: spectra.minimal_action(spectra.product_spectrum(obj))
+                  <= spectra.split_min_action(obj)),
+        ),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Suites
+# ---------------------------------------------------------------------------
+
+# The declarations of each suite, in the order they are swept; the keys are
+# ``verify.SUITES``.
+SUITE_CHECKS = {
+    "kfun-props": (_kfun_checks,),
+    "oracle": (_oracle_checks,),
+    "bounds-props": (_bounds_checks,),
+}
+SUITE_CHECKS["all"] = tuple(itertools.chain.from_iterable(SUITE_CHECKS.values()))

@@ -139,6 +139,6 @@ def require_area(value, name: str, error: type[ValueError] = ValueError) -> Frac
     """``value`` as a Fraction, refused unless it is a positive exact
     number; ``error`` is the class of the range refusal."""
     area = value if type(value) is Fraction else Fraction(require_exact(value, name))
-    if area <= 0:
+    if area.numerator <= 0:
         raise error(f"{name} must be positive, got {area}")
     return area

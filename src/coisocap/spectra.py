@@ -68,9 +68,9 @@ class Spectrum(Frozen):
         positive = []
         for g in gens:
             q = require_exact(g, "generators")
-            if q < 0:
+            if q.numerator < 0:
                 raise ValueError(f"generators must be nonnegative, got {q}")
-            if q > 0:
+            if q.numerator > 0:
                 positive.append(q)
         return cls(reduce(_fraction_gcd, positive)) if positive else cls.zero()
 
@@ -99,7 +99,7 @@ class ExtRat(Extended, Frozen):
         if value is not None:
             if type(value) is not Fraction:
                 value = Fraction(require_exact(value, "finite ExtRat"))
-            if value < 0:
+            if value.numerator < 0:
                 raise ValueError("finite ExtRat must be nonnegative")
         object.__setattr__(self, "value", value)
 

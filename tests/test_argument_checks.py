@@ -25,6 +25,7 @@ from coisocap import (
     squeeze_bounds,
     width_energy_bound,
 )
+from coisocap.errors import require_area
 from coisocap.kfun import square_cost_naive
 
 ZERO = Spectrum.zero()
@@ -125,7 +126,16 @@ REFUSALS = [
      "an aspherical closed factor must have spectrum {0}"),
     (Spectrum, (0,), ValueError, "lattice generator must be positive, got 0"),
     (Spectrum.from_generators, ([1, -1],), ValueError, "generators must be nonnegative, got -1"),
+    (Spectrum.from_generators, ([Fraction(0), Fraction(-1, 2)],), ValueError,
+     "generators must be nonnegative, got -1/2"),
     (ExtRat.fin, (-1,), ValueError, "finite ExtRat must be nonnegative"),
+    (ExtRat, (-1,), ValueError, "finite ExtRat must be nonnegative"),
+    (ExtRat, (Fraction(-1, 3),), ValueError, "finite ExtRat must be nonnegative"),
+    (require_area, (0, "area"), ValueError, "area must be positive, got 0"),
+    (require_area, (-2, "area"), ValueError, "area must be positive, got -2"),
+    (require_area, (Fraction(0), "area"), ValueError, "area must be positive, got 0"),
+    (require_area, (Fraction(-3, 2), "area", OutOfRangeError), OutOfRangeError,
+     "area must be positive, got -3/2"),
     (Spectrum.lattice(1).scaled, (-2,), ValueError, "scale factor must be positive, got -2"),
 ]
 

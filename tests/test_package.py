@@ -91,6 +91,39 @@ def test_importtime_reports_every_layer_of_a_cold_cli_import():
     assert {f"coisocap.{layer}" for layer in (*EXPORTS, "cli")} <= timed
 
 
+def test_the_tracer_wraps_every_layer_and_times_a_sweep():
+    # perfbench/tracing.py wraps each layer it finds in sys.modules right after
+    # ``import coisocap.cli``: a layer that import stops loading breaks traced runs.
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    summary = cold(f"import sys\nsys.path.insert(0, {str(bench)!r})\nimport tracing\n"
+                   "tracer = tracing.install()\nfrom coisocap import cli\n"
+                   "code = cli.run(['verify', 'oracle', '--nmax', '3'])\n"
+                   "counts = tracing.summarize(tracer)['counts']\n"
+                   "print(code, counts['verify.run_suite'], file=sys.stderr)")
+    assert summary.stderr.split() == ["0", "1"]
+
+
+@pytest.mark.parametrize("argv, sweeps", [
+    ([], False),
+    (["kfun", "keq", "5", "7"], False),
+    (["table", "K", "1", "3"], False),
+    (["bound", "energy", "S(2;pi)"], False),
+    (["spectrum", "S(1;pi)"], False),
+    (["verify", "oracle", "--nmax", "3"], True),
+], ids=["import", "kfun", "table", "bound", "spectrum", "verify"])
+def test_only_verify_loads_the_check_declarations(argv, sweeps):
+    call = f"assert run({argv!r}) == 0" if argv else "pass"
+    loaded = loaded_by("import contextlib, io\nfrom coisocap.cli import run\n"
+                       f"with contextlib.redirect_stdout(io.StringIO()):\n    {call}")
+    assert ("coisocap.checks" in loaded) is sweeps
+
+
+def test_the_suites_are_the_declared_suites():
+    from coisocap import checks, verify
+
+    assert verify.SUITES == tuple(checks.SUITE_CHECKS)
+
+
 @pytest.mark.parametrize("call, printers", [
     ("", []),
     ("run(['kfun', 'keq', '5', '7'])", []),

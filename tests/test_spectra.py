@@ -37,6 +37,7 @@ def test_format_pi():
 
 def test_extrat_order_and_scaling():
     assert ExtRat.fin(Fraction(1, 3)) < ExtRat.fin(1) < RAT_INF
+    assert ExtRat(0) == ExtRat.fin(Fraction(0)) < ExtRat.fin(Fraction(1, 3))
     assert ExtRat.fin(Fraction(1, 2)).scaled(Fraction(2, 3)) == ExtRat.fin(Fraction(1, 3))
     assert RAT_INF.scaled(5) == RAT_INF
     assert str(ExtRat.fin(Fraction(2, 3))) == "2pi/3"
@@ -49,6 +50,7 @@ def test_extrat_order_and_scaling():
 def test_spectrum_normal_form():
     assert Spectrum.from_generators([]) == Spectrum.zero()
     assert Spectrum.from_generators([0, 0]) == Spectrum.zero()
+    assert Spectrum.from_generators([Fraction(0)]) == Spectrum.zero()
     assert Spectrum.from_generators([0, Fraction(1, 2)]) == Spectrum.lattice(Fraction(1, 2))
     gens = [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]
     base = Spectrum.from_generators(gens)

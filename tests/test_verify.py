@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coisocap import bounds, format_product, kfun, parse_product, run_suite, verify
+from coisocap import bounds, checks, format_product, kfun, parse_product, run_suite, verify
 from coisocap.errors import OutOfRangeError
 from coisocap.verify import SUITES
 
@@ -196,7 +196,7 @@ def test_grid_sweeps_match_per_call_sweeps(nmax):
 
 
 def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
-    build = verify._kk_grid
+    build = checks._kk_grid
 
     def wrong(nmax, dmax):
         grid = build(nmax, dmax)
@@ -204,7 +204,7 @@ def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
         grid[2][3] = 5
         return grid
 
-    monkeypatch.setattr(verify, "_kk_grid", wrong)
+    monkeypatch.setattr(checks, "_kk_grid", wrong)
     by_name = {c.name: c for c in run_suite("kfun-props", 4).checks}
     # kk(2,2) = 2 >= kk(2,3) fails first at d = 2, d' = 3
     assert by_name["kfun-kk-monotone-in-d"].first_failure == (2, 2, 3)
@@ -225,7 +225,7 @@ def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
     ):
         grid = build(4, 8)
         grid[n][d] = value
-        monkeypatch.setattr(verify, "_kk_grid", lambda nmax, dmax, grid=grid: grid)
+        monkeypatch.setattr(checks, "_kk_grid", lambda nmax, dmax, grid=grid: grid)
         got = {c.name: c for c in run_suite("kfun-props", 4).checks}["kfun-kk-subadditive"]
         want = _reference_sweep(got.name, got.range_desc,
                                 itertools.product(range(1, 5), range(1, 5), range(9), range(9)),
@@ -248,8 +248,8 @@ def _grid(fn, cells):
 def test_grids_match_the_per_call_kernel():
     # every keq cell of the capacity window for n <= 200, with the cells
     # d < n before it, and every kk cell for n <= 60, d <= 120
-    assert verify._keq_grid(200, 0) == _grid(kfun.keq, verify._keq_cells(200, 0))
-    assert verify._kk_grid(30, 60) == _grid(kfun.kk, verify._kk_cells(30, 60))
+    assert checks._keq_grid(200, 0) == _grid(kfun.keq, checks._keq_cells(200, 0))
+    assert checks._kk_grid(30, 60) == _grid(kfun.kk, checks._kk_cells(30, 60))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -260,8 +260,8 @@ def test_grids_match_the_per_call_kernel():
 @example(3, 40)
 @example(12, 40)
 def test_grids_match_the_per_call_grids(nmax, dmax):
-    assert verify._kk_grid(nmax, dmax) == _grid(kfun.kk, verify._kk_cells(nmax, dmax))
-    assert verify._keq_grid(nmax, dmax) == _grid(kfun.keq, verify._keq_cells(nmax, dmax))
+    assert checks._kk_grid(nmax, dmax) == _grid(kfun.kk, checks._kk_cells(nmax, dmax))
+    assert checks._keq_grid(nmax, dmax) == _grid(kfun.keq, checks._keq_cells(nmax, dmax))
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -269,14 +269,14 @@ def test_grids_match_the_per_call_grids(nmax, dmax):
 def test_subadditivity_lanes_match_the_per_cell_rule(data):
     nmax = data.draw(st.integers(1, 5))
     dmax = data.draw(st.integers(0, 2 * nmax + 1))
-    grid = verify._kk_grid(nmax, dmax)
+    grid = checks._kk_grid(nmax, dmax)
     wrong = data.draw(st.lists(st.tuples(
         st.integers(1, 2 * nmax), st.integers(0, 2 * dmax), st.none() | st.integers(0, 9)),
         max_size=6))
     for n, d, value in wrong:
         grid[n][d] = value
-    _, build, rows = verify._kfun_checks(nmax, dmax)
-    with mock.patch.object(verify, "_kk_grid", lambda nmax, dmax: grid):
+    _, build, rows = checks._kfun_checks(nmax, dmax)
+    with mock.patch.object(checks, "_kk_grid", lambda nmax, dmax: grid):
         build()
     (cells, flags), = ((cells, flags) for name, _, cells, flags in rows
                        if name == "kfun-kk-subadditive")
@@ -293,18 +293,18 @@ def _failing_every(k, predicate):
 
 @pytest.mark.parametrize("nmax, dmax", [(1, 0), (4, 8), (7, 3), (9, 27)])
 def test_sweep_matches_the_per_cell_loop(nmax, dmax):
-    declares = {declare for suite in SUITES for declare in verify._SUITE_CHECKS[suite]}
+    declares = {declare for suite in SUITES for declare in checks.SUITE_CHECKS[suite]}
     lanes = []
     for declare in declares:
         _, build, rows = declare(nmax, dmax)
         build()
         for name, desc, cells, flags in rows:
-            if not (isinstance(flags, partial) and flags.func is verify._cell_flags):
+            if not (isinstance(flags, partial) and flags.func is checks._cell_flags):
                 lanes.append(name)
                 continue
             predicate, = flags.args
             for k in (None, 1, 2, 7):
-                got = verify._sweep(name, desc, cells, verify._each(_failing_every(k, predicate)))
+                got = verify._sweep(name, desc, cells, checks._each(_failing_every(k, predicate)))
                 want = _reference_sweep(name, desc, cells(), _failing_every(k, predicate))
                 assert got == want, (name, k)
     # checked against the per-cell rule by the two tests above
@@ -335,7 +335,7 @@ def test_cell_budget_is_checked_before_any_work(monkeypatch):
 
 
 def test_fixed_products_are_canonical():
-    for text in verify._SAMPLE_PRODUCTS + verify._ENERGY_EXAMPLES:
+    for text in checks._SAMPLE_PRODUCTS + checks._ENERGY_EXAMPLES:
         assert format_product(parse_product(text)) == text
 
 
