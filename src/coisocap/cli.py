@@ -4,8 +4,10 @@ Subcommands: ``kfun`` (single minimizer queries), ``table`` (value tables),
 ``spectrum`` (spectrum algebra for a product expression), ``bound``
 (interval reports with provenance), ``verify`` (bulk invariant sweeps).
 
-Every handler returns one ``Output`` record that holds its result in all
-three formats; ``run`` prints the one ``--format`` selects.
+Each command is declared once, as one row of a table: ``_COMMANDS``, and
+``_BOUND_KINDS`` for the kinds of ``bound``.  Every handler returns one
+``Output`` record that holds its result in all three formats; ``run``
+prints the one ``--format`` selects.
 
 One call builds and imports only what its argv uses.  ``build_parser``
 names every command and ``bound`` kind, so usage, help and "invalid
@@ -15,11 +17,13 @@ this module still imports every layer, but of ``verify`` only the runner:
 the suites' checks, in ``checks``, are compiled by the first sweep.
 
 Exit codes: 0 success, 1 domain error (violated precondition or oracle
-cap), 2 parse error (argv or expression grammar), 3 verification failure.
+cap), 2 parse error (argv or expression grammar), 3 verification failure;
+a closed stdout changes none of them and writes nothing to stderr.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -153,122 +157,8 @@ def _parse_d(fn: str, text: str | None, command: str):
         raise UsageError(f"d must be {kind}, got {clip(text)!r}") from exc
 
 
-def _add_output(parser: argparse.ArgumentParser, handler, default: str) -> None:
-    """The ``--format`` option, and the handler whose Output it prints."""
-    parser.set_defaults(handler=handler)
-    parser.add_argument(
-        "--format",
-        choices=tuple(_PRINTERS),
-        default=default,
-        help=f"output format (default: {default})",
-    )
-
-
 _FUNCTIONS = ("K", "keq", "kk")
 _POSITIVE, _NONNEG = _int_at_least(1), _int_at_least(0)
-
-
-def _kfun_arguments(p: argparse.ArgumentParser, words) -> None:
-    p.add_argument("fn", choices=_FUNCTIONS)
-    p.add_argument("n", type=_POSITIVE)
-    p.add_argument("d", nargs="?", default=None)
-    _add_output(p, _handle_kfun, "text")
-
-
-def _table_arguments(p: argparse.ArgumentParser, words) -> None:
-    p.add_argument("fn", choices=_FUNCTIONS)
-    p.add_argument("start", type=_POSITIVE)
-    p.add_argument("stop", type=_POSITIVE)
-    p.add_argument("--d", default=None, help="fixed d for keq/kk tables")
-    _add_output(p, _handle_table, "text")
-
-
-def _spectrum_arguments(p: argparse.ArgumentParser, words) -> None:
-    p.add_argument("expr")
-    _add_output(p, _handle_spectrum, "text")
-
-
-def _energy_arguments(p: argparse.ArgumentParser, words) -> None:
-    p.add_argument("expr")
-    _add_output(p, _handle_energy, "json")
-
-
-def _capacity_arguments(p: argparse.ArgumentParser, words) -> None:
-    p.add_argument("n", type=_POSITIVE)
-    p.add_argument("d", type=_NONNEG)
-    _add_output(p, _handle_capacity, "json")
-
-
-def _squeeze_arguments(p: argparse.ArgumentParser, words) -> None:
-    p.add_argument("n", type=_POSITIVE)
-    p.add_argument("d")
-    _add_output(p, _handle_squeeze, "json")
-
-
-def _width_arguments(p: argparse.ArgumentParser, words) -> None:
-    p.add_argument("area")
-    p.add_argument(
-        "--closed-factor",
-        action="store_true",
-        help="stabilize by a closed aspherical factor",
-    )
-    _add_output(p, _handle_width, "json")
-
-
-def _verify_arguments(p: argparse.ArgumentParser, words) -> None:
-    p.add_argument("suite", choices=verify.SUITES)
-    p.add_argument("--nmax", type=_POSITIVE, required=True)
-    p.add_argument("--dmax", type=_NONNEG, default=None)
-    _add_output(p, _handle_verify, "text")
-
-
-def _bound_arguments(p: argparse.ArgumentParser, words) -> None:
-    _add_commands(p, "kind", _BOUND_KINDS, words)
-
-
-# {name: (help, add_arguments)} for the commands and for the kinds of ``bound``
-_COMMANDS = {
-    "kfun": ("single minimizer query", _kfun_arguments),
-    "table": ("value table over a range of n", _table_arguments),
-    "spectrum": ("spectrum algebra for a product expression", _spectrum_arguments),
-    "bound": ("certified bound intervals", _bound_arguments),
-    "verify": ("bulk invariant sweeps", _verify_arguments),
-}
-_BOUND_KINDS = {
-    "energy": ("displacement energy of a product", _energy_arguments),
-    "capacity": ("regular coisotropic capacity of the ball", _capacity_arguments),
-    "squeeze": ("squeezing constant of the ball", _squeeze_arguments),
-    "width": ("energy of a ball via its Gromov width", _width_arguments),
-}
-
-
-def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict,
-                  words: list[str] | None) -> None:
-    """Name each command of ``commands`` under ``parser``, and give arguments
-    to the one ``words[0]`` names, or to each one when ``words`` is None.
-
-    ``words`` are the argv tokens that do not start with "-".  argparse
-    takes the command from the first of them; where it takes another token,
-    that token is no command, and the error it stops with shows only the
-    names, so a command without arguments is never read."""
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for name, (help_text, add_arguments) in commands.items():
-        command = sub.add_parser(name, help=help_text)
-        if words is None or words[:1] == [name]:
-            add_arguments(command, None if words is None else words[1:])
-
-
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The argparse tree for ``argv``: every command and ``bound`` kind is
-    named, but only the ones ``argv`` names get their arguments; with no
-    argv, every one does."""
-    parser = argparse.ArgumentParser(
-        prog="coisocap",
-        description="Exact capacity minimizers, spectrum algebra, and certified bound intervals.",
-    )
-    words = None if argv is None else [t for t in argv if not t.startswith("-")]
-    _add_commands(parser, "command", _COMMANDS, words)
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +173,8 @@ def _kfun_row(fn: str, n: int, d) -> tuple[str, dict, dict]:
     JSON value and witness."""
     if fn == "K":
         label, result = f"K({n})", kfun.big_k(n)
-    elif fn == "keq":
-        label, result = f"keq({n},{d})", kfun.keq(n, d)
     else:
-        label, result = f"kk({n},{d})", kfun.kk(n, d)
+        label, result = f"{fn}({n},{d})", getattr(kfun, fn)(n, d)
     value = str(result.value)
     if result.witness is None:
         line, witness = f"{label} = {value}", ""
@@ -466,6 +354,80 @@ def _handle_verify(args) -> Output:
 
 
 # ---------------------------------------------------------------------------
+# The command table
+# ---------------------------------------------------------------------------
+
+def _arg(*flags, **options):
+    """One argument, written as its ``add_argument`` call."""
+    return flags, options
+
+
+# {name: (help, handler, default format, arguments)} for the commands and for
+# the kinds of ``bound``, whose row holds the kinds instead of arguments
+_BOUND_KINDS = {
+    "energy": ("displacement energy of a product", _handle_energy, "json", (_arg("expr"),)),
+    "capacity": ("regular coisotropic capacity of the ball", _handle_capacity, "json",
+                 (_arg("n", type=_POSITIVE), _arg("d", type=_NONNEG))),
+    "squeeze": ("squeezing constant of the ball", _handle_squeeze, "json",
+                (_arg("n", type=_POSITIVE), _arg("d"))),
+    "width": ("energy of a ball via its Gromov width", _handle_width, "json",
+              (_arg("area"), _arg("--closed-factor", action="store_true",
+                                  help="stabilize by a closed aspherical factor"))),
+}
+_COMMANDS = {
+    "kfun": ("single minimizer query", _handle_kfun, "text",
+             (_arg("fn", choices=_FUNCTIONS), _arg("n", type=_POSITIVE), _arg("d", nargs="?"))),
+    "table": ("value table over a range of n", _handle_table, "text",
+              (_arg("fn", choices=_FUNCTIONS), _arg("start", type=_POSITIVE),
+               _arg("stop", type=_POSITIVE), _arg("--d", help="fixed d for keq/kk tables"))),
+    "spectrum": ("spectrum algebra for a product expression", _handle_spectrum, "text",
+                 (_arg("expr"),)),
+    "bound": ("certified bound intervals", None, None, _BOUND_KINDS),
+    "verify": ("bulk invariant sweeps", _handle_verify, "text",
+               (_arg("suite", choices=verify.SUITES),
+                _arg("--nmax", type=_POSITIVE, required=True), _arg("--dmax", type=_NONNEG))),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict,
+                  words: list[str] | None) -> None:
+    """Name each command of ``commands`` under ``parser``, and give arguments,
+    a handler and ``--format`` to the one ``words[0]`` names, or to each one
+    when ``words`` is None.
+
+    ``words`` are the argv tokens that do not start with "-".  argparse
+    takes the command from the first of them; where it takes another token,
+    that token is no command, and the error it stops with shows only the
+    names, so a command without arguments is never read."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, handler, default, arguments) in commands.items():
+        command = sub.add_parser(name, help=help_text)
+        if words is not None and words[:1] != [name]:
+            continue
+        if handler is None:
+            _add_commands(command, "kind", arguments, None if words is None else words[1:])
+            continue
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
+        command.set_defaults(handler=handler)
+        command.add_argument("--format", choices=tuple(_PRINTERS), default=default,
+                             help=f"output format (default: {default})")
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The argparse tree for ``argv``: every command and ``bound`` kind is
+    named, but only the ones ``argv`` names get their arguments; with no
+    argv, every one does."""
+    parser = argparse.ArgumentParser(
+        prog="coisocap",
+        description="Exact capacity minimizers, spectrum algebra, and certified bound intervals.",
+    )
+    words = None if argv is None else [t for t in argv if not t.startswith("-")]
+    _add_commands(parser, "command", _COMMANDS, words)
+    return parser
+
+
+# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
@@ -474,20 +436,28 @@ def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv)
+    code = 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        out = args.handler(args)
+        try:
+            args = parser.parse_args(argv)  # prints --help
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            out = args.handler(args)
+            code = out.code
+            _PRINTERS[args.format](out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The recipe in the ``signal`` docs: with stdout's descriptor on
+        # devnull, the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ExprParseError, UsageError)) else 1
     except (TypeError, RecursionError, MemoryError) as exc:  # last resort: no traceback
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-    _PRINTERS[args.format](out)
-    return out.code
+    return code
 
 
 def main() -> None:

@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -237,14 +240,16 @@ def test_verify_bad_nmax_is_parse_error(capsys):
     assert code == 2
 
 
+def _broken_kk(n, d):
+    """A kk that claims cost 1 everywhere, so ``verify kfun-props`` fails."""
+    return kfun.WitnessedValue(
+        kfun.ExtNat(1), kfun.Decomposition.from_pairs([kfun.Pair(1, n)])
+    )
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_verify_reports_failures_with_exit_3(capsys, monkeypatch, fmt):
-    def broken_kk(n, d):
-        return kfun.WitnessedValue(
-            kfun.ExtNat(1), kfun.Decomposition.from_pairs([kfun.Pair(1, n)])
-        )
-
-    monkeypatch.setattr(kfun, "kk", broken_kk)
+    monkeypatch.setattr(kfun, "kk", _broken_kk)
     code, out, _ = invoke(capsys, "verify", "kfun-props", "--nmax", "4", "--format", fmt)
     assert code == 3
     if fmt == "text":
@@ -361,6 +366,47 @@ def test_echoed_tokens_are_truncated(capsys, argv):
     assert code in (1, 2) and out == ""
     assert 0 < len(err.encode()) < 200
     assert "\u2026" in err
+
+
+# ---------------------------------------------------------------------------
+# a closed stdout
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_a_reader_that_stops_early_is_no_crash(fmt):
+    # far more output than a pipe buffers, so the writer meets the closed end
+    argv = ["table", "kk", "1", "20000", "--d", "5", "--format", fmt]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    child = subprocess.Popen([sys.executable, "-m", "coisocap.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0
+    assert err == b""
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader is gone, on a real descriptor."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_keeps_a_failing_verify_at_exit_3(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(kfun, "kk", _broken_kk)
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = run(["verify", "kfun-props", "--nmax", "4"])
+    assert code == 3 and capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

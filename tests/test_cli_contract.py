@@ -87,7 +87,8 @@ def test_last_resort_errors_leave_no_traceback(monkeypatch, capsys, exc):
     def handler(args):
         raise exc
 
-    monkeypatch.setattr(cli, "_handle_kfun", handler)
+    help_text, _, default, arguments = cli._COMMANDS["kfun"]
+    monkeypatch.setitem(cli._COMMANDS, "kfun", (help_text, handler, default, arguments))
     code = run(["kfun", "K", "5"])
     captured = capsys.readouterr()
     assert code in (1, 2) and captured.out == ""

@@ -1,0 +1,106 @@
+"""An independent value oracle for ``keq``, ``kk`` and ``K`` at mid sizes.
+
+A pair (k, m) with 1 <= k <= m has weight k*m, dimension k*(2m - k) and
+cost k.  An unbounded-knapsack dynamic program over (weight, dimension)
+gives the least cost at every (n, d), with no pruning and no code shared
+with ``kfun``: keq(n, d) is the entry at weight n and dimension d, K(n) is
+keq(n, n), and kk(n, d) is the least entry at weight >= n and dimension
+<= d.  As no pair has a dimension below its weight, the table runs to
+weight 2N for the cells n <= N, d <= 2N.
+
+Tier-1 compares the kernel and both ``verify`` grids with it on every cell
+n <= 100, d <= 2n.  Run as a script, it compares one function further:
+
+    PYTHONPATH=src python tests/test_value_oracle.py keq 200
+"""
+import math
+import sys
+import time
+from functools import lru_cache
+
+import pytest
+
+from coisocap import checks, kfun
+
+N = 100
+INF = 10**9  # above every cost the table holds
+
+
+@lru_cache(maxsize=1)
+def knapsack(top: int) -> tuple[list[list[int | None]], list[list[int | None]]]:
+    """(keq, kk) at [n][d] for n, d <= top, None for infinity.
+
+    best[w][s] is the least cost at weight w and dimension w + s.  A
+    multiset of weight w >= 1 has dimension 2w - (sum of k*k), so s runs
+    over 0 <= s <= w - 1, and s <= top - w."""
+    best = [[0]] + [[INF] * min(w, top - w + 1) for w in range(1, top + 1)]
+    for k in range(1, math.isqrt(top) + 1):
+        for m in range(k, top + 1):
+            weight, slack = k * m, k * (m - k)
+            if weight + slack > top:
+                break
+            for w in range(weight, top + 1):  # upwards, so a pair may repeat
+                row, prev = best[w], best[w - weight]
+                span = min(len(prev), len(row) - slack)
+                if span > 0:
+                    row[slack:slack + span] = map(
+                        min, row[slack:slack + span], [c + k for c in prev[:span]]
+                    )
+    keq = [[None if not 0 <= d - n < len(best[n]) or best[n][d - n] == INF else best[n][d - n]
+            for d in range(top + 1)] for n in range(top + 1)]
+    # kk(n, d) is the least of keq(n, d), kk(n + 1, d) and kk(n, d - 1)
+    kk = [[] for _ in range(top + 1)]
+    above: list[int | None] = [None] * (top + 1)
+    for n in range(top, 0, -1):
+        left = None
+        for here, up in zip(keq[n], above):
+            left = min((v for v in (here, up, left) if v is not None), default=None)
+            kk[n].append(left)
+        above = kk[n]
+    return keq, kk
+
+
+def value(result: kfun.WitnessedValue) -> int | None:
+    return result.value.value if result.value.is_finite else None
+
+
+def cells(nmax: int):
+    return [(n, d) for n in range(1, nmax + 1) for d in range(2 * n + 1)]
+
+
+def test_knapsack_gives_the_k_row():
+    keq, kk = knapsack(2 * N)
+    assert [keq[n][n] for n in range(1, 21)] == [
+        1, 2, 3, 2, 3, 4, 5, 4, 3, 4, 5, 6, 5, 6, 7, 4, 5, 6, 7, 6]
+    assert keq[3][2] is None and keq[3][6] is None  # d < n and d > 2n - 1
+    assert kk[5][9] == 1 and kk[5][8] == 2  # the pair (1, 5); (1, 1) + (1, 4)
+
+
+def test_keq_and_k_match_the_knapsack():
+    keq, _ = knapsack(2 * N)
+    wrong = [(n, d) for n, d in cells(N) if value(kfun.keq(n, d)) != keq[n][d]]
+    wrong += [(n, n) for n in range(1, N + 1) if value(kfun.big_k(n)) != keq[n][n]]
+    assert wrong == []
+
+
+def test_kk_matches_the_knapsack():
+    _, kk = knapsack(2 * N)
+    assert [(n, d) for n, d in cells(N) if value(kfun.kk(n, d)) != kk[n][d]] == []
+
+
+@pytest.mark.parametrize("fn", ["keq", "kk"])
+def test_verify_grids_match_the_knapsack(fn):
+    want = knapsack(2 * N)[fn == "kk"]
+    got = checks._keq_grid(N, 2 * N) if fn == "keq" else checks._kk_grid(N // 2, N)
+    assert [(n, d) for n, d in cells(N) if got[n][d] != want[n][d]] == []
+
+
+if __name__ == "__main__":
+    fn, nmax = sys.argv[1], int(sys.argv[2])
+    t0 = time.perf_counter()
+    want = knapsack(2 * nmax)[fn == "kk"]
+    wrong = [(n, d) for n, d in cells(nmax) if value(getattr(kfun, fn)(n, d)) != want[n][d]]
+    print(f"{fn}: {len(cells(nmax)) - len(wrong)} of {len(cells(nmax))} cells n <= {nmax},"
+          f" d <= 2n agree with the knapsack ({time.perf_counter() - t0:.1f} s)")
+    if wrong:
+        sys.exit(f"{fn} differs from the knapsack at (n, d) = {wrong[:10]}")
