@@ -28,8 +28,9 @@ import sys
 from fractions import Fraction
 
 from . import bounds, kfun, spectra, verify
-from .errors import CoisocapError, ExprParseError, Frozen, OutOfRangeError, clip
-from .expr import check_rational_size, format_product, parse_area, parse_product
+from .errors import (CoisocapError, ExprParseError, Frozen, OutOfRangeError, check_rational_size,
+                     clip)
+from .expr import format_product, parse_area, parse_product
 from .spectra import format_pi
 
 

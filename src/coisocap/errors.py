@@ -3,6 +3,7 @@ types, the argument rules every layer applies, and the helper that keeps
 their messages short."""
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import attrgetter
 
@@ -110,6 +111,31 @@ def clip(text: str) -> str:
     """``text`` cut to 40 characters plus an ellipsis, for echoing a token
     in an error message."""
     return text if len(text) <= 40 else text[:40] + "\u2026"
+
+
+def digit_limit() -> int:
+    """The most digits an integer may have: ``sys.get_int_max_str_digits()``,
+    or its default where the limit is switched off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def check_rational_size(text: str, error: type[ValueError], name: str) -> None:
+    """Raise ``error`` when ``Fraction(text)`` could have a numerator or a
+    denominator of ``digit_limit()`` digits or more.
+
+    Such a value cannot be printed, and a large exponent (``1e10000000``)
+    takes seconds to build, so the token is refused before ``Fraction()``.
+    Each is bounded by the digits of its part of the mantissa plus the
+    size of the exponent.
+    """
+    limit = digit_limit()
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
+    if not exponent.isdecimal():  # Fraction() refuses the token
+        return
+    size = max(sum(ch.isdecimal() for ch in part) for part in mantissa.split("/"))
+    if len(exponent) > len(str(limit)) or size + int(exponent) >= limit:
+        raise error(f"{name} needs a numerator and a denominator of fewer than {limit} digits")
 
 
 def require_int(value, name: str) -> int:

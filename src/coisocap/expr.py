@@ -1,93 +1,64 @@
 """Text grammar for product objects, shared by the CLI and tests.
 
-Grammar (factors joined by ``x``; blanks are dropped, except that blanks
-between two digits are a parse error, so ``1 0`` is not read as ``10``):
+A text is read as tokens: an ASCII integer, a word ``[A-Za-z_][A-Za-z0-9_]*``
+or any other non-blank character.  Blanks separate tokens and never join
+them, so ``1 0`` is not ``10`` and ``p i`` is not ``pi``.
 
     product  = factor { "x" factor }
-    factor   = "S(" m ";" area ")"                       sphere S^(2m-1)
-             | "V(" k "," n ";" area ")"                 frame manifold
-             | "C(" label "," halfdim ";" gen [";asph"] ")"   closed factor
-    area     = rational with an optional "pi" that ends its numerator, where
-               "pi" alone is 1, or the whole token; a "*" may join only a
-               nonempty coefficient to that "pi" ("pi", "pi/2", "3pi/2",
-               "3*pi/2", "3/2pi", "3/2*pi", "3/2", ...)
+    factor   = "S" "(" m ";" area ")"                        sphere S^(2m-1)
+             | "V" "(" k "," n ";" area ")"                  frame manifold
+             | "C" "(" label "," halfdim ";" gen [";" "asph"] ")"   closed factor
+    area     = the token shapes n, n/n, p, p/n, np, n*p, np/n, n*p/n, n/np and
+               n/n*p, where n is an integer and p is "pi" ("pi", "pi/2", "2pi",
+               "3pi/2", "3*pi/2", "3/2pi", "3/2*pi", "3/2", ...)
     gen      = "0" (trivial spectrum) | area (lattice generator)
 
-Areas are measured in units of pi, so a bare rational and the same
-rational with a "pi" suffix parse identically.  ``format_product`` writes
-the canonical form; parsing it back returns an equal object.
+``m``, ``k``, ``n`` and ``halfdim`` are integers and ``label`` is a word.
+Areas are rationals in units of pi, with no decimal point, exponent, sign
+or underscore.  ``format_product`` writes the canonical form; parsing it
+back returns an equal object.
 """
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 
-from .errors import ExprParseError, clip
+from .errors import ExprParseError, clip, digit_limit
 from .spectra import Closed, ProductObject, Sphere, Spectrum, Stiefel
 
-_SPHERE_RE = re.compile(r"^S\((\d+);([^;]+)\)$")
-_STIEFEL_RE = re.compile(r"^V\((\d+),(\d+);([^;]+)\)$")
-_CLOSED_RE = re.compile(r"^C\(([^,;()]+),(\d+);([^;]+?)(;asph)?\)$")
-_DIGIT_GAP_RE = re.compile(r"\d\s+\d")
+# A token's kind is "n" (integer), "w" (word) or the character itself.
+_TOKEN = re.compile(r"(?P<n>[0-9]+)|(?P<w>[A-Za-z_][A-Za-z0-9_]*)|\S")
 
+# The kinds between a factor's head and its area, and its integer fields.
+_FIELDS = {"S": ("(n;", ("m",)), "V": ("(n,n;", ("k", "n")), "C": ("(w,n;", ("half_dim",))}
 
-def _digit_limit() -> int:
-    """The most digits an integer may have: ``sys.get_int_max_str_digits()``,
-    or its default where the limit is switched off."""
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-
-
-def check_rational_size(text: str, error: type[ValueError], name: str) -> None:
-    """Raise ``error`` when ``Fraction(text)`` could have a numerator or a
-    denominator of ``_digit_limit()`` digits or more.
-
-    Such a value cannot be printed, and a large exponent (``1e10000000``)
-    takes seconds to build, so the token is refused before ``Fraction()``.
-    Each is bounded by the digits of its part of the mantissa plus the
-    size of the exponent.
-    """
-    limit = _digit_limit()
-    mantissa, _, exponent = text.lower().partition("e")
-    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
-    if not exponent.isdecimal():  # Fraction() refuses the token
-        return
-    size = max(sum(ch.isdecimal() for ch in part) for part in mantissa.split("/"))
-    if len(exponent) > len(str(limit)) or size + int(exponent) >= limit:
-        raise error(f"{name} needs a numerator and a denominator of fewer than {limit} digits")
+# Every area, as the kinds of its tokens with "p" for "pi".
+_AREA_SHAPES = frozenset(("n", "n/n", "p", "p/n", "np", "n*p", "np/n", "n*p/n", "n/np", "n/n*p"))
 
 
 def _parse_int(digits: str, name: str) -> int:
-    """An integer field of the grammar, refused like an oversized rational
-    when it has ``_digit_limit()`` digits or more."""
-    limit = _digit_limit()
+    """An integer field, refused from ``digit_limit()`` digits on."""
+    limit = digit_limit()
     if len(digits) >= limit:
         raise ExprParseError(f"{name} needs fewer than {limit} digits")
     return int(digits)
 
 
 def parse_area(text: str) -> Fraction:
-    """Parse a nonnegative rational in units of pi."""
-    s = text.strip().replace(" ", "")
-    if not s:
+    """Parse an area: a nonnegative rational in units of pi."""
+    tokens = list(_TOKEN.finditer(text))
+    if not tokens:
         raise ExprParseError("empty area")
-    if _DIGIT_GAP_RE.search(text):
+    shape = "".join("p" if m.group() == "pi" else m.lastgroup or m.group() for m in tokens)
+    ints = [m.group() for m in tokens if m.lastgroup == "n"]
+    if shape not in _AREA_SHAPES or "/" in shape and not ints[-1].strip("0"):
         raise ExprParseError(f"bad area {clip(text)!r}")
-    # "pi" may end the numerator, where "pi" alone stands for 1, or the whole
-    # token; a "*" may stand only between a nonempty coefficient and that "pi"
-    coef, pi, rest = s.partition("pi")
-    if pi and rest[:1] in ("", "/"):
-        if coef != "*":
-            coef = coef.removesuffix("*") or "1"
-        s = coef + rest
-    check_rational_size(s, ExprParseError, "area")
-    try:
-        value = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ExprParseError(f"bad area {clip(text)!r}") from exc
-    if value < 0:
-        raise ExprParseError(f"area must be nonnegative, got {clip(text)!r}")
-    return value
+    limit = digit_limit()
+    if max(map(len, ints), default=0) >= limit:
+        raise ExprParseError(
+            f"area needs a numerator and a denominator of fewer than {limit} digits")
+    # the numerator is 1 or the first integer, the denominator 1 or the last one
+    return Fraction(1 if shape[0] == "p" else int(ints[0]), int(ints[-1]) if "/" in shape else 1)
 
 
 def _split_factors(text: str) -> list[str]:
@@ -113,30 +84,28 @@ def _split_factors(text: str) -> list[str]:
 
 def parse_atom(text: str):
     """Parse a single factor."""
-    if _DIGIT_GAP_RE.search(text):
+    tokens = list(_TOKEN.finditer(text))
+    kinds = "".join(m.lastgroup or m.group() for m in tokens)  # one character per token
+    head = tokens[0].group() if tokens else ""
+    fields, names = _FIELDS.get(head, ("", ()))
+    end = len(fields) + 1
+    # the area follows the fields, up to ")" or a closed factor's "; asph"
+    aspherical = head == "C" and kinds[end:-1].endswith(";w") and tokens[-2].group() == "asph"
+    area = tokens[end:len(tokens) - 1 - 2 * aspherical]
+    if (not fields or kinds[1:end] != fields or not kinds.endswith(")") or not area
+            or not set(";,()").isdisjoint(kinds[end:end + len(area)])):
         raise ExprParseError(f"unrecognized factor {clip(text.strip())!r}")
-    s = "".join(text.split())
+    ints = [_parse_int(m.group(), name)
+            for m, name in zip([m for m in tokens[1:end] if m.lastgroup == "n"], names)]
+    area_text = text[area[0].start():area[-1].end()]
+    value = None if head == "C" and area_text == "0" else parse_area(area_text)
     try:
-        match = _SPHERE_RE.match(s)
-        if match:
-            return Sphere(_parse_int(match.group(1), "m"), parse_area(match.group(2)))
-        match = _STIEFEL_RE.match(s)
-        if match:
-            k, n = _parse_int(match.group(1), "k"), _parse_int(match.group(2), "n")
-            return Stiefel(k, n, parse_area(match.group(3)))
-        match = _CLOSED_RE.match(s)
-        if match:
-            label, half_dim, gen_text, asph = match.groups()
-            spectrum = (
-                Spectrum.zero() if gen_text == "0" else Spectrum.lattice(parse_area(gen_text))
-            )
-            return Closed(label, _parse_int(half_dim, "half_dim"), spectrum,
-                          aspherical=asph is not None)
-    except ExprParseError:
-        raise
+        if head == "C":
+            spectrum = Spectrum.zero() if value is None else Spectrum.lattice(value)
+            return Closed(tokens[2].group(), *ints, spectrum, aspherical=aspherical)
+        return (Sphere if head == "S" else Stiefel)(*ints, value)
     except ValueError as exc:
         raise ExprParseError(str(exc)) from exc
-    raise ExprParseError(f"unrecognized factor {clip(text.strip())!r}")
 
 
 def parse_product(text: str) -> ProductObject:

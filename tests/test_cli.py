@@ -164,22 +164,36 @@ def test_bound_width(capsys):
     assert code == 1
 
 
+# an area takes no decimal point, exponent, sign or underscore
 @pytest.mark.parametrize("argv, token", [
     (("bound", "width", "3*2"), "3*2"),
     (("spectrum", "S(1;/2)"), "/2"),
-], ids=["star-between-digits", "empty-numerator"])
+    (("spectrum", "S(1;1e3)"), "1e3"),
+    (("spectrum", "S(1;1_000)"), "1_000"),
+    (("spectrum", "S(1;1.5pi)"), "1.5pi"),
+    (("spectrum", "S(1;.5)"), ".5"),
+    (("spectrum", "S(1;+3)"), "+3"),
+    (("bound", "width", "1e3"), "1e3"),
+], ids=["star-between-digits", "empty-numerator", "exponent", "underscore", "decimal-point",
+        "leading-point", "sign", "width-exponent"])
 def test_misplaced_star_or_slash_is_a_bad_area(capsys, argv, token):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: bad area {token!r}\n"
 
 
+# blanks separate tokens and never join them, and only ASCII digits are digits
 @pytest.mark.parametrize("argv, err", [
     (("spectrum", "S(1 0;pi)"), "unrecognized factor 'S(1 0;pi)'"),
-    (("spectrum", "S(1;1 2pi)"), "unrecognized factor 'S(1;1 2pi)'"),
+    (("spectrum", "S(1;1 2pi)"), "bad area '1 2pi'"),
     (("bound", "energy", "S(2;pi) x V(1,2 3;pi)"), "unrecognized factor 'V(1,2 3;pi)'"),
     (("bound", "width", "1 2"), "bad area '1 2'"),
-], ids=["sphere-m", "sphere-area", "frame-n", "width"])
+    (("spectrum", "C(T 2,1;pi)"), "unrecognized factor 'C(T 2,1;pi)'"),
+    (("spectrum", "C(a b,1;pi)"), "unrecognized factor 'C(a b,1;pi)'"),
+    (("spectrum", "C(T2,1;0;as ph)"), "unrecognized factor 'C(T2,1;0;as ph)'"),
+    (("spectrum", "S(\u0661;pi)"), "unrecognized factor 'S(\u0661;pi)'"),
+], ids=["sphere-m", "sphere-area", "frame-n", "width", "label-digits", "label-words", "asph",
+        "arabic-indic-digit"])
 def test_blanks_between_digits_are_a_parse_error(capsys, argv, err):
     assert invoke(capsys, *argv) == (2, "", f"error: {err}\n")
 
@@ -300,20 +314,33 @@ def test_table_k_rows_above_one_table_of_work_are_a_domain_error(capsys, start, 
                    " (the sum of n*isqrt(n) must be <= 1000000000)\n")
 
 
-@pytest.mark.parametrize("argv, code, name", [
-    (("kfun", "kk", "5", "1e10000000"), 1, "d"),
-    (("kfun", "kk", "5", "1e5000"), 1, "d"),
-    (("table", "kk", "1", "2", "--d", "1e10000000"), 1, "d"),
-    (("spectrum", "S(1;1e10000000)"), 2, "area"),
-    (("bound", "width", "1e10000000"), 2, "area"),
-], ids=["kfun-kk", "kfun-kk-5000-digits", "table-kk", "spectrum", "bound-width"])
-def test_oversized_rational_is_refused_up_front(capsys, argv, code, name):
+_LIMIT = sys.get_int_max_str_digits()
+_TOO_LONG = "1" * _LIMIT
+
+
+def _too_big(name):
+    return f"{name} needs a numerator and a denominator of fewer than {_LIMIT} digits"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("kfun", "kk", "5", "1e10000000"), 1, _too_big("d")),
+    (("kfun", "kk", "5", "1e5000"), 1, _too_big("d")),
+    (("table", "kk", "1", "2", "--d", "1e10000000"), 1, _too_big("d")),
+    # an area has no exponent
+    (("spectrum", "S(1;1e10000000)"), 2, "bad area '1e10000000'"),
+    (("bound", "width", "1e10000000"), 2, "bad area '1e10000000'"),
+    (("spectrum", f"S(1;{_TOO_LONG}pi/3)"), 2, _too_big("area")),
+    (("spectrum", f"S(1;3pi/{_TOO_LONG})"), 2, _too_big("area")),
+    (("bound", "width", f"{_TOO_LONG}/3"), 2, _too_big("area")),
+    (("bound", "width", f"3/{_TOO_LONG}pi"), 2, _too_big("area")),
+], ids=["kfun-kk", "kfun-kk-5000-digits", "table-kk", "spectrum", "bound-width",
+        "spectrum-numerator", "spectrum-denominator", "bound-width-numerator",
+        "bound-width-denominator"])
+def test_oversized_rational_is_refused_up_front(capsys, argv, code, message):
     t0 = time.perf_counter()
     got, out, err = invoke(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
-    assert got == code and out == ""
-    limit = sys.get_int_max_str_digits()
-    assert err == f"error: {name} needs a numerator and a denominator of fewer than {limit} digits\n"
+    assert (got, out, err) == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

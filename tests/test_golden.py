@@ -1,4 +1,6 @@
-"""Byte-for-byte replay of the CLI golden corpus in ``golden/cli.json``.
+"""Byte-for-byte replay of the CLI golden corpus in ``golden/cli.json``,
+and a digest replay of the benchmark's CLI pool in
+``perfbench/golden/cli-pool.json``.
 
 Each entry is an argv list with the stdout, stderr and exit code that
 ``coisocap.cli.run`` produced for it.  ``verify`` reports carry a wall
@@ -10,6 +12,7 @@ Re-capture the expected outputs (after a deliberate output change) with
     PYTHONPATH=src python tests/test_golden.py
 """
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,6 +25,7 @@ import pytest
 from coisocap.cli import run
 
 CORPUS = Path(__file__).parent / "golden" / "cli.json"
+POOL = Path(__file__).parents[1] / "perfbench" / "golden" / "cli-pool.json"
 COLUMNS = "80"
 
 
@@ -48,6 +52,21 @@ def _load():
 def test_golden(entry, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     assert replay(entry["argv"]) == (entry["exit"], entry["stdout"], entry["stderr"])
+
+
+def test_benchmark_pool_replays_its_digests(monkeypatch):
+    """Every entry of the benchmark's CLI pool exits as captured, with the
+    captured stdout digest and no traceback; a refused entry prints only an
+    error on stderr."""
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    mismatches = []
+    for entry in json.loads(POOL.read_text())["entries"]:
+        code, out, err = replay(entry["argv"])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if (code, digest) != (entry["exit"], entry["sha256"]) or "Traceback" in err or (
+                code != 0 and (out or not err)):
+            mismatches.append((entry["argv"], code, out[:80], err[:80]))
+    assert mismatches == []
 
 
 if __name__ == "__main__":
