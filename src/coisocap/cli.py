@@ -17,14 +17,16 @@ this module still imports every layer, but of ``verify`` only the runner:
 the suites' checks, in ``checks``, are compiled by the first sweep.
 
 Exit codes: 0 success, 1 domain error (violated precondition or oracle
-cap), 2 parse error (argv or expression grammar), 3 verification failure;
-a closed stdout changes none of them and writes nothing to stderr.
+cap), 2 parse error (argv or expression grammar; a number in argv takes
+the grammar's digits, ASCII with no "_"), 3 verification failure; a
+closed stdout changes none of them and writes nothing to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from contextlib import suppress
 from fractions import Fraction
 
 from . import bounds, kfun, spectra, verify
@@ -116,11 +118,19 @@ def _citations_json(cites) -> list[dict]:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _grammar_digits(text: str) -> bool:
+    """Whether a number from argv is spelled with the object grammar's
+    digits, which ``int()`` and ``Fraction()`` do not require."""
+    return text.isascii() and "_" not in text
+
+
 def _int_at_least(lo: int):
     """argparse type for an integer >= lo."""
 
     def parse(text: str) -> int:
         try:
+            if not _grammar_digits(text):
+                raise ValueError(text)
             value = int(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"expected an integer, got {clip(text)!r}") from exc
@@ -149,13 +159,13 @@ def _parse_d(fn: str, text: str | None, command: str):
         return None
     if text is None:
         raise UsageError(_D_USAGE[command][1].format(fn))
-    if fn == "kk":
-        check_rational_size(text, OutOfRangeError, "d")
-    try:
-        return int(text) if fn == "keq" else Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        kind = "an integer" if fn == "keq" else "a rational like 9/2"
-        raise UsageError(f"d must be {kind}, got {clip(text)!r}") from exc
+    if _grammar_digits(text):
+        if fn == "kk":  # the one digit-limit check; its OutOfRangeError is exit 1
+            check_rational_size(text, OutOfRangeError, "d")
+        with suppress(ValueError, ZeroDivisionError):
+            return int(text) if fn == "keq" else Fraction(text)
+    kind = "an integer" if fn == "keq" else "a rational like 9/2"
+    raise UsageError(f"d must be {kind}, got {clip(text)!r}")
 
 
 _FUNCTIONS = ("K", "keq", "kk")
@@ -203,11 +213,9 @@ def _handle_table(args) -> Output:
     if args.stop < args.start:
         raise UsageError("table requires start <= stop")
     d = _parse_d(args.fn, args.d, "table")
-    if args.fn == "K":
-        kfun.check_k_limit(args.stop)  # before any row is computed
     if args.stop - args.start >= TABLE_MAX_ROWS:  # each row holds about 1 KB
         raise OutOfRangeError(f"table prints at most {TABLE_MAX_ROWS} rows")
-    if args.fn == "K":
+    if args.fn == "K":  # the one refusal of a K range, rows above the size limit too
         kfun.check_k_rows(args.start, args.stop)
     rows = [_kfun_row(args.fn, n, d) for n in range(args.start, args.stop + 1)]
     query = f"table {args.fn} {args.start} {args.stop}" + ("" if d is None else f" --d {d}")

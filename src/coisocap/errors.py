@@ -121,16 +121,15 @@ def digit_limit() -> int:
 
 def check_rational_size(text: str, error: type[ValueError], name: str) -> None:
     """Raise ``error`` when ``Fraction(text)`` could have a numerator or a
-    denominator of ``digit_limit()`` digits or more.
-
-    Such a value cannot be printed, and a large exponent (``1e10000000``)
-    takes seconds to build, so the token is refused before ``Fraction()``.
-    Each is bounded by the digits of its part of the mantissa plus the
-    size of the exponent.
+    denominator of ``digit_limit()`` digits or more: the one digit-limit
+    check of a rational (an area, or the ``d`` of ``kk``).  Such a value
+    cannot be printed, and a large exponent (``1e10000000``) takes seconds
+    to build, so the token is refused before ``Fraction()``.  Each is
+    bounded by the digits of its part of the mantissa plus the exponent.
     """
     limit = digit_limit()
     mantissa, _, exponent = text.lower().partition("e")
-    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
+    exponent = exponent.strip().lstrip("+-").lstrip("0") or "0"
     if not exponent.isdecimal():  # Fraction() refuses the token
         return
     size = max(sum(ch.isdecimal() for ch in part) for part in mantissa.split("/"))

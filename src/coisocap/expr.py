@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ExprParseError, clip, digit_limit
+from .errors import ExprParseError, check_rational_size, clip, digit_limit
 from .spectra import Closed, ProductObject, Sphere, Spectrum, Stiefel
 
 # A token's kind is "n" (integer), "w" (word) or the character itself.
@@ -53,10 +53,7 @@ def parse_area(text: str) -> Fraction:
     ints = [m.group() for m in tokens if m.lastgroup == "n"]
     if shape not in _AREA_SHAPES or "/" in shape and not ints[-1].strip("0"):
         raise ExprParseError(f"bad area {clip(text)!r}")
-    limit = digit_limit()
-    if max(map(len, ints), default=0) >= limit:
-        raise ExprParseError(
-            f"area needs a numerator and a denominator of fewer than {limit} digits")
+    check_rational_size(text, ExprParseError, "area")
     # the numerator is 1 or the first integer, the denominator 1 or the last one
     return Fraction(1 if shape[0] == "p" else int(ints[0]), int(ints[-1]) if "/" in shape else 1)
 

@@ -213,17 +213,11 @@ def _witnessed(found: tuple[int, tuple[tuple[int, int], ...]] | None) -> Witness
 # Square-mass kernel (see the module docstring)
 # ---------------------------------------------------------------------------
 
-def check_k_limit(nmax: int) -> None:
-    """Refuse a K table for 0..nmax above the size limit ``BIG_K_NMAX``."""
-    if nmax > BIG_K_NMAX:
-        raise OutOfRangeError(f"nmax must be <= {BIG_K_NMAX} (the K table size limit)")
-
-
 def check_k_rows(start: int, stop: int) -> None:
     """Refuse K rows start..stop whose tables, one per row, cost more than
     the table at the size limit: the table for 0..n takes about
-    n * isqrt(n) steps.  The sum passes the limit within 5,762 rows, so
-    the walk is short for any range."""
+    n * isqrt(n) steps.  The sum passes the limit within 5,762 rows, or at
+    one row above the limit: the one refusal of a ``table K`` range."""
     limit = BIG_K_NMAX * math.isqrt(BIG_K_NMAX)
     cost = 0
     for n in range(require_n(start), stop + 1):
@@ -240,7 +234,8 @@ def big_k_table(nmax: int) -> tuple[int, ...]:
     require_int(nmax, "nmax")
     if nmax < 0:
         raise OutOfRangeError("nmax must be >= 0")
-    check_k_limit(nmax)
+    if nmax > BIG_K_NMAX:  # the one refusal of a K value above the size limit
+        raise OutOfRangeError(f"nmax must be <= {BIG_K_NMAX} (the K table size limit)")
     table = [0] * (nmax + 1)
     for m in range(1, nmax + 1):
         best = table[m - 1] + 1

@@ -1,16 +1,21 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coisocap.kfun as kfun
 from coisocap.cli import TABLE_MAX_ROWS, run
+from coisocap.errors import clip
 from coisocap.verify import VERIFY_MAX_CELLS
 
 K_ROW_1_TO_20 = [1, 2, 3, 2, 3, 4, 5, 4, 3, 4, 5, 6, 5, 6, 7, 4, 5, 6, 7, 6]
@@ -182,20 +187,52 @@ def test_misplaced_star_or_slash_is_a_bad_area(capsys, argv, token):
     assert err == f"error: bad area {token!r}\n"
 
 
-# blanks separate tokens and never join them, and only ASCII digits are digits
+# argparse's usage lines at COLUMNS=80, which head its error messages
+_USAGE = {
+    "kfun": "usage: coisocap kfun [-h] [--format {text,json,csv}] {K,keq,kk} n [d]\n",
+    "table": "usage: coisocap table [-h] [--d D] [--format {text,json,csv}]\n"
+             "                      {K,keq,kk} start stop\n",
+    "verify": "usage: coisocap verify [-h] --nmax NMAX [--dmax DMAX]\n"
+              "                       [--format {text,json,csv}]\n"
+              "                       {kfun-props,oracle,bounds-props,all}\n",
+    "bound capacity": "usage: coisocap bound capacity [-h] [--format {text,json,csv}] n d\n",
+}
+
+
+def _argparse_error(command, message):
+    return f"{_USAGE[command]}coisocap {command}: error: {message}\n"
+
+
+# blanks separate tokens and never join them, and only ASCII digits are
+# digits, in an object and in a number of argv alike
 @pytest.mark.parametrize("argv, err", [
-    (("spectrum", "S(1 0;pi)"), "unrecognized factor 'S(1 0;pi)'"),
-    (("spectrum", "S(1;1 2pi)"), "bad area '1 2pi'"),
-    (("bound", "energy", "S(2;pi) x V(1,2 3;pi)"), "unrecognized factor 'V(1,2 3;pi)'"),
-    (("bound", "width", "1 2"), "bad area '1 2'"),
-    (("spectrum", "C(T 2,1;pi)"), "unrecognized factor 'C(T 2,1;pi)'"),
-    (("spectrum", "C(a b,1;pi)"), "unrecognized factor 'C(a b,1;pi)'"),
-    (("spectrum", "C(T2,1;0;as ph)"), "unrecognized factor 'C(T2,1;0;as ph)'"),
-    (("spectrum", "S(\u0661;pi)"), "unrecognized factor 'S(\u0661;pi)'"),
+    (("spectrum", "S(1 0;pi)"), "error: unrecognized factor 'S(1 0;pi)'\n"),
+    (("spectrum", "S(1;1 2pi)"), "error: bad area '1 2pi'\n"),
+    (("bound", "energy", "S(2;pi) x V(1,2 3;pi)"), "error: unrecognized factor 'V(1,2 3;pi)'\n"),
+    (("bound", "width", "1 2"), "error: bad area '1 2'\n"),
+    (("spectrum", "C(T 2,1;pi)"), "error: unrecognized factor 'C(T 2,1;pi)'\n"),
+    (("spectrum", "C(a b,1;pi)"), "error: unrecognized factor 'C(a b,1;pi)'\n"),
+    (("spectrum", "C(T2,1;0;as ph)"), "error: unrecognized factor 'C(T2,1;0;as ph)'\n"),
+    (("spectrum", "S(\u0661;pi)"), "error: unrecognized factor 'S(\u0661;pi)'\n"),
+    (("kfun", "keq", "\u0665", "\u0661\u0660"),
+     _argparse_error("kfun", "argument n: expected an integer, got '\u0665'")),
+    (("kfun", "keq", "5", "1_0"), "error: d must be an integer, got '1_0'\n"),
+    (("kfun", "kk", "5", "\u0661\u0660/\u0662"),
+     "error: d must be a rational like 9/2, got '\u0661\u0660/\u0662'\n"),
+    (("table", "keq", "1", "\u0663", "--d", "5"),
+     _argparse_error("table", "argument stop: expected an integer, got '\u0663'")),
+    (("verify", "oracle", "--nmax", "\u0661"),
+     _argparse_error("verify", "argument --nmax: expected an integer, got '\u0661'")),
+    (("bound", "capacity", "\u0664", "\u0664"),
+     _argparse_error("bound capacity", "argument n: expected an integer, got '\u0664'")),
+    (("bound", "squeeze", "9", "1_9/2"), "error: d must be a rational like 9/2, got '1_9/2'\n"),
 ], ids=["sphere-m", "sphere-area", "frame-n", "width", "label-digits", "label-words", "asph",
-        "arabic-indic-digit"])
-def test_blanks_between_digits_are_a_parse_error(capsys, argv, err):
-    assert invoke(capsys, *argv) == (2, "", f"error: {err}\n")
+        "arabic-indic-digit", "keq-arabic-indic-n", "keq-underscore-d", "kk-arabic-indic-d",
+        "table-arabic-indic-stop", "verify-arabic-indic-nmax", "capacity-arabic-indic-n",
+        "squeeze-underscore-d"])
+def test_blanks_between_digits_are_a_parse_error(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(capsys, *argv) == (2, "", err)
 
 
 def test_bound_text_format(capsys):
@@ -278,17 +315,18 @@ def test_verify_reports_failures_with_exit_3(capsys, monkeypatch, fmt):
         assert failed and all(r["first_failure"] for r in failed)
 
 
-@pytest.mark.parametrize("argv", [
-    ("kfun", "K", "1000000000000000"),
+@pytest.mark.parametrize("argv, message", [
+    (("kfun", "K", "1000000000000000"),
+     f"nmax must be <= {kfun.BIG_K_NMAX} (the K table size limit)"),
     # refused before the first row, not when the table reaches it
-    ("table", "K", "1", "1000001"),
-], ids=lambda argv: "-".join(argv[:2]))
-def test_k_above_the_table_limit_is_a_domain_error(capsys, argv):
+    (("table", "K", "1", "1000001"), f"table prints at most {TABLE_MAX_ROWS} rows"),
+], ids=["kfun-K", "table-K"])
+def test_k_above_the_table_limit_is_a_domain_error(capsys, argv, message):
     t0 = time.perf_counter()
     code, out, err = invoke(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
-    assert err == f"error: nmax must be <= {kfun.BIG_K_NMAX} (the K table size limit)\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -304,7 +342,9 @@ def test_table_above_the_row_limit_is_a_domain_error(capsys, argv):
     assert err == f"error: table prints at most {TABLE_MAX_ROWS} rows\n"
 
 
-@pytest.mark.parametrize("start, stop", [("1", "100000"), ("900001", "1000000")])
+# the one guard of a K table range, which also refuses rows above the K size limit
+@pytest.mark.parametrize("start, stop", [("1", "100000"), ("900001", "1000000"),
+                                         ("1000001", "1000001"), ("999999", "1000001")])
 def test_table_k_rows_above_one_table_of_work_are_a_domain_error(capsys, start, stop):
     t0 = time.perf_counter()
     code, out, err = invoke(capsys, "table", "K", start, stop)
@@ -393,6 +433,99 @@ def test_echoed_tokens_are_truncated(capsys, argv):
     assert code in (1, 2) and out == ""
     assert 0 < len(err.encode()) < 200
     assert "\u2026" in err
+
+
+# ---------------------------------------------------------------------------
+# numbers in argv
+# ---------------------------------------------------------------------------
+
+# Every numeric argument: its argv, with "{}" for the number, and the last
+# stderr line of its refusal, with "{}" for the echoed token.
+_NUMBER_ARGUMENTS = {
+    "kfun-n": (("kfun", "keq", "{}", "7"),
+               "coisocap kfun: error: argument n: expected an integer, got {}"),
+    "keq-d": (("kfun", "keq", "5", "{}"), "error: d must be an integer, got {}"),
+    "kk-d": (("kfun", "kk", "5", "{}"), "error: d must be a rational like 9/2, got {}"),
+    "table-start": (("table", "kk", "{}", "3", "--d", "4"),
+                    "coisocap table: error: argument start: expected an integer, got {}"),
+    "table-stop": (("table", "kk", "1", "{}", "--d", "4"),
+                   "coisocap table: error: argument stop: expected an integer, got {}"),
+    "table-d": (("table", "keq", "1", "3", "--d", "{}"), "error: d must be an integer, got {}"),
+    "verify-nmax": (("verify", "oracle", "--nmax", "{}"),
+                    "coisocap verify: error: argument --nmax: expected an integer, got {}"),
+    "verify-dmax": (("verify", "oracle", "--nmax", "2", "--dmax", "{}"),
+                    "coisocap verify: error: argument --dmax: expected an integer, got {}"),
+    "capacity-n": (("bound", "capacity", "{}", "4"),
+                   "coisocap bound capacity: error: argument n: expected an integer, got {}"),
+    "capacity-d": (("bound", "capacity", "4", "{}"),
+                   "coisocap bound capacity: error: argument d: expected an integer, got {}"),
+    "squeeze-n": (("bound", "squeeze", "{}", "9"),
+                  "coisocap bound squeeze: error: argument n: expected an integer, got {}"),
+    "squeeze-d": (("bound", "squeeze", "9", "{}"),
+                  "error: d must be a rational like 9/2, got {}"),
+}
+# the arguments read as a rational, through Fraction()
+_RATIONAL = ("kk-d", "squeeze-d")
+
+
+def _fill(argument, number):
+    return [number if token == "{}" else token for token in _NUMBER_ARGUMENTS[argument][0]]
+
+
+@st.composite
+def _off_grammar_numbers(draw):
+    """An ASCII number with a non-ASCII decimal digit or a "_" put in."""
+    number = draw(st.text("0123456789", min_size=1, max_size=6))
+    if draw(st.booleans()):
+        number += "/" + draw(st.text("123456789", min_size=1, max_size=3))
+    at = draw(st.integers(0, len(number)))
+    odd = draw(st.one_of(st.just("_"), st.characters(categories=["Nd"], min_codepoint=128)))
+    return number[:at] + odd + number[at:]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(sorted(_NUMBER_ARGUMENTS)), _off_grammar_numbers())
+def test_an_argv_number_off_the_grammar_digits_is_refused(argument, number):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(_fill(argument, number))
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().splitlines()[-1] == _NUMBER_ARGUMENTS[argument][1].format(
+        repr(clip(number)))
+
+
+@st.composite
+def _ascii_spellings(draw, rational):
+    """(spelling, canonical spelling) of a small number in ASCII digits: an
+    optional sign and leading zeros, and for a rational also a fraction, a
+    decimal point or an exponent.  A negative non-integer is left out:
+    argparse reads "-1/2" as an option, unlike "-0.5"."""
+    zeros = "0" * draw(st.integers(0, 2))
+    value = draw(st.integers(0, 40))
+    forms = [f"{zeros}{value}"]
+    if rational:
+        q = draw(st.integers(1, 4))
+        forms += [f"{zeros}{value}/{zeros}{q}", f"{zeros}{value // 10}.{value % 10}",
+                  f"{value % 10}e{draw(st.sampled_from(['', '+', '-']))}{zeros}1"]
+    spelling = draw(st.sampled_from(forms))
+    sign = draw(st.sampled_from(["", "+", "-"] if spelling.isdigit() else ["", "+"]))
+    spelling = sign + spelling
+    return spelling, str(Fraction(spelling))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_an_ascii_argv_number_reads_as_its_canonical_spelling(data):
+    argument = data.draw(st.sampled_from(sorted(_NUMBER_ARGUMENTS)))
+    spelling, canonical = data.draw(_ascii_spellings(argument in _RATIONAL))
+    outcomes = []
+    for number in (spelling, canonical):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(_fill(argument, number))
+        # a verify report ends with its wall time
+        outcomes.append((code, re.sub(r"\d+ ms\)$", "ms)", out.getvalue()), err.getvalue()))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------

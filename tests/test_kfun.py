@@ -152,7 +152,8 @@ def test_k_rows_may_cost_no_more_than_the_largest_table():
     # sum of n * isqrt(n) over 1..5761 is within 10**6 * isqrt(10**6); over 1..5762 it is not
     check_k_rows(1, 5761)
     check_k_rows(BIG_K_NMAX, BIG_K_NMAX)
-    for start, stop in ((1, 5762), (BIG_K_NMAX - 1, BIG_K_NMAX), (1, 10**30)):
+    for start, stop in ((1, 5762), (BIG_K_NMAX - 1, BIG_K_NMAX), (1, 10**30),
+                        (BIG_K_NMAX + 1, BIG_K_NMAX + 1)):
         with pytest.raises(OutOfRangeError, match=rf"K rows {start}\.\.{stop} cost more"):
             check_k_rows(start, stop)
     with pytest.raises(OutOfRangeError, match="n must be >= 1"):

@@ -1,12 +1,18 @@
-"""Replay of the ``verify all`` reports in ``golden/verify-all-25.json`` and
-``perfbench/golden/verify-all-15.json``.
+"""Replay of ``verify`` reports: the ``all`` reports in
+``golden/verify-all-25.json`` and ``perfbench/golden/verify-all-15.json``,
+and one report of each suite at a shape other than the default ``--dmax``
+in ``golden/verify-<suite>-<nmax>-<dmax>.json``.
 
-Each golden holds the ``checks`` of ``verify all --nmax N --format json``:
+Each golden holds the ``checks`` of one ``verify ... --format json`` run:
 name, range text, pass and fail counts and the first failure of every
 check.  The wall time is not part of it.  A pass means the sweep still
-visits the same cells with the same outcomes.
+visits the same cells with the same outcomes.  The shapes cover a dmax
+below the default 2 * nmax (``kfun-props``, where ``checks._kk_reach``
+is 2 * dmax), dmax 0 (``bounds-props``, with no squeeze rows) and a dmax
+above the default (``oracle``).
 
-Re-capture the nmax-25 golden (after a deliberate change of the report) with
+Re-capture the goldens under ``golden/`` (after a deliberate change of the
+report) with
 
     PYTHONPATH=src python tests/test_verify_golden.py
 """
@@ -23,13 +29,18 @@ from coisocap.cli import run
 ROOT = Path(__file__).parent
 GOLDEN_25 = ROOT / "golden" / "verify-all-25.json"
 GOLDENS = {15: ROOT.parent / "perfbench" / "golden" / "verify-all-15.json", 25: GOLDEN_25}
+SHAPES = {(suite, nmax, dmax): ROOT / "golden" / f"verify-{suite}-{nmax}-{dmax}.json"
+          for suite, nmax, dmax in (("kfun-props", 60, 7), ("bounds-props", 40, 0),
+                                    ("oracle", 12, 30))}
 
 
-def checks(nmax):
-    """The ``checks`` of ``verify all --nmax nmax --format json``."""
+def checks(suite, nmax, *dmax):
+    """The ``checks`` of ``verify suite --nmax nmax [--dmax dmax] --format json``."""
+    argv = ["verify", suite, "--nmax", str(nmax)]
+    argv += [f"--dmax={d}" for d in dmax] + ["--format", "json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = run(["verify", "all", "--nmax", str(nmax), "--format", "json"])
+        code = run(argv)
     assert code == 0
     return json.loads(out.getvalue())["checks"]
 
@@ -38,9 +49,19 @@ def checks(nmax):
 def test_verify_all_replays_its_golden(nmax):
     golden = json.loads(GOLDENS[nmax].read_text())
     assert golden["nmax"] == nmax
-    assert checks(nmax) == golden["checks"]
+    assert checks("all", nmax) == golden["checks"]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES), ids=lambda shape: "-".join(map(str, shape)))
+def test_verify_shape_replays_its_golden(shape):
+    golden = json.loads(SHAPES[shape].read_text())
+    assert golden["shape"] == list(shape)
+    assert checks(*shape) == golden["checks"]
 
 
 if __name__ == "__main__":
-    GOLDEN_25.write_text(json.dumps({"nmax": 25, "checks": checks(25)}, indent=1) + "\n")
-    print(f"wrote {GOLDEN_25}", file=sys.stderr)
+    GOLDEN_25.write_text(json.dumps({"nmax": 25, "checks": checks("all", 25)}, indent=1) + "\n")
+    for shape, path in SHAPES.items():
+        path.write_text(json.dumps({"shape": list(shape), "checks": checks(*shape)}, indent=1)
+                        + "\n")
+    print(f"wrote {GOLDEN_25} and {len(SHAPES)} shapes", file=sys.stderr)
