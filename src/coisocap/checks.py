@@ -17,9 +17,17 @@ suite's grids, build step and check rows in the form ``verify`` documents:
 * ``all``: everything above.
 
 Most checks get their flags from one predicate call per cell, mapped in
-C.  ``kfun-kk-subadditive``, nearly all the cells of a large ``all`` run,
-builds its flags a lane at a time: one list comprehension over d' for
-each (n, n', d), and a lane of passes where kk(n, d) is infinite.
+C.  The three checks that hold nearly all the cells of a large ``all``
+run, ``kfun-kk-subadditive``, ``kfun-kk-monotone-in-d`` and
+``bounds-squeeze-monotone-lower``, get theirs a lane at a time from
+``Lanes``: a lane is the run of cells over d' of one (n, n', d) or one
+(n, d), its values packed into the fixed-width fields of one Python int,
+and one subtraction compares all of them.  Each check first maps its
+values to non-negative ints in the same order: kk values biased by the
+grid's least finite value, infinity one above the largest, and the
+squeeze lower endpoints by their rank among the distinct endpoints,
+sorted once in exact ``ExtRat`` order.  A subadditivity lane whose
+kk(n, d) is infinite passes whole.
 
 The large sweeps read the grids, built once each: ``kk`` over
 n <= 2*nmax and d <= 2*dmax and ``keq`` over n <= nmax and
@@ -58,6 +66,37 @@ def _cell_flags(predicate, cells) -> bytearray:
 def _each(predicate) -> Callable[[Cells], bytearray]:
     """The flags function of a check that calls ``predicate`` on each cell."""
     return partial(_cell_flags, predicate)
+
+
+class Lanes:
+    """Lanes of up to ``width`` non-negative ints of at most ``top``, each
+    packed into one Python int, its first value in the lowest field.
+
+    A field has ``size`` bytes, enough to keep ``top`` below its top bit,
+    the field's guard bit.  For lanes x and y of such values,
+    ``y + guard - x`` borrows from no field and leaves a field's guard bit
+    set exactly where x <= y.  Only the lowest ``width`` fields are read:
+    fields of x above them may make the difference negative, which leaves
+    the fields below as they are, as a borrow only moves up.
+    """
+
+    def __init__(self, top: int, width: int) -> None:
+        self.size = size = (top.bit_length() + 8) // 8
+        self.bits = 8 * size
+        self.ones = int.from_bytes((b"\x01" + bytes(size - 1)) * width, "little")
+        self.guard = self.ones << (self.bits - 1)
+        self._field = partial(int.to_bytes, length=size, byteorder="little")
+        self._length = width * size
+
+    def pack(self, values: Iterable[int]) -> int:
+        """One lane of ``values``, the first in the lowest field."""
+        return int.from_bytes(b"".join(map(self._field, values)), "little")
+
+    def flags(self, diff: int, count: int) -> bytes:
+        """One pass byte for each of the first ``count`` fields of ``diff``,
+        a difference ``y + guard - x``: 1 where the field's guard bit is set."""
+        bits = (diff & self.guard) >> (self.bits - 1)
+        return bits.to_bytes(self._length, "little")[:count * self.size:self.size]
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +202,51 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
             wit.cost, 2 * n - d, 3
         )
 
+    def value_range():
+        # the least and largest finite kk values, for biasing them to >= 0
+        finite = [v for row in kk for v in row if v is not None] or [0]
+        return min(finite), max(finite)
+
+    def monotone_flags(cells):
+        # kk(n, d') <= kk(n, d), infinity reading one above the largest value,
+        # one lane of cells d' = d..dmax per (n, d), in the order of cells()
+        lo, hi = value_range()
+        inf, width = hi - lo + 1, dmax + 1
+        lanes = Lanes(inf, width)
+        flags = bytearray()
+        for n in ns:
+            values = [inf if v is None else v - lo for v in kk[n][:width]]
+            row = lanes.pack(values)
+            for d, y in enumerate(values):
+                flags += lanes.flags(y * lanes.ones + lanes.guard - (row >> d * lanes.bits),
+                                     width - d)
+        return flags
+
     def subadditive_flags(cells):
         # kk(n + n', d + d') <= kk(n, d) + kk(n', d') unless a term is infinite,
-        # one lane of cells d' = 0..dmax per (n, n', d), in the order of cells()
-        width = dmax + 1
+        # one lane of cells d' = 0..dmax per (n, n', d), in the order of cells().
+        # On finite values in [lo, hi] the rule t <= a + b reads
+        # t - 2 lo + 1 <= (a - lo) + (b - lo) + 1, whose right side lies in
+        # [1, 2 span + 1]; so the left side, clamped to [0, 2 span + 2], decides
+        # it alike, and an infinite t reads 2 span + 2, above every finite sum.
+        # An infinite b reads 2 span + 1, its sums above every left side.
+        lo, hi = value_range()
+        span, width = hi - lo, dmax + 1
+        lanes = Lanes(3 * span + 2, width)
+        top = 2 * span + 2
+        totals = [lanes.pack([top if t is None else min(max(t - 2 * lo + 1, 0), top)
+                              for t in row]) for row in kk]
+        rights = [lanes.pack([top - 1 if b is None else b - lo for b in row[:width]])
+                  + lanes.guard for row in kk]
+        passes = b"\x01" * width
         flags = bytearray()
-        for n, n2 in itertools.product(ns, ns):
-            row2, total = kk[n2][:width], kk[n + n2]
-            for d in ds:
-                a = kk[n][d]
-                flags += b"\x01" * width if a is None else bytearray(
-                    [b is None or (t is not None and t <= a + b)
-                     for b, t in zip(row2, total[d:d + width])])
+        for n in ns:
+            lefts = [None if a is None else (a - lo + 1) * lanes.ones for a in kk[n][:width]]
+            for n2 in ns:
+                right, total = rights[n2], totals[n + n2]
+                for d, left in enumerate(lefts):
+                    flags += passes if left is None else lanes.flags(
+                        right + left - (total >> d * lanes.bits), width)
         return flags
 
     def witnesses_ok(n, d):
@@ -212,7 +284,7 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
             "kfun-kk-monotone-in-d",
             f"1<=n<={nmax}, 0<=d<=d'<={dmax}",
             lambda: ((n, d, d2) for n in ns for d in ds for d2 in range(d, dmax + 1)),
-            _each(lambda n, d, d2: _le(kk[n][d2], kk[n][d])),
+            monotone_flags,
         ),
         ("kfun-square-root-bound", *each_n, _each(lambda n: kfun.root_bound_holds(n, table[n]))),
         (
@@ -327,6 +399,22 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
         nonlocal squeeze
         squeeze = {(n, d): bounds.squeeze_bounds(n, d) for n, d in squeeze_cells()}
 
+    def squeeze_monotone_flags(cells):
+        # squeeze(n, d).lower <= squeeze(n, d').lower, read on the endpoints'
+        # ranks in exact ExtRat order, equal endpoints sharing one; one lane of
+        # cells d' = d..dmax per (n, d), in the order of cells()
+        order = sorted({interval.lower for interval in squeeze.values()})
+        rank = {lower: i for i, lower in enumerate(order)}
+        lanes = Lanes(len(order), dmax + 1)
+        flags = bytearray()
+        for n in squeeze_ns:
+            ranks = [rank[squeeze[n, d].lower] for d in range(n, dmax + 1)]
+            row = lanes.pack(ranks)
+            for i, x in enumerate(ranks):
+                flags += lanes.flags((row >> i * lanes.bits) + lanes.guard - x * lanes.ones,
+                                     len(ranks) - i)
+        return flags
+
     def capacity_normalized(n):
         interval = bounds.capacity_bounds(n, 2 * n - 1)
         return interval.lower == interval.upper == spectra.ExtRat.fin(1)
@@ -374,7 +462,7 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
             "bounds-squeeze-monotone-lower",
             f"2<=n<={nmax}, n<=d<=d'<={dmax}",
             lambda: ((n, d, d2) for n, d in squeeze_cells() for d2 in range(d, dmax + 1)),
-            _each(lambda n, d, d2: squeeze[n, d].lower <= squeeze[n, d2].lower),
+            squeeze_monotone_flags,
         ),
         (
             "bounds-squeeze-collapse",

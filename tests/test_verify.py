@@ -1,12 +1,14 @@
 import itertools
 import time
 from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coisocap import bounds, checks, format_product, kfun, parse_product, run_suite, verify
+from coisocap import (bounds, checks, format_product, kfun, parse_product, run_suite,
+                      spectra, verify)
 from coisocap.errors import OutOfRangeError
 from coisocap.verify import SUITES
 
@@ -115,6 +117,14 @@ def _subadditive(kk):
             return True
         total = kk[n + n2][d + d2]
         return total is not None and total <= a + b
+
+    return holds
+
+
+def _monotone(kk):
+    """kk(n, d') <= kk(n, d) on the grid ``kk``, one cell at a time."""
+    def holds(n, d, d2):
+        return kk[n][d] is None or (kk[n][d2] is not None and kk[n][d2] <= kk[n][d])
 
     return holds
 
@@ -264,23 +274,116 @@ def test_grids_match_the_per_call_grids(nmax, dmax):
     assert checks._keq_grid(nmax, dmax) == _grid(kfun.keq, checks._keq_cells(nmax, dmax))
 
 
+# grid entries a wrong kernel could write: infinity, zero, small values of
+# either sign and values beyond 64 bits of either sign
+_WRONG_VALUES = (st.none() | st.integers(-9, 9) | st.integers(2**70, 2**70 + 9)
+                 | st.integers(-2**70 - 9, -2**70))
+
+
+def _lane_flags(rows, name):
+    """The flags of the check ``name`` among ``rows``, for its own cells."""
+    (cells, flags), = ((cells, flags) for row_name, _, cells, flags in rows if row_name == name)
+    return list(flags(cells)), cells
+
+
+def _wrong_kk_grid(data, nmax, dmax):
+    grid = checks._kk_grid(nmax, dmax)
+    wrong = data.draw(st.lists(st.tuples(
+        st.integers(1, 2 * nmax), st.integers(0, 2 * dmax), _WRONG_VALUES), max_size=6))
+    for n, d, value in wrong:
+        grid[n][d] = value
+    return grid
+
+
+def _kfun_lane_flags(grid, nmax, dmax, name):
+    _, build, rows = checks._kfun_checks(nmax, dmax)
+    with mock.patch.object(checks, "_kk_grid", lambda nmax, dmax: grid):
+        build()
+    return _lane_flags(rows, name)
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.data())
 def test_subadditivity_lanes_match_the_per_cell_rule(data):
     nmax = data.draw(st.integers(1, 5))
     dmax = data.draw(st.integers(0, 2 * nmax + 1))
-    grid = checks._kk_grid(nmax, dmax)
-    wrong = data.draw(st.lists(st.tuples(
-        st.integers(1, 2 * nmax), st.integers(0, 2 * dmax), st.none() | st.integers(0, 9)),
-        max_size=6))
-    for n, d, value in wrong:
-        grid[n][d] = value
-    _, build, rows = checks._kfun_checks(nmax, dmax)
-    with mock.patch.object(checks, "_kk_grid", lambda nmax, dmax: grid):
+    grid = _wrong_kk_grid(data, nmax, dmax)
+    got, cells = _kfun_lane_flags(grid, nmax, dmax, "kfun-kk-subadditive")
+    assert got == [int(_subadditive(grid)(*cell)) for cell in cells()]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_monotone_lanes_match_the_per_cell_rule(data):
+    nmax = data.draw(st.integers(1, 5))
+    dmax = data.draw(st.integers(0, 2 * nmax + 1))
+    grid = _wrong_kk_grid(data, nmax, dmax)
+    got, cells = _kfun_lane_flags(grid, nmax, dmax, "kfun-kk-monotone-in-d")
+    assert got == [int(_monotone(grid)(*cell)) for cell in cells()]
+
+
+# spans hi - lo of the kk values around the largest that fields of 1, 2 and
+# 10 bytes hold: 3 span + 2 is the largest field of the subadditivity lanes,
+# span + 1 that of the monotonicity lanes
+_BOUNDARY_SPANS = sorted({span + e for span in (42, 127, 10922, 32767, (2**79 - 2) // 3,
+                                                 2**79 - 1) for e in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("span", _BOUNDARY_SPANS)
+def test_lanes_hold_at_field_size_boundaries(span):
+    # kk values lie in [1, 1 + span] once kk(1, 4) reads 1 + span; the
+    # subadditivity cell (1, 2, 4, 1) then compares kk(3, 5) = 1, the least
+    # value, with its sum with an infinite kk(2, 1), the largest field
+    grid = checks._kk_grid(2, 4)
+    assert grid[2][1] is None and grid[3][5] == 1 == min(v for v in grid[3] if v is not None)
+    grid[1][4] = 1 + span
+    for name, rule in (("kfun-kk-subadditive", _subadditive),
+                       ("kfun-kk-monotone-in-d", _monotone)):
+        got, cells = _kfun_lane_flags(grid, 2, 4, name)
+        assert got == [int(rule(grid)(*cell)) for cell in cells()], name
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_squeeze_lanes_match_the_per_cell_rule(data):
+    nmax = data.draw(st.integers(2, 6))
+    dmax = data.draw(st.integers(0, 2 * nmax + 1))
+    keys = [(n, d) for n in range(2, min(nmax, dmax) + 1) for d in range(n, dmax + 1)]
+    lowers = [bounds.squeeze_bounds(n, d).lower for n, d in keys]
+    if keys:
+        # equal, swapped, infinite and arbitrary lower endpoints
+        index = st.integers(0, len(keys) - 1)
+        for kind, i, j, value in data.draw(st.lists(st.tuples(
+                st.sampled_from(("equal", "swap", "inf", "value")), index, index,
+                st.fractions(0, 3, max_denominator=4)), max_size=6)):
+            if kind == "equal":
+                lowers[i] = lowers[j]
+            elif kind == "swap":
+                lowers[i], lowers[j] = lowers[j], lowers[i]
+            else:
+                lowers[i] = spectra.RAT_INF if kind == "inf" else spectra.ExtRat.fin(value)
+    _assert_squeeze_lanes_hold(dict(zip(keys, lowers)), nmax, dmax)
+
+
+@pytest.mark.parametrize("count", range(126, 132))
+def test_squeeze_lanes_hold_at_a_field_size_boundary(count):
+    # one row of count rising lower endpoints and a last one equal to the
+    # first: the ranks 0..count-1 fill 1-byte fields up to count 128
+    dmax = count + 2
+    lowers = {(2, d): spectra.ExtRat.fin(d - 2) for d in range(2, dmax)}
+    lowers[2, dmax] = lowers[2, 2]
+    _assert_squeeze_lanes_hold(lowers, 2, dmax)
+
+
+def _assert_squeeze_lanes_hold(lowers, nmax, dmax):
+    """The squeeze monotonicity flags, on intervals with the lower endpoints
+    ``lowers``, match the per-cell rule."""
+    squeeze = {key: SimpleNamespace(lower=lower) for key, lower in lowers.items()}
+    _, build, rows = checks._bounds_checks(nmax, dmax)
+    with mock.patch.object(bounds, "squeeze_bounds", lambda n, d: squeeze[n, d]):
         build()
-    (cells, flags), = ((cells, flags) for name, _, cells, flags in rows
-                       if name == "kfun-kk-subadditive")
-    assert list(flags(cells)) == [int(_subadditive(grid)(*cell)) for cell in cells()]
+    got, cells = _lane_flags(rows, "bounds-squeeze-monotone-lower")
+    assert got == [int(squeeze[n, d].lower <= squeeze[n, d2].lower) for n, d, d2 in cells()]
 
 
 def _failing_every(k, predicate):
@@ -307,8 +410,9 @@ def test_sweep_matches_the_per_cell_loop(nmax, dmax):
                 got = verify._sweep(name, desc, cells, checks._each(_failing_every(k, predicate)))
                 want = _reference_sweep(name, desc, cells(), _failing_every(k, predicate))
                 assert got == want, (name, k)
-    # checked against the per-cell rule by the two tests above
-    assert lanes == ["kfun-kk-subadditive"]
+    # each checked against its per-cell rule by a property above
+    assert sorted(lanes) == ["bounds-squeeze-monotone-lower", "kfun-kk-monotone-in-d",
+                             "kfun-kk-subadditive"]
 
 
 def test_cell_budget_is_checked_before_any_work(monkeypatch):
