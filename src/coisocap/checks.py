@@ -23,10 +23,11 @@ run, ``kfun-kk-subadditive``, ``kfun-kk-monotone-in-d`` and
 ``Lanes``: a lane is the run of cells over d' of one (n, n', d) or one
 (n, d), its values packed into the fixed-width fields of one Python int,
 and one subtraction compares all of them.  Each check first maps its
-values to non-negative ints in the same order: kk values biased by the
-grid's least finite value, infinity one above the largest, and the
-squeeze lower endpoints by their rank among the distinct endpoints,
-sorted once in exact ``ExtRat`` order.  A subadditivity lane whose
+values to non-negative ints: kk values shifted by the grid's least or
+largest finite value, infinity to the end its comparison needs, and the
+squeeze lower endpoints to their rank among the distinct endpoints,
+sorted once in exact ``ExtRat`` order.  Both monotonicity checks then
+read their rows with ``_rising_flags``.  A subadditivity lane whose
 kk(n, d) is infinite passes whole.
 
 The large sweeps read the grids, built once each: ``kk`` over
@@ -97,6 +98,20 @@ class Lanes:
         a difference ``y + guard - x``: 1 where the field's guard bit is set."""
         bits = (diff & self.guard) >> (self.bits - 1)
         return bits.to_bytes(self._length, "little")[:count * self.size:self.size]
+
+
+def _rising_flags(rows: list[list[int]]) -> bytearray:
+    """One pass byte per (row, d, d') with d <= d', in that order, 1 where
+    row[d] <= row[d'], for rows of non-negative ints: a lane per (row, d)."""
+    top = max((max(row) for row in rows if row), default=0)
+    lanes = Lanes(top, max(map(len, rows), default=0))
+    flags = bytearray()
+    for values in rows:
+        row = lanes.pack(values)
+        for d, x in enumerate(values):
+            flags += lanes.flags((row >> d * lanes.bits) + lanes.guard - x * lanes.ones,
+                                 len(values) - d)
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +217,11 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
             wit.cost, 2 * n - d, 3
         )
 
-    def value_range():
-        # the least and largest finite kk values, for biasing them to >= 0
-        finite = [v for row in kk for v in row if v is not None] or [0]
-        return min(finite), max(finite)
-
     def monotone_flags(cells):
-        # kk(n, d') <= kk(n, d), infinity reading one above the largest value,
-        # one lane of cells d' = d..dmax per (n, d), in the order of cells()
-        lo, hi = value_range()
-        inf, width = hi - lo + 1, dmax + 1
-        lanes = Lanes(inf, width)
-        flags = bytearray()
-        for n in ns:
-            values = [inf if v is None else v - lo for v in kk[n][:width]]
-            row = lanes.pack(values)
-            for d, y in enumerate(values):
-                flags += lanes.flags(y * lanes.ones + lanes.guard - (row >> d * lanes.bits),
-                                     width - d)
-        return flags
+        # kk(n, d') <= kk(n, d), so d' rises in hi + 1 - kk, infinity reading 0
+        rows = [kk[n][:dmax + 1] for n in ns]
+        hi = max((v for row in rows for v in row if v is not None), default=0)
+        return _rising_flags([[0 if v is None else hi + 1 - v for v in row] for row in rows])
 
     def subadditive_flags(cells):
         # kk(n + n', d + d') <= kk(n, d) + kk(n', d') unless a term is infinite,
@@ -230,7 +231,8 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         # [1, 2 span + 1]; so the left side, clamped to [0, 2 span + 2], decides
         # it alike, and an infinite t reads 2 span + 2, above every finite sum.
         # An infinite b reads 2 span + 1, its sums above every left side.
-        lo, hi = value_range()
+        finite = [v for row in kk for v in row if v is not None]
+        lo, hi = min(finite, default=0), max(finite, default=0)
         span, width = hi - lo, dmax + 1
         lanes = Lanes(3 * span + 2, width)
         top = 2 * span + 2
@@ -238,15 +240,18 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
                               for t in row]) for row in kk]
         rights = [lanes.pack([top - 1 if b is None else b - lo for b in row[:width]])
                   + lanes.guard for row in kk]
-        passes = b"\x01" * width
-        flags = bytearray()
+        # every lane passes until compared; a lane whose a is infinite stays so
+        block = width * width  # the cells of one (n, n')
+        flags = bytearray(b"\x01") * (nmax * nmax * block)
         for n in ns:
-            lefts = [None if a is None else (a - lo + 1) * lanes.ones for a in kk[n][:width]]
-            for n2 in ns:
+            lefts = [(d * width, d * lanes.bits, (a - lo + 1) * lanes.ones)
+                     for d, a in enumerate(kk[n][:width]) if a is not None]
+            for n2 in ns if lefts else ():
                 right, total = rights[n2], totals[n + n2]
-                for d, left in enumerate(lefts):
-                    flags += passes if left is None else lanes.flags(
-                        right + left - (total >> d * lanes.bits), width)
+                at = ((n - 1) * nmax + n2 - 1) * block
+                for start, shift, left in lefts:
+                    flags[at + start:at + start + width] = lanes.flags(
+                        right + left - (total >> shift), width)
         return flags
 
     def witnesses_ok(n, d):
@@ -400,20 +405,12 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
         squeeze = {(n, d): bounds.squeeze_bounds(n, d) for n, d in squeeze_cells()}
 
     def squeeze_monotone_flags(cells):
-        # squeeze(n, d).lower <= squeeze(n, d').lower, read on the endpoints'
-        # ranks in exact ExtRat order, equal endpoints sharing one; one lane of
-        # cells d' = d..dmax per (n, d), in the order of cells()
+        # squeeze(n, d).lower <= squeeze(n, d').lower, on the endpoints' ranks
+        # in exact ExtRat order, equal endpoints sharing one
         order = sorted({interval.lower for interval in squeeze.values()})
         rank = {lower: i for i, lower in enumerate(order)}
-        lanes = Lanes(len(order), dmax + 1)
-        flags = bytearray()
-        for n in squeeze_ns:
-            ranks = [rank[squeeze[n, d].lower] for d in range(n, dmax + 1)]
-            row = lanes.pack(ranks)
-            for i, x in enumerate(ranks):
-                flags += lanes.flags((row >> i * lanes.bits) + lanes.guard - x * lanes.ones,
-                                     len(ranks) - i)
-        return flags
+        return _rising_flags([[rank[squeeze[n, d].lower] for d in range(n, dmax + 1)]
+                              for n in squeeze_ns])
 
     def capacity_normalized(n):
         interval = bounds.capacity_bounds(n, 2 * n - 1)
