@@ -20,15 +20,16 @@ Most checks get their flags from one predicate call per cell, mapped in
 C.  The three checks that hold nearly all the cells of a large ``all``
 run, ``kfun-kk-subadditive``, ``kfun-kk-monotone-in-d`` and
 ``bounds-squeeze-monotone-lower``, get theirs a lane at a time from
-``Lanes``: a lane is the run of cells over d' of one (n, n', d) or one
-(n, d), its values packed into the fixed-width fields of one Python int,
-and one subtraction compares all of them.  Each check first maps its
-values to non-negative ints: kk values shifted by the grid's least or
-largest finite value, infinity to the end its comparison needs, and the
-squeeze lower endpoints to their rank among the distinct endpoints,
-sorted once in exact ``ExtRat`` order.  Both monotonicity checks then
-read their rows with ``_rising_flags``.  A subadditivity lane whose
-kk(n, d) is infinite passes whole.
+``Lanes``: a lane is a run of cells in the order of ``cells()``, those
+of one (n, n') for subadditivity and those over d' of one (n, d) for the
+two monotonicity checks; its values are packed into the fixed-width
+fields of one Python int, and one subtraction compares all of them.
+Each check first maps its values to non-negative ints: kk values shifted
+by the grid's least or largest finite value, infinity to the end its
+comparison needs, and the squeeze lower endpoints to their rank among
+the distinct endpoints, sorted once in exact ``ExtRat`` order.  Both
+monotonicity checks then read their rows with ``_rising_flags``.  The
+subadditivity lanes of an n whose kk(n, d) are all infinite pass whole.
 
 The large sweeps read the grids, built once each: ``kk`` over
 n <= 2*nmax and d <= 2*dmax and ``keq`` over n <= nmax and
@@ -76,9 +77,7 @@ class Lanes:
     A field has ``size`` bytes, enough to keep ``top`` below its top bit,
     the field's guard bit.  For lanes x and y of such values,
     ``y + guard - x`` borrows from no field and leaves a field's guard bit
-    set exactly where x <= y.  Only the lowest ``width`` fields are read:
-    fields of x above them may make the difference negative, which leaves
-    the fields below as they are, as a borrow only moves up.
+    set exactly where x <= y.
     """
 
     def __init__(self, top: int, width: int) -> None:
@@ -89,9 +88,13 @@ class Lanes:
         self._field = partial(int.to_bytes, length=size, byteorder="little")
         self._length = width * size
 
+    def fields(self, values: Iterable[int]) -> bytes:
+        """``values`` as fields, the first lowest."""
+        return b"".join(map(self._field, values))
+
     def pack(self, values: Iterable[int]) -> int:
         """One lane of ``values``, the first in the lowest field."""
-        return int.from_bytes(b"".join(map(self._field, values)), "little")
+        return int.from_bytes(self.fields(values), "little")
 
     def flags(self, diff: int, count: int) -> bytes:
         """One pass byte for each of the first ``count`` fields of ``diff``,
@@ -224,34 +227,42 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         return _rising_flags([[0 if v is None else hi + 1 - v for v in row] for row in rows])
 
     def subadditive_flags(cells):
-        # kk(n + n', d + d') <= kk(n, d) + kk(n', d') unless a term is infinite,
-        # one lane of cells d' = 0..dmax per (n, n', d), in the order of cells().
-        # On finite values in [lo, hi] the rule t <= a + b reads
-        # t - 2 lo + 1 <= (a - lo) + (b - lo) + 1, whose right side lies in
-        # [1, 2 span + 1]; so the left side, clamped to [0, 2 span + 2], decides
-        # it alike, and an infinite t reads 2 span + 2, above every finite sum.
-        # An infinite b reads 2 span + 1, its sums above every left side.
+        # t <= a + b for t = kk(n + n', d + d'), a = kk(n, d), b = kk(n', d'),
+        # unless a or b is infinite, one lane per (n, n'): d' = 0..dmax for
+        # each d in turn, in the order of cells().  On finite values in [lo, hi]
+        # it reads t - 2 lo + 1 <= (a - lo + 1) + (b - lo), whose right side
+        # lies in [1, 2 span + 1]; so the left side, clamped to [0, 2 span + 2],
+        # decides it alike, and an infinite t reads 2 span + 2, above every
+        # finite sum.  An infinite a reads 2 span + 2 and an infinite b
+        # 2 span + 1, so their sums, at most 4 span + 3, pass every cell.
         finite = [v for row in kk for v in row if v is not None]
         lo, hi = min(finite, default=0), max(finite, default=0)
-        span, width = hi - lo, dmax + 1
-        lanes = Lanes(3 * span + 2, width)
+        span, width, block = hi - lo, dmax + 1, (dmax + 1) ** 2
         top = 2 * span + 2
-        totals = [lanes.pack([top if t is None else min(max(t - 2 * lo + 1, 0), top)
-                              for t in row]) for row in kk]
-        rights = [lanes.pack([top - 1 if b is None else b - lo for b in row[:width]])
-                  + lanes.guard for row in kk]
-        # every lane passes until compared; a lane whose a is infinite stays so
-        block = width * width  # the cells of one (n, n')
+        lanes = Lanes(4 * span + 3, block)
+        size = lanes.size
+
+        def t_lane(m):
+            row = lanes.fields([top if t is None else min(max(t - 2 * lo + 1, 0), top)
+                                for t in kk[m]])
+            return int.from_bytes(b"".join(row[d * size:(d + width) * size] for d in ds),
+                                  "little")
+
+        ts = {m: t_lane(m) for m in range(2, 2 * nmax + 1)}
+        bs = {n2: int.from_bytes(lanes.fields([top - 1 if b is None else b - lo
+                                               for b in kk[n2][:width]]) * width, "little")
+              for n2 in ns}
         flags = bytearray(b"\x01") * (nmax * nmax * block)
         for n in ns:
-            lefts = [(d * width, d * lanes.bits, (a - lo + 1) * lanes.ones)
-                     for d, a in enumerate(kk[n][:width]) if a is not None]
-            for n2 in ns if lefts else ():
-                right, total = rights[n2], totals[n + n2]
+            row = kk[n][:width]
+            if all(a is None for a in row):
+                continue  # every a is infinite: the lanes of n pass whole
+            a_guard = lanes.guard + int.from_bytes(
+                b"".join(lanes.fields([top if a is None else a - lo + 1]) * width for a in row),
+                "little")
+            for n2 in ns:
                 at = ((n - 1) * nmax + n2 - 1) * block
-                for start, shift, left in lefts:
-                    flags[at + start:at + start + width] = lanes.flags(
-                        right + left - (total >> shift), width)
+                flags[at:at + block] = lanes.flags(a_guard + bs[n2] - ts[n + n2], block)
         return flags
 
     def witnesses_ok(n, d):
@@ -406,10 +417,15 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
 
     def squeeze_monotone_flags(cells):
         # squeeze(n, d).lower <= squeeze(n, d').lower, on the endpoints' ranks
-        # in exact ExtRat order, equal endpoints sharing one
-        order = sorted({interval.lower for interval in squeeze.values()})
-        rank = {lower: i for i, lower in enumerate(order)}
-        return _rising_flags([[rank[squeeze[n, d].lower] for d in range(n, dmax + 1)]
+        # in exact ExtRat order, equal endpoints sharing one; each endpoint is
+        # looked up by its numerator and denominator, cheaper to hash than it
+        def key(lower):
+            return None if lower.value is None else (lower.value.numerator,
+                                                     lower.value.denominator)
+
+        lowers = {key(interval.lower): interval.lower for interval in squeeze.values()}
+        rank = {key(lower): i for i, lower in enumerate(sorted(lowers.values()))}
+        return _rising_flags([[rank[key(squeeze[n, d].lower)] for d in range(n, dmax + 1)]
                               for n in squeeze_ns])
 
     def capacity_normalized(n):

@@ -323,20 +323,21 @@ def test_monotone_lanes_match_the_per_cell_rule(data):
 
 
 # spans hi - lo of the kk values around the largest that fields of 1, 2 and
-# 10 bytes hold: 3 span + 2 is the largest field of the subadditivity lanes,
+# 10 bytes hold: 4 span + 3 is the largest field of the subadditivity lanes,
 # span + 1 that of the monotonicity lanes
-_BOUNDARY_SPANS = sorted({span + e for span in (42, 127, 10922, 32767, (2**79 - 2) // 3,
-                                                 2**79 - 1) for e in (-1, 0, 1)})
+_BOUNDARY_SPANS = sorted({span + e for span in (31, 126, 8191, 32766, 2**77 - 1, 2**79 - 2)
+                          for e in (-1, 0, 1)})
 
 
 @pytest.mark.parametrize("span", _BOUNDARY_SPANS)
 def test_lanes_hold_at_field_size_boundaries(span):
     # kk values lie in [1, 1 + span] once kk(1, 4) reads 1 + span; the
-    # subadditivity cell (1, 2, 4, 1) then compares kk(3, 5) = 1, the least
-    # value, with its sum with an infinite kk(2, 1), the largest field
+    # subadditivity cell (2, 2, 1, 1) then compares kk(4, 2) = 1, the least
+    # value, with the sum of two infinite kk(2, 1), the largest field, and
+    # (1, 2, 4, 1) kk(3, 5) = 1 with kk(1, 4) and an infinite kk(2, 1)
     grid = checks._kk_grid(2, 4)
     assert grid[2][1] is None and grid[3][5] == 1 == min(v for v in grid[3] if v is not None)
-    grid[1][4] = 1 + span
+    grid[1][4], grid[4][2] = 1 + span, 1
     for name, rule in (("kfun-kk-subadditive", _subadditive),
                        ("kfun-kk-monotone-in-d", _monotone)):
         got, cells = _kfun_lane_flags(grid, 2, 4, name)
