@@ -21,8 +21,9 @@ C.  The three checks that hold nearly all the cells of a large ``all``
 run, ``kfun-kk-subadditive``, ``kfun-kk-monotone-in-d`` and
 ``bounds-squeeze-monotone-lower``, get theirs a lane at a time from
 ``Lanes``: a lane is a run of cells in the order of ``cells()``, those
-of one (n, n') for subadditivity and those over d' of one (n, d) for the
-two monotonicity checks; its values are packed into the fixed-width
+of one (n, n') for subadditivity, cut into parts of at most
+``_MAX_FIELDS``, and those over d' of one (n, d) for the two
+monotonicity checks; its values are packed into the fixed-width
 fields of one Python int, and one subtraction compares all of them.
 Each check first maps its values to non-negative ints: kk values shifted
 by the grid's least or largest finite value, infinity to the end its
@@ -101,6 +102,11 @@ class Lanes:
         a difference ``y + guard - x``: 1 where the field's guard bit is set."""
         bits = (diff & self.guard) >> (self.bits - 1)
         return bits.to_bytes(self._length, "little")[:count * self.size:self.size]
+
+
+# the most fields of one part of a subadditivity lane, which bounds the
+# size of the ints one comparison makes
+_MAX_FIELDS = 1 << 16
 
 
 def _rising_flags(rows: list[list[int]]) -> bytearray:
@@ -237,32 +243,39 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         # 2 span + 1, so their sums, at most 4 span + 3, pass every cell.
         finite = [v for row in kk for v in row if v is not None]
         lo, hi = min(finite, default=0), max(finite, default=0)
-        span, width, block = hi - lo, dmax + 1, (dmax + 1) ** 2
+        span, width = hi - lo, dmax + 1
         top = 2 * span + 2
-        lanes = Lanes(4 * span + 3, block)
+        # a lane is cut into parts of whole runs of d', of at most _MAX_FIELDS
+        # fields unless one run is longer
+        step = min(width, max(1, _MAX_FIELDS // width))
+        parts = [range(d0, min(d0 + step, width)) for d0 in range(0, width, step)]
+        lanes = Lanes(4 * span + 3, step * width)
         size = lanes.size
 
         def t_lane(m):
             row = lanes.fields([top if t is None else min(max(t - 2 * lo + 1, 0), top)
                                 for t in kk[m]])
-            return int.from_bytes(b"".join(row[d * size:(d + width) * size] for d in ds),
-                                  "little")
+            return [int.from_bytes(b"".join(row[d * size:(d + width) * size] for d in part),
+                                   "little") for part in parts]
 
         ts = {m: t_lane(m) for m in range(2, 2 * nmax + 1)}
         bs = {n2: int.from_bytes(lanes.fields([top - 1 if b is None else b - lo
-                                               for b in kk[n2][:width]]) * width, "little")
+                                               for b in kk[n2][:width]]) * step, "little")
               for n2 in ns}
-        flags = bytearray(b"\x01") * (nmax * nmax * block)
+        flags = bytearray(b"\x01") * (nmax * nmax * width * width)
         for n in ns:
             row = kk[n][:width]
             if all(a is None for a in row):
                 continue  # every a is infinite: the lanes of n pass whole
-            a_guard = lanes.guard + int.from_bytes(
-                b"".join(lanes.fields([top if a is None else a - lo + 1]) * width for a in row),
-                "little")
+            a_fields = [lanes.fields([top if a is None else a - lo + 1]) * width for a in row]
+            a_guard = [lanes.guard + int.from_bytes(b"".join(a_fields[d] for d in part), "little")
+                       for part in parts]
             for n2 in ns:
-                at = ((n - 1) * nmax + n2 - 1) * block
-                flags[at:at + block] = lanes.flags(a_guard + bs[n2] - ts[n + n2], block)
+                at = ((n - 1) * nmax + n2 - 1) * width * width
+                for part, a, t in zip(parts, a_guard, ts[n + n2]):
+                    count = len(part) * width
+                    start = at + part.start * width
+                    flags[start:start + count] = lanes.flags(a + bs[n2] - t, count)
         return flags
 
     def witnesses_ok(n, d):

@@ -308,7 +308,10 @@ def test_subadditivity_lanes_match_the_per_cell_rule(data):
     nmax = data.draw(st.integers(1, 5))
     dmax = data.draw(st.integers(0, 2 * nmax + 1))
     grid = _wrong_kk_grid(data, nmax, dmax)
-    got, cells = _kfun_lane_flags(grid, nmax, dmax, "kfun-kk-subadditive")
+    # lanes cut into parts of whole runs of d', as a tall (n, n') lane is
+    max_fields = data.draw(st.sampled_from((checks._MAX_FIELDS, 1, 7, 16)))
+    with mock.patch.object(checks, "_MAX_FIELDS", max_fields):
+        got, cells = _kfun_lane_flags(grid, nmax, dmax, "kfun-kk-subadditive")
     assert got == [int(_subadditive(grid)(*cell)) for cell in cells()]
 
 
