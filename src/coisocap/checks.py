@@ -58,7 +58,7 @@ from functools import lru_cache, partial
 
 from . import bounds, kfun, spectra
 from .expr import parse_product
-from .verify import Cells, Check, Declared
+from .verify import Cells, Check, Declared, Product
 
 
 def _cell_flags(predicate, cells) -> bytearray:
@@ -130,9 +130,9 @@ def _rising_flags(rows: list[list[int]]) -> bytearray:
 Grid = list[list[int | None]]
 
 
-def _kk_cells(nmax: int, dmax: int) -> Iterable[tuple[int, int]]:
+def _kk_cells(nmax: int, dmax: int) -> Product:
     """n <= 2*nmax and d <= 2*dmax, the range of the subadditive sums."""
-    return ((n, d) for n in range(1, 2 * nmax + 1) for d in range(2 * dmax + 1))
+    return Product(range(1, 2 * nmax + 1), range(2 * dmax + 1))
 
 
 def _keq_cells(nmax: int, dmax: int) -> Iterable[tuple[int, int]]:
@@ -207,8 +207,8 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         big_k = {n: kfun.big_k(n) for n in ns}
 
     # (range text, cells) of the ranges several checks share
-    each_n = f"1<=n<={nmax}", lambda: ((n,) for n in ns)
-    each_nd = f"1<=n<={nmax}, 0<=d<={dmax}", lambda: ((n, d) for n in ns for d in ds)
+    each_n = f"1<=n<={nmax}", Product(ns)
+    each_nd = f"1<=n<={nmax}, 0<=d<={dmax}", Product(ns, ds)
 
     def window_cells():
         # n <= d <= 2n with (d - n + 9)^2 >= 36n; as d - n + 9 > 0, that is
@@ -298,8 +298,8 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
 
     exhaustive_top = min(nmax, 200)
     grids = [
-        lambda: range(four_square_top + 1),
-        lambda: _kk_cells(nmax, dmax),
+        Product(range(four_square_top + 1)),
+        _kk_cells(nmax, dmax),
         lambda: _keq_cells(nmax, dmax),
     ]
     return grids, build, [
@@ -331,7 +331,7 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         (
             "kfun-kk-subadditive",
             f"1<=n,n'<={nmax}, 0<=d,d'<={dmax}",
-            lambda: itertools.product(ns, ns, ds, ds),
+            Product(ns, ns, ds, ds),
             subadditive_flags,
         ),
         (
@@ -354,13 +354,13 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         (
             "kfun-square-cost-exhaustive",
             f"1<=n<={exhaustive_top}",
-            lambda: ((n,) for n in range(1, exhaustive_top + 1)),
+            Product(range(1, exhaustive_top + 1)),
             _each(lambda n: table[n] == kfun.square_cost_naive(n)),
         ),
         (
             "kfun-four-square-identity",
             f"0<=n<={four_square_top}",
-            lambda: ((n,) for n in range(four_square_top + 1)),
+            Product(range(four_square_top + 1)),
             _each(four_square_ok),
         ),
     ]
@@ -475,7 +475,7 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
         (
             "bounds-capacity-normalized",
             f"1<=n<={nmax}",
-            lambda: ((n,) for n in range(1, nmax + 1)),
+            Product(range(1, nmax + 1)),
             _each(capacity_normalized),
         ),
         (
@@ -499,19 +499,19 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
         (
             "bounds-energy-examples",
             "3 fixed products",
-            lambda: zip(_ENERGY_EXAMPLES),
+            Product(_ENERGY_EXAMPLES),
             _each(energy_is_pi),
         ),
         (
             "bounds-energy-conformality",
             "sample objects x positive rational scales",
-            lambda: itertools.product(objects, _POSITIVE),
+            Product(objects, _POSITIVE),
             _each(conformal),
         ),
         (
             "bounds-width-interval",
             "positive rational areas x {with,without} closed factor",
-            lambda: itertools.product(_POSITIVE, (False, True)),
+            Product(_POSITIVE, (False, True)),
             _each(width_ok),
         ),
     ] + _spectra_checks(objects)
@@ -554,19 +554,19 @@ def _spectra_checks(objects: tuple[spectra.ProductObject, ...]) -> list[Check]:
         (
             "spectra-sum-algebra",
             "lattice/zero triples over a fraction grid",
-            lambda: itertools.product(lattices, lattices, lattices),
+            Product(lattices, lattices, lattices),
             _each(algebra),
         ),
         (
             "spectra-rescaling",
             "sample objects x positive rational scales",
-            lambda: itertools.product(objects, _POSITIVE),
+            Product(objects, _POSITIVE),
             _each(rescale),
         ),
         (
             "spectra-sphere-m-independent",
             "1<=m,m'<=4 x positive areas",
-            lambda: itertools.product(range(1, 5), range(1, 5), _POSITIVE),
+            Product(range(1, 5), range(1, 5), _POSITIVE),
             _each(lambda m, m2, a: spectra.spectrum_of_atom(spectra.Sphere(m, a))
                   == spectra.spectrum_of_atom(spectra.Sphere(m2, a))),
         ),
@@ -579,7 +579,7 @@ def _spectra_checks(objects: tuple[spectra.ProductObject, ...]) -> list[Check]:
         (
             "spectra-product-min-vs-split",
             "sample objects",
-            lambda: ((obj,) for obj in objects),
+            Product(objects),
             _each(lambda obj: spectra.minimal_action(spectra.product_spectrum(obj))
                   <= spectra.split_min_action(obj)),
         ),

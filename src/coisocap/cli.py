@@ -16,6 +16,10 @@ names.  ``json`` and ``csv`` are imported by their printers.  Importing
 this module still imports every layer, but of ``verify`` only the runner:
 the suites' checks, in ``checks``, are compiled by the first sweep.
 
+``main``, the installed script, freezes the heap (``gc.freeze``) after
+``run`` returns, so the collections of interpreter shutdown skip it;
+``run`` never does.
+
 Exit codes: 0 success, 1 domain error (violated precondition or oracle
 cap), 2 parse error (argv or expression grammar; a number in argv takes
 the grammar's digits, ASCII with no "_"), 3 verification failure; a
@@ -24,6 +28,7 @@ closed stdout changes none of them and writes nothing to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import suppress
@@ -470,7 +475,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # everything left is torn down at exit: keep it out of the final collections
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,10 +14,13 @@ returns one pass byte per cell in the order of cells().  A check's
 passes and failures are counted from its flags in C; only a failing
 check steps through cells() again, to its first failing input.
 
-The budget is counted, before any grid is built, by walking the grids'
-index cells and the checks' cells, up to ``VERIFY_MAX_CELLS``
-(2 * 10**6) and one more; a suite whose walk gets past it is refused
-with ``OutOfRangeError``.  No generator runs long between two cells, so
+The budget is counted, before any grid is built, over the grids' index
+cells and the checks' cells, up to ``VERIFY_MAX_CELLS`` (2 * 10**6);
+a suite that counts more is refused with ``OutOfRangeError``.  A grid
+or check whose cells are a ``Product`` of ranges or tuples, such as
+``kfun-kk-subadditive``, nearly all the cells of a large run, is counted
+in closed form.  The others are walked, up to what the products leave of
+the budget and one more.  No generator runs long between two cells, so
 the walk is bounded for any nmax and dmax.  ``all --nmax 26`` is the
 largest default ``all`` run.  The budget counts calls, not their cost,
 so the costliest admitted runs take minutes; README "Verification
@@ -27,9 +30,10 @@ past 1,149 (nmax 1, dmax 1,149).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import Frozen, OutOfRangeError
 
@@ -71,6 +75,33 @@ Cells = Callable[[], Iterable[tuple]]
 # the cells, and a function of that one returning the cells' pass flags,
 # one byte each, in the order of the cells.
 Check = tuple[str, str, Cells, Callable[[Cells], bytearray]]
+
+
+def _length(factor: Sequence) -> int:
+    """len(factor), also for a range longer than ``len`` admits."""
+    if isinstance(factor, range):
+        return max(0, -((factor.start - factor.stop) // factor.step))
+    return len(factor)
+
+
+class Product:
+    """The cells of a grid or check that is the product of ``factors``,
+    ranges or tuples, in ``itertools.product`` order: a cells function,
+    iterable as well, whose ``size`` the budget reads without stepping
+    through the cells."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, *factors: Sequence) -> None:
+        self.factors = factors
+
+    def __call__(self) -> Iterator[tuple]:
+        return itertools.product(*self.factors)
+
+    __iter__ = __call__
+
+    def size(self) -> int:
+        return math.prod(map(_length, self.factors))
 
 
 def _sweep(name: str, range_desc: str, cells: Cells,
@@ -115,10 +146,13 @@ def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
     checks = [row for _, _, rows in declared for row in rows]
     cell_sets = [cells for grids, _, _ in declared for cells in grids]
     cell_sets += [cells for _, _, cells, _ in checks]
-    walk = itertools.chain.from_iterable(cells() for cells in cell_sets)
+    left = VERIFY_MAX_CELLS - sum(cells.size() for cells in cell_sets
+                                  if isinstance(cells, Product))
+    walk = itertools.chain.from_iterable(cells() for cells in cell_sets
+                                         if not isinstance(cells, Product))
     # step through the budget in C, not in a Python loop; a unit left over is one too many
-    deque(itertools.islice(walk, VERIFY_MAX_CELLS), maxlen=0)
-    if any(True for _ in walk):
+    deque(itertools.islice(walk, max(left, 0)), maxlen=0)
+    if left < 0 or any(True for _ in walk):
         raise OutOfRangeError(
             f"verify {suite} would sweep more than {VERIFY_MAX_CELLS} cells"
             " (the verify cell budget)"

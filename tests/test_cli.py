@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -567,6 +568,71 @@ def test_a_closed_stdout_keeps_a_failing_verify_at_exit_3(capsys, monkeypatch, t
         monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
         code = run(["verify", "kfun-props", "--nmax", "4"])
     assert code == 3 and capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# the exit path: main() freezes the heap before the interpreter shuts down
+# ---------------------------------------------------------------------------
+
+_GOLDEN = {tuple(e["argv"]): e for e in json.loads(
+    (Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))}
+
+
+def _child(*args):
+    """(exit code, stdout, stderr) of ``python *args`` with the package on
+    its path, buffered stdio and argparse wrapping at 80 columns."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(Path(__file__).parents[1] / "src"), COLUMNS="80")
+    child = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                           timeout=120)
+    return child.returncode, child.stdout, child.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_a_cli_process_prints_what_run_prints(fmt):
+    # several stdout buffers of output, all of it flushed before the exit
+    argv = ["table", "kk", "1", "3000", "--d", "5", "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert _child("-m", "coisocap.cli", *argv) == (code, out.getvalue(), err.getvalue())
+    assert code == 0 and len(out.getvalue()) > io.DEFAULT_BUFFER_SIZE
+
+
+@pytest.mark.parametrize("argv", [("kfun", "K", "0"),
+                                  ("kfun", "kk", "5", "-1/2", "--format", "csv"),
+                                  ("kfun", "keq", "5", "-3")])
+def test_a_cli_process_exits_with_its_golden_code(argv):
+    want = _GOLDEN[argv]
+    assert _child("-m", "coisocap.cli", *argv) == (want["exit"], want["stdout"], want["stderr"])
+
+
+def test_a_failing_verify_process_exits_3():
+    code, out, err = _child("-c", (
+        "import sys\n"
+        "from coisocap import cli, kfun\n"
+        "kfun.kk = lambda n, d: kfun.WitnessedValue(\n"
+        "    kfun.ExtNat(1), kfun.Decomposition.from_pairs([kfun.Pair(1, n)]))\n"
+        "sys.argv = ['coisocap', 'verify', 'kfun-props', '--nmax', '4']\n"
+        "cli.main()\n"))
+    assert (code, err) == (3, "") and "FAILED" in out
+
+
+def test_an_atexit_handler_runs_after_main_freezes_the_heap():
+    code, out, err = _child("-c", (
+        "import atexit, gc, sys\n"
+        "from coisocap import cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "sys.argv = ['coisocap', 'kfun', 'K', '16']\n"
+        "cli.main()\n"))
+    assert (code, out, err) == (0, "K(16) = 4, witness [(4,4)]\n", "frozen True\n")
+
+
+def test_run_leaves_the_heap_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert invoke(capsys, "kfun", "K", "16")[0] == 0
+    assert invoke(capsys, "kfun", "K", "0")[0] == 2
+    assert gc.get_freeze_count() == frozen
 
 
 # ---------------------------------------------------------------------------

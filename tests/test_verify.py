@@ -442,6 +442,32 @@ def test_cell_budget_is_checked_before_any_work(monkeypatch):
     assert run_suite("oracle", 10**18, 3).ok
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 30), st.integers(0, 60))
+@example(30, 60)
+@example(1, 0)
+def test_products_count_their_cells_in_closed_form(nmax, dmax):
+    declares = {declare for suite in SUITES for declare in checks.SUITE_CHECKS[suite]}
+    products = []
+    for declare in declares:
+        grids, _, rows = declare(nmax, dmax)
+        products += [cells for cells in [*grids, *(row[2] for row in rows)]
+                     if isinstance(cells, verify.Product)]
+    assert any(len(cells.factors) == 4 for cells in products)  # kfun-kk-subadditive
+    for cells in products:
+        assert cells.size() == sum(1 for _ in cells())
+
+
+def test_products_count_ranges_beyond_len():
+    assert verify.Product(range(10**30), range(7, 2, -2), (0, 1)).size() == 10**30 * 3 * 2
+    assert verify.Product(range(5, 5), range(10**30)).size() == 0
+    t0 = time.perf_counter()
+    for suite in ("all", "kfun-props", "bounds-props"):
+        with pytest.raises(OutOfRangeError, match="the verify cell budget"):
+            run_suite(suite, 10**30)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_fixed_products_are_canonical():
     for text in checks._SAMPLE_PRODUCTS + checks._ENERGY_EXAMPLES:
         assert format_product(parse_product(text)) == text
