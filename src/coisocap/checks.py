@@ -1,9 +1,17 @@
-"""The suites of ``verify``: their value grids and checks.
+"""The suites of ``verify``, their value grids and checks, and the sweep
+that runs them.
 
 ``verify.run_suite`` imports this module on its first call, so a CLI call
-other than ``verify`` never compiles it.  ``SUITE_CHECKS`` maps each suite
-to its declarations, each a function of (nmax, dmax) returning the
-suite's grids, build step and check rows in the form ``verify`` documents:
+other than ``verify`` never compiles it.  The checks look up the names of
+``oracles`` on ``kfun``, as every caller does.  ``SUITE_CHECKS`` maps each suite to its
+declarations, each a function of (nmax, dmax) returning the suite's value
+grids, each by a function returning a fresh iterator over the grid's index
+cells; the one step that builds them; and its checks, as rows of (name,
+range text, cells, flags), where cells returns a fresh iterator over the
+check's inputs and flags, given cells, returns one pass byte per cell in
+the order of cells().  ``sweep`` counts a check's passes and failures from
+its flags in C; only a failing check steps through cells() again, to its
+first failing input.  The suites:
 
 * ``kfun-props``: the minimizer relations (monotonicity, domination,
   collapse, the two root bounds, linear and divisor bounds,
@@ -35,7 +43,7 @@ subadditivity lanes of an n whose kk(n, d) are all infinite pass whole.
 The large sweeps read the grids, built once each: ``kk`` over
 n <= 2*nmax and d <= 2*dmax and ``keq`` over n <= nmax and
 d <= max(dmax, 2n - 1), both values only, from one table of
-``kfun.square_mass_costs`` (keq(n, d) = C(2n - d, d - n) on the capacity
+``square_mass_costs`` (keq(n, d) = C(2n - d, d - n) on the capacity
 window, and kk a running minimum of keq over n <= n' <= d' <= d); and the
 squeeze intervals over 2 <= n <= nmax, n <= d <= dmax, one
 ``bounds.squeeze_bounds`` call per cell.  ``kfun-props`` also builds the
@@ -47,18 +55,92 @@ audit checks, which have few cells or need witnesses, still call
 ``kk``/``keq`` per cell, and the capacity checks call
 ``bounds.capacity_bounds`` once per cell.  Every check still visits and
 counts each of its cells.
+
+The budget is counted, before any grid is built, over the grids' index
+cells and the checks' cells, up to ``verify.VERIFY_MAX_CELLS``
+(2 * 10**6); a suite that counts more is refused with ``OutOfRangeError``.
+A grid or check whose cells are a ``Product`` of ranges or tuples, such as
+``kfun-kk-subadditive``, nearly all the cells of a large run, is counted
+in closed form.  The others are walked, up to what the products leave of
+the budget and one more.  No generator runs long between two cells, so
+the walk is bounded for any nmax and dmax.  ``all --nmax 26`` is the
+largest default ``all`` run.  The budget counts calls, not their cost,
+so the costliest admitted runs take minutes; README "Verification
+sweeps" gives them with measured times.  No suite builds the K table
+past 1,149 (nmax 1, dmax 1,149).
 """
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable
+import time
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import bounds, kfun, spectra
+from .errors import OutOfRangeError
 from .expr import parse_product
-from .verify import Cells, Check, Declared, Product
+from .kfun import _meets, _monoid, _square_parts
+from .verify import CheckResult, VerifyReport
+
+# ---------------------------------------------------------------------------
+# Cells, check rows and one check's sweep
+# ---------------------------------------------------------------------------
+
+Cells = Callable[[], Iterable[tuple]]
+# A check row: name, range text, a function returning a fresh iterator over
+# the cells, and a function of that one returning the cells' pass flags,
+# one byte each, in the order of the cells.
+Check = tuple[str, str, Cells, Callable[[Cells], bytearray]]
+
+
+def _length(factor: Sequence) -> int:
+    """len(factor), also for a range longer than ``len`` admits."""
+    if isinstance(factor, range):
+        return max(0, -((factor.start - factor.stop) // factor.step))
+    return len(factor)
+
+
+class Product:
+    """The cells of a grid or check that is the product of ``factors``,
+    ranges or tuples, in ``itertools.product`` order: a cells function,
+    iterable as well, whose ``size`` the budget reads without stepping
+    through the cells."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, *factors: Sequence) -> None:
+        self.factors = factors
+
+    def __call__(self) -> Iterator[tuple]:
+        return itertools.product(*self.factors)
+
+    __iter__ = __call__
+
+    def size(self) -> int:
+        return math.prod(map(_length, self.factors))
+
+
+def _sweep(name: str, range_desc: str, cells: Cells,
+           flags: Callable[[Cells], bytearray]) -> CheckResult:
+    """Counts the flags of ``cells``; a failing check reads its first failing
+    cell from a fresh ``cells()``."""
+    passed = flags(cells)
+    npass = passed.count(1)
+    first = None
+    if npass < len(passed):
+        first = next(itertools.islice(cells(), passed.find(0), None))
+    return CheckResult(name, range_desc, npass, len(passed) - npass, first)
+
+
+# A suite's declaration: its value grids, each as a function returning a
+# fresh iterator over the grid's index cells; the step that builds those
+# grids; and its checks.
+Declared = tuple[list[Callable[[], Iterable]], Callable[[], None], list[Check]]
+
+
 
 
 def _cell_flags(predicate, cells) -> bytearray:
@@ -146,10 +228,40 @@ def _kk_reach(nmax: int, dmax: int) -> int:
     return min(4 * nmax - 2, 2 * dmax)
 
 
+def square_mass_costs(top: int) -> list[list[int]]:
+    """C[q][r] = keq(q + r, q + 2r), values only, for q >= 1 and q + r <= top
+    (C[0] is empty): the least cost of parts with square sum q whose
+    distinct parts generate the slack r.
+
+    One scan per q answers every r: it walks the part tuples of the levels
+    K(q), K(q) + 2, ... (the part sum has the parity of q), and each r
+    takes the first level at which some tuple's distinct parts generate it.
+    At level q the all-ones tuple generates every r, so the scan ends there.
+    """
+    table = kfun.big_k_table(top)
+    costs: list[list[int]] = [[]]
+    for q in range(1, top + 1):
+        row = [0] * (top - q + 1)
+        left = range(len(row))
+        cost = table[q]
+        while left:
+            for parts in _square_parts(cost, q, q, cost):
+                monoid = _monoid(tuple(set(parts)))
+                for r in left:
+                    if _meets(monoid, r, r):
+                        row[r] = cost
+                left = [r for r in left if not row[r]]
+                if not left:
+                    break
+            cost += 2
+        costs.append(row)
+    return costs
+
+
 @lru_cache(maxsize=1)
 def _costs(nmax: int, dmax: int) -> list[list[int]]:
     """The square-mass cost table of both grids, built once per run."""
-    return kfun.square_mass_costs(max(nmax, _kk_reach(nmax, dmax)))
+    return square_mass_costs(max(nmax, _kk_reach(nmax, dmax)))
 
 
 def _kk_grid(nmax: int, dmax: int) -> Grid:
@@ -598,3 +710,28 @@ SUITE_CHECKS = {
     "bounds-props": (_bounds_checks,),
 }
 SUITE_CHECKS["all"] = tuple(itertools.chain.from_iterable(SUITE_CHECKS.values()))
+
+
+def sweep(suite: str, nmax: int, dmax: int, budget: int) -> VerifyReport:
+    """Run one suite over n <= nmax, d <= dmax, refusing before any work a
+    suite whose grid entries and check cells number more than ``budget``."""
+    declared = [declare(nmax, dmax) for declare in SUITE_CHECKS[suite]]
+    checks = [row for _, _, rows in declared for row in rows]
+    cell_sets = [cells for grids, _, _ in declared for cells in grids]
+    cell_sets += [cells for _, _, cells, _ in checks]
+    left = budget - sum(cells.size() for cells in cell_sets if isinstance(cells, Product))
+    walk = itertools.chain.from_iterable(cells() for cells in cell_sets
+                                         if not isinstance(cells, Product))
+    # step through the budget in C, not in a Python loop; a unit left over is one too many
+    deque(itertools.islice(walk, max(left, 0)), maxlen=0)
+    if left < 0 or any(True for _ in walk):
+        raise OutOfRangeError(
+            f"verify {suite} would sweep more than {budget} cells (the verify cell budget)"
+        )
+
+    start = time.monotonic()
+    for _, build, _ in declared:
+        build()
+    results = [_sweep(*check) for check in checks]
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    return VerifyReport(tuple(sorted(results, key=lambda c: c.name)), elapsed_ms)

@@ -13,8 +13,10 @@ One call builds and imports only what its argv uses.  ``build_parser``
 names every command and ``bound`` kind, so usage, help and "invalid
 choice" errors read the same, but gives arguments only to the ones argv
 names.  ``json`` and ``csv`` are imported by their printers.  Importing
-this module still imports every layer, but of ``verify`` only the runner:
-the suites' checks, in ``checks``, are compiled by the first sweep.
+this module still imports every layer, but of ``kfun`` only the kernel
+and of ``verify`` only the runner: the cross-checks, in ``oracles``, and
+the suites' checks and sweep, in ``checks``, are compiled by the first
+sweep.
 
 ``main``, the installed script, freezes the heap (``gc.freeze``) after
 ``run`` returns, so the collections of interpreter shutdown skip it;
@@ -23,7 +25,9 @@ the suites' checks, in ``checks``, are compiled by the first sweep.
 Exit codes: 0 success, 1 domain error (violated precondition or oracle
 cap), 2 parse error (argv or expression grammar; a number in argv takes
 the grammar's digits, ASCII with no "_"), 3 verification failure; a
-closed stdout changes none of them and writes nothing to stderr.
+closed stdout changes none of them and writes nothing to stderr.  A d
+that starts with "-" and a digit or ".digit" is a value, never an
+option, so a negative d exits 1 however it is spelled.
 """
 from __future__ import annotations
 
@@ -371,6 +375,20 @@ def _handle_verify(args) -> Output:
 # The command table
 # ---------------------------------------------------------------------------
 
+class _NegativeD:
+    """The test argparse applies, as ``_negative_number_matcher``, to a token
+    that starts with "-" and names no option, in the parsers of the commands
+    whose d ``_parse_d`` reads: "-" then an ASCII digit or ".digit" is a
+    value.  argparse's own test admits only a negative int or decimal, so
+    "-1/2" and "-1e3" would be unrecognized options (exit 2), where "-3"
+    reaches the domain check (exit 1)."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        digit = token[2:3] if token[1:2] == "." else token[1:2]
+        return digit.isascii() and digit.isdigit()
+
+
 def _arg(*flags, **options):
     """One argument, written as its ``add_argument`` call."""
     return flags, options
@@ -421,6 +439,8 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict,
         if handler is None:
             _add_commands(command, "kind", arguments, None if words is None else words[1:])
             continue
+        if handler in (_handle_kfun, _handle_table, _handle_squeeze):
+            command._negative_number_matcher = _NegativeD
         for flags, options in arguments:
             command.add_argument(*flags, **options)
         command.set_defaults(handler=handler)

@@ -17,7 +17,7 @@ class OutOfRangeError(CoisocapError, ValueError):
 
 
 class CapExceededError(CoisocapError, ValueError):
-    """A naive-oracle call exceeds the size cap ``kfun.ORACLE_CAP``."""
+    """A naive-oracle call exceeds the size cap ``oracles.ORACLE_CAP``."""
 
 
 class ExprParseError(CoisocapError, ValueError):

@@ -16,7 +16,8 @@ them, so ``1 0`` is not ``10`` and ``p i`` is not ``pi``.
 ``m``, ``k``, ``n`` and ``halfdim`` are integers and ``label`` is a word.
 Areas are rationals in units of pi, with no decimal point, exponent, sign
 or underscore.  ``format_product`` writes the canonical form; parsing it
-back returns an equal object.
+back returns an equal object.  The token pattern is compiled by the first
+parse, so a call that parses no text never compiles it.
 """
 from __future__ import annotations
 
@@ -26,8 +27,9 @@ from fractions import Fraction
 from .errors import ExprParseError, check_rational_size, clip, digit_limit
 from .spectra import Closed, ProductObject, Sphere, Spectrum, Stiefel
 
-# A token's kind is "n" (integer), "w" (word) or the character itself.
-_TOKEN = re.compile(r"(?P<n>[0-9]+)|(?P<w>[A-Za-z_][A-Za-z0-9_]*)|\S")
+# A token's kind is "n" (integer), "w" (word) or the character itself.  The
+# pattern is compiled by the first parse, which ``re`` caches for the rest.
+_TOKEN = r"(?P<n>[0-9]+)|(?P<w>[A-Za-z_][A-Za-z0-9_]*)|\S"
 
 # The kinds between a factor's head and its area, and its integer fields.
 _FIELDS = {"S": ("(n;", ("m",)), "V": ("(n,n;", ("k", "n")), "C": ("(w,n;", ("half_dim",))}
@@ -46,7 +48,7 @@ def _parse_int(digits: str, name: str) -> int:
 
 def parse_area(text: str) -> Fraction:
     """Parse an area: a nonnegative rational in units of pi."""
-    tokens = list(_TOKEN.finditer(text))
+    tokens = list(re.finditer(_TOKEN, text))
     if not tokens:
         raise ExprParseError("empty area")
     shape = "".join("p" if m.group() == "pi" else m.lastgroup or m.group() for m in tokens)
@@ -81,7 +83,7 @@ def _split_factors(text: str) -> list[str]:
 
 def parse_atom(text: str):
     """Parse a single factor."""
-    tokens = list(_TOKEN.finditer(text))
+    tokens = list(re.finditer(_TOKEN, text))
     kinds = "".join(m.lastgroup or m.group() for m in tokens)  # one character per token
     head = tokens[0].group() if tokens else ""
     fields, names = _FIELDS.get(head, ("", ()))

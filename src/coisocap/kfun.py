@@ -16,15 +16,15 @@ q = sum(k*k) and slack r = sum(k*t) give weight q + r and dimension q + 2r.
 ``keq`` and ``kk`` search, by iterative deepening on the cost, the cheapest
 parts whose square mass lies in the query's range and whose slack range
 holds a sum of multiples of the parts; ``big_k`` is the case r = 0 and
-takes its value from a dynamic program over 0..n.  ``square_mass_costs``
-gives the ``keq`` values of a whole range at once, one scan per q.
+takes its value from a dynamic program over 0..n.
 
 Every finite value comes with a witness decomposition; infeasible instances
-yield infinity, never an error.  ``keq_naive``/``kk_naive`` are independent
-exhaustive-enumeration oracles for cross-checking, capped at small inputs:
-one unpruned walk over every pair tuple of dimension <= 2 * ORACLE_CAP,
-made on first use, keeps the least (cost, key) at each (weight, dim), and
-each oracle call is a lookup in that table.
+yield infinity, never an error.  The cross-checks, independent of the
+search, are in ``oracles``: the exhaustive-enumeration oracles, the
+four-square and square-root-bound constructions and the witness audits.
+Their names are still names of this module (``kfun.keq_naive``): the first
+lookup of one imports ``oracles`` (PEP 562) and keeps the value here, so a
+call that never looks one up never compiles them.
 
 All arithmetic is exact (Python integers / fractions.Fraction).
 """
@@ -36,12 +36,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .errors import (CapExceededError, Extended, Frozen, OutOfRangeError, require_exact,
-                     require_int, require_n)
+from .errors import Extended, Frozen, OutOfRangeError, require_exact, require_int, require_n
 
-# Largest n of the naive oracles, and half the largest floor(d) of kk_naive:
-# their enumeration grows exponentially with the dimension.
-ORACLE_CAP = 12
 # Largest n the square-sum table is built for: its list and its O(n^1.5)
 # run time (about two minutes at 10**6) grow without bound otherwise.  A
 # range of K rows, each building its own table, may cost no more than that
@@ -61,19 +57,6 @@ def _query_cap(n, d, exact: bool) -> int:
     if d < 0:
         raise OutOfRangeError("d must be >= 0")
     return d if exact else math.floor(d)
-
-
-def _oracle_cap(n, d, exact: bool) -> int:
-    """``_query_cap`` within the naive oracles' caps: n <= ORACLE_CAP, and
-    for ``kk_naive`` floor(d) <= 2 * ORACLE_CAP."""
-    dcap = _query_cap(n, d, exact)
-    if n > ORACLE_CAP:
-        raise CapExceededError(f"naive oracle capped at n <= {ORACLE_CAP}, got n={n}")
-    if not exact and dcap > 2 * ORACLE_CAP:
-        raise CapExceededError(
-            f"naive oracle capped at floor(d) <= {2 * ORACLE_CAP}, got floor(d)={dcap}"
-        )
-    return dcap
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -381,36 +364,6 @@ def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> Witnessed
         cost += 1
 
 
-def square_mass_costs(top: int) -> list[list[int]]:
-    """C[q][r] = keq(q + r, q + 2r), values only, for q >= 1 and q + r <= top
-    (C[0] is empty): the least cost of parts with square sum q whose
-    distinct parts generate the slack r.
-
-    One scan per q answers every r: it walks the part tuples of the levels
-    K(q), K(q) + 2, ... (the part sum has the parity of q), and each r
-    takes the first level at which some tuple's distinct parts generate it.
-    At level q the all-ones tuple generates every r, so the scan ends there.
-    """
-    table = big_k_table(top)
-    costs: list[list[int]] = [[]]
-    for q in range(1, top + 1):
-        row = [0] * (top - q + 1)
-        left = range(len(row))
-        cost = table[q]
-        while left:
-            for parts in _square_parts(cost, q, q, cost):
-                monoid = _monoid(tuple(set(parts)))
-                for r in left:
-                    if _meets(monoid, r, r):
-                        row[r] = cost
-                left = [r for r in left if not row[r]]
-                if not left:
-                    break
-            cost += 2
-        costs.append(row)
-    return costs
-
-
 def big_k(n: int) -> WitnessedValue:
     """Minimal part sum over multisets of positive integers whose squares
     sum to n; the witness pairs every part k with itself."""
@@ -419,31 +372,6 @@ def big_k(n: int) -> WitnessedValue:
     # order is the smallest key.
     parts = next(_square_parts(value, n, n, value))
     return _witnessed((value, tuple((k, k) for k in parts)))
-
-
-def square_cost_naive(n: int) -> int:
-    """Exhaustive minimum of the part sum over square decompositions of n.
-
-    Independent of the dynamic program: plain depth-first enumeration of
-    descending parts under the part cap, abandoning a branch once its part
-    sum reaches the best complete one (parts are positive, so it cannot
-    improve on it).
-    """
-    require_n(n)
-    best: list[int | None] = [None]
-
-    def rec(m: int, cap: int, acc: int) -> None:
-        if best[0] is not None and acc >= best[0]:
-            return
-        if m == 0:
-            best[0] = acc
-            return
-        for k in range(min(cap, math.isqrt(m)), 0, -1):
-            rec(m - k * k, k, acc + k)
-
-    rec(n, math.isqrt(n), 0)
-    assert best[0] is not None
-    return best[0]
 
 
 def keq(n: int, d: int) -> WitnessedValue:
@@ -465,144 +393,22 @@ def kk(n: int, d: Rational) -> WitnessedValue:
 
 
 # ---------------------------------------------------------------------------
-# Naive enumeration oracles
+# The names of ``oracles``
 # ---------------------------------------------------------------------------
 
-NaiveEntry = tuple[int, tuple[tuple[int, int], ...]]  # (cost, key)
+_ORACLE_NAMES = frozenset((
+    "ORACLE_CAP", "NaiveEntry", "_oracle_cap", "_naive_table", "keq_naive", "kk_naive",
+    "square_cost_naive", "four_square", "sqrt_bound_witness", "lt_sqrt_plus",
+    "root_bound_holds", "is_valid_exact_witness", "is_valid_relaxed_witness",
+))
 
 
-@lru_cache(maxsize=1)
-def _naive_table() -> dict[tuple[int, int], NaiveEntry]:
-    """Least (cost, key) at each (weight, dim) over every canonical pair
-    tuple of total dimension <= 2 * ORACLE_CAP, from one unpruned
-    enumeration.  That holds every entry the oracles read: ``keq_naive``'s
-    n <= ORACLE_CAP is finite only at dim <= 2n - 1, and ``kk_naive``
-    reads dim <= floor(d) <= 2 * ORACLE_CAP."""
-    table: dict[tuple[int, int], NaiveEntry] = {}
-    max_dim = 2 * ORACLE_CAP
+def __getattr__(name: str):
+    """Import ``oracles`` for one of its names and keep the value, so later
+    lookups, such as a sweep's one per cell, never come back here."""
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracles
 
-    def extend(prefix, k_hi, m_hi, weight, dim, cost) -> None:
-        budget = max_dim - dim
-        for k in range(1, min(k_hi, math.isqrt(budget)) + 1):
-            top = (budget + k * k) // (2 * k)  # the pair's dim k*(2m - k) fits the budget
-            if k == k_hi:
-                top = min(top, m_hi)
-            for m in range(k, top + 1):
-                key = prefix + ((k, m),)
-                at = (weight + k * m, dim + k * (2 * m - k))
-                cand = (cost + k, key)
-                held = table.get(at)
-                if held is None or cand < held:
-                    table[at] = cand
-                if at[1] < max_dim:  # at the dimension cap the child's loop is empty
-                    extend(key, k, m, *at, cost + k)
-
-    extend((), max_dim, max_dim, 0, 0, 0)
-    return table
-
-
-def keq_naive(n: int, d: int) -> WitnessedValue:
-    """Exhaustive-enumeration oracle for ``keq`` (small n only)."""
-    return _witnessed(_naive_table().get((n, _oracle_cap(n, d, exact=True))))
-
-
-def kk_naive(n: int, d: Rational) -> WitnessedValue:
-    """Exhaustive-enumeration oracle for ``kk`` (small n and d only).
-
-    Feasible decompositions satisfy dim <= floor(d) <= 2 * ORACLE_CAP, so
-    the enumeration over total dimension <= 2 * ORACLE_CAP is complete.
-    """
-    dcap = _oracle_cap(n, d, exact=False)
-    return _witnessed(min(
-        (entry for (weight, dim), entry in _naive_table().items()
-         if weight >= n and dim <= dcap),
-        default=None,
-    ))
-
-
-# ---------------------------------------------------------------------------
-# Constructive decompositions
-# ---------------------------------------------------------------------------
-
-def four_square(n: int) -> tuple[int, int, int, int]:
-    """Some (a, b, c, d) with a >= b >= c >= d >= 0 and a^2+b^2+c^2+d^2 = n.
-
-    First tuple found by brute force with descending a, b, c; deterministic.
-    """
-    require_int(n, "n")
-    if n < 0:
-        raise OutOfRangeError("n must be >= 0")
-    for a in range(math.isqrt(n), -1, -1):
-        r1 = n - a * a
-        for b in range(min(a, math.isqrt(r1)), -1, -1):
-            r2 = r1 - b * b
-            for c in range(min(b, math.isqrt(r2)), -1, -1):
-                r3 = r2 - c * c
-                e = math.isqrt(r3)
-                if e * e == r3 and e <= c:
-                    return (a, b, c, e)
-    raise AssertionError(f"no four-square representation found for {n}")
-
-
-def sqrt_bound_witness(n: int, d: int) -> Decomposition:
-    """Single-pair decomposition certifying the square-root cost bound.
-
-    Requires n >= 9 and d in the window n <= d <= 2n with
-    (d - n + 9)^2 >= 36n (all checks exact).  The returned pair
-    (ceil(sqrt(2n - d)) + 2, ceil(n / k)) is feasible for the relaxed
-    constraints at (n, d) and has cost below sqrt(2n - d) + 3.
-    """
-    require_int(n, "n")
-    require_int(d, "d")
-    if n < 9:
-        raise OutOfRangeError("requires n >= 9")
-    if d < n:
-        raise OutOfRangeError("requires d >= n")
-    if d > 2 * n:
-        raise OutOfRangeError("requires d <= 2n")
-    if (d - n + 9) ** 2 < 36 * n:
-        raise OutOfRangeError("requires (d - n + 9)^2 >= 36n")
-    k1 = _ceil_sqrt(2 * n - d) + 2
-    n1 = _ceil_div(n, k1)
-    return Decomposition.from_pairs([Pair(k1, n1)])
-
-
-# ---------------------------------------------------------------------------
-# Exact bound comparisons and witness audits
-# ---------------------------------------------------------------------------
-
-def lt_sqrt_plus(c: int, r: int, shift: int) -> bool:
-    """Exact test of  c < sqrt(r) + shift  for integers c, shift and r >= 0."""
-    t = c - shift
-    if t < 0:
-        return True
-    return t * t < r
-
-
-def root_bound_holds(n: int, c: int) -> bool:
-    """Exact test of  c < sqrt(n) + 2^(3/2) * n^(1/4)  for n >= 1, c >= 0.
-
-    If c^2 <= n the inequality is immediate.  Otherwise both sides of
-    c - sqrt(n) < 2*sqrt(2)*n^(1/4) are positive and squaring twice gives
-    the integer comparison (c^2 + n)^2 < (2c + 8)^2 * n.
-    """
-    if c * c <= n:
-        return True
-    lhs = c * c + n
-    rhs = 2 * c + 8
-    return lhs * lhs < rhs * rhs * n
-
-
-def is_valid_exact_witness(dec: Decomposition, n: int, d: int) -> bool:
-    """Recheck a ``keq`` witness from raw pair data.
-
-    At d = n it rechecks a ``big_k(n)`` witness: dim - weight is the sum of
-    k * (n - k) over the pairs, so weight = dim = n forces every pair to be
-    (k, k) with the k^2 summing to n.
-    """
-    return all(p.n >= p.k >= 1 for p in dec.pairs) and dec.weight == n and dec.dim == d
-
-
-def is_valid_relaxed_witness(dec: Decomposition, n: int, d: Rational) -> bool:
-    """Recheck a ``kk`` witness from raw pair data."""
-    return all(p.n >= p.k >= 1 for p in dec.pairs) and dec.weight >= n and dec.dim <= math.floor(d)
+    value = globals()[name] = getattr(oracles, name)
+    return value

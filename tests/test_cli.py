@@ -499,8 +499,7 @@ def test_an_argv_number_off_the_grammar_digits_is_refused(argument, number):
 def _ascii_spellings(draw, rational):
     """(spelling, canonical spelling) of a small number in ASCII digits: an
     optional sign and leading zeros, and for a rational also a fraction, a
-    decimal point or an exponent.  A negative non-integer is left out:
-    argparse reads "-1/2" as an option, unlike "-0.5"."""
+    decimal point or an exponent."""
     zeros = "0" * draw(st.integers(0, 2))
     value = draw(st.integers(0, 40))
     forms = [f"{zeros}{value}"]
@@ -509,8 +508,7 @@ def _ascii_spellings(draw, rational):
         forms += [f"{zeros}{value}/{zeros}{q}", f"{zeros}{value // 10}.{value % 10}",
                   f"{value % 10}e{draw(st.sampled_from(['', '+', '-']))}{zeros}1"]
     spelling = draw(st.sampled_from(forms))
-    sign = draw(st.sampled_from(["", "+", "-"] if spelling.isdigit() else ["", "+"]))
-    spelling = sign + spelling
+    spelling = draw(st.sampled_from(["", "+", "-"])) + spelling
     return spelling, str(Fraction(spelling))
 
 
@@ -527,6 +525,46 @@ def test_an_ascii_argv_number_reads_as_its_canonical_spelling(data):
         # a verify report ends with its wall time
         outcomes.append((code, re.sub(r"\d+ ms\)$", "ms)", out.getvalue()), err.getvalue()))
     assert outcomes[0] == outcomes[1]
+
+
+# The arguments whose d ``_parse_d`` reads: their argv, with "{}" for d,
+# whether d is a rational, and the stderr of a negative d's refusal, with
+# "{}" for d's canonical spelling.
+_D_ARGUMENTS = {
+    "keq-d": (("kfun", "keq", "5", "{}"), False, "error: d must be >= 0\n"),
+    "kk-d": (("kfun", "kk", "5", "{}"), True, "error: d must be >= 0\n"),
+    "table-keq-d": (("table", "keq", "1", "3", "--d", "{}"), False, "error: d must be >= 0\n"),
+    "table-kk-d": (("table", "kk", "1", "3", "--d", "{}"), True, "error: d must be >= 0\n"),
+    "squeeze-d": (("bound", "squeeze", "9", "{}"), True,
+                  "error: d must be >= n, got (n, d)=(9, {})\n"),
+}
+
+
+@st.composite
+def _negative_spellings(draw, rational):
+    """A negative number that ``_parse_d`` reads, in ASCII digits with
+    leading zeros: an integer, and for a rational also a fraction, a
+    decimal with or without its integer part, or an exponent."""
+    zeros = "0" * draw(st.integers(0, 2))
+    value = draw(st.integers(1, 40))
+    forms = [f"{zeros}{value}"]
+    if rational:
+        digit = value % 9 + 1
+        forms += [f"{zeros}{value}/{zeros}{draw(st.integers(1, 4))}",
+                  f"{zeros}{value // 10}.{value % 10}", f".{digit}{zeros}",
+                  f"{digit}e{draw(st.sampled_from(['', '+', '-']))}{zeros}1"]
+    return "-" + draw(st.sampled_from(forms))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_a_negative_d_gets_one_exit_code_and_message_however_it_is_spelled(data):
+    argv, rational, message = _D_ARGUMENTS[data.draw(st.sampled_from(sorted(_D_ARGUMENTS)))]
+    spelling = data.draw(_negative_spellings(rational))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([spelling if token == "{}" else token for token in argv])
+    assert (code, out.getvalue(), err.getvalue()) == (1, "", message.format(Fraction(spelling)))
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,27 @@ def test_import_loads_no_layer():
 def test_a_name_loads_only_its_layer_and_what_that_imports():
     assert loaded_by("from coisocap import keq") == {
         "coisocap", "coisocap.errors", "coisocap.kfun"}
+    assert loaded_by("from coisocap import keq_naive") == {
+        "coisocap", "coisocap.errors", "coisocap.kfun", "coisocap.oracles"}
+
+
+# The names ``oracles`` defines, which ``kfun`` looks up there on first use.
+ORACLE_NAMES = ("ORACLE_CAP", "NaiveEntry", "_oracle_cap", "_naive_table", "keq_naive",
+                "kk_naive", "square_cost_naive", "four_square", "sqrt_bound_witness",
+                "lt_sqrt_plus", "root_bound_holds", "is_valid_exact_witness",
+                "is_valid_relaxed_witness")
+
+
+def test_kfun_reads_the_oracle_names_from_oracles():
+    from coisocap import kfun, oracles
+
+    for name in ORACLE_NAMES:
+        assert getattr(kfun, name) is getattr(oracles, name)
+        assert name in vars(kfun)  # kept, so the next lookup skips the hook
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kfun.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from coisocap.kfun import no_such_name  # noqa: F401
 
 
 def test_all_is_the_sorted_export_list():
@@ -99,8 +120,10 @@ def test_the_tracer_wraps_every_layer_and_times_a_sweep():
                    "tracer = tracing.install()\nfrom coisocap import cli\n"
                    "code = cli.run(['verify', 'oracle', '--nmax', '3'])\n"
                    "counts = tracing.summarize(tracer)['counts']\n"
-                   "print(code, counts['verify.run_suite'], file=sys.stderr)")
-    assert summary.stderr.split() == ["0", "1"]
+                   "print(code, counts['verify.run_suite'], file=sys.stderr)\n"
+                   "print(counts['kfun.keq_naive'] >= 1, counts['kfun.kk_naive'] >= 1,"
+                   " file=sys.stderr)")
+    assert summary.stderr.split() == ["0", "1", "True", "True"]
 
 
 @pytest.mark.parametrize("argv, sweeps", [
@@ -116,6 +139,7 @@ def test_only_verify_loads_the_check_declarations(argv, sweeps):
     loaded = loaded_by("import contextlib, io\nfrom coisocap.cli import run\n"
                        f"with contextlib.redirect_stdout(io.StringIO()):\n    {call}")
     assert ("coisocap.checks" in loaded) is sweeps
+    assert ("coisocap.oracles" in loaded) is sweeps
 
 
 def test_the_suites_are_the_declared_suites():

@@ -411,7 +411,7 @@ def test_sweep_matches_the_per_cell_loop(nmax, dmax):
                 continue
             predicate, = flags.args
             for k in (None, 1, 2, 7):
-                got = verify._sweep(name, desc, cells, checks._each(_failing_every(k, predicate)))
+                got = checks._sweep(name, desc, cells, checks._each(_failing_every(k, predicate)))
                 want = _reference_sweep(name, desc, cells(), _failing_every(k, predicate))
                 assert got == want, (name, k)
     # each checked against its per-cell rule by a property above
@@ -452,15 +452,15 @@ def test_products_count_their_cells_in_closed_form(nmax, dmax):
     for declare in declares:
         grids, _, rows = declare(nmax, dmax)
         products += [cells for cells in [*grids, *(row[2] for row in rows)]
-                     if isinstance(cells, verify.Product)]
+                     if isinstance(cells, checks.Product)]
     assert any(len(cells.factors) == 4 for cells in products)  # kfun-kk-subadditive
     for cells in products:
         assert cells.size() == sum(1 for _ in cells())
 
 
 def test_products_count_ranges_beyond_len():
-    assert verify.Product(range(10**30), range(7, 2, -2), (0, 1)).size() == 10**30 * 3 * 2
-    assert verify.Product(range(5, 5), range(10**30)).size() == 0
+    assert checks.Product(range(10**30), range(7, 2, -2), (0, 1)).size() == 10**30 * 3 * 2
+    assert checks.Product(range(5, 5), range(10**30)).size() == 0
     t0 = time.perf_counter()
     for suite in ("all", "kfun-props", "bounds-props"):
         with pytest.raises(OutOfRangeError, match="the verify cell budget"):
