@@ -6,8 +6,11 @@ Subcommands: ``kfun`` (single minimizer queries), ``table`` (value tables),
 
 Each command is declared once, as one row of a table: ``_COMMANDS``, and
 ``_BOUND_KINDS`` for the kinds of ``bound``.  Every handler returns one
-``Output`` record that holds its result in all three formats; ``run``
-prints the one ``--format`` selects.
+``Output`` record: its text lines, and a JSON document and CSV rows that
+hold the domain values themselves.  ``run`` prints the format ``--format``
+selects, and only the printer converts a value: ``json.dumps`` through
+``_json``, the one map from a value type to the frozen JSON schema, and
+``csv.writer`` by ``str``, with "" for None.
 
 One call builds and imports only what its argv uses.  ``build_parser``
 names every command and ``bound`` kind, so usage, help and "invalid
@@ -58,7 +61,8 @@ class UsageError(CoisocapError, ValueError):
 # ---------------------------------------------------------------------------
 
 class Output(Frozen):
-    """One invocation's result in every output format, with its exit code."""
+    """One invocation's result, with its exit code: text lines, a JSON
+    document and CSV rows, whose domain values the printers convert."""
 
     __slots__ = ("text", "json", "csv_header", "csv_rows", "code")
 
@@ -75,10 +79,26 @@ def _print_text(out: Output) -> None:
     sys.stdout.write("".join(f"{line}\n" for line in out.text))
 
 
+def _json(value):
+    """A domain value in the frozen JSON schema: the ``default`` of
+    ``json.dumps``, which converts what this returns in turn."""
+    if isinstance(value, Fraction):  # a multiple of pi
+        return {"num": value.numerator, "den": value.denominator, "unit": "pi"}
+    if isinstance(value, (kfun.ExtNat, spectra.ExtRat)):
+        return "inf" if value.value is None else value.value
+    if isinstance(value, kfun.Decomposition):
+        return [[p.k, p.n] for p in value.pairs]
+    if isinstance(value, spectra.Spectrum):
+        return {"kind": "zero"} if value.is_zero else {"kind": "lattice", "gen": value.gen}
+    if isinstance(value, bounds.Citation):
+        return {"id": value.id, "statement": value.statement}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _print_json(out: Output) -> None:
     import json
 
-    print(json.dumps(out.json, indent=2))
+    print(json.dumps(out.json, indent=2, default=_json))
 
 
 def _print_csv(out: Output) -> None:
@@ -90,37 +110,6 @@ def _print_csv(out: Output) -> None:
 
 
 _PRINTERS = {"text": _print_text, "json": _print_json, "csv": _print_csv}
-
-
-# ---------------------------------------------------------------------------
-# Serialization helpers (the frozen JSON schema)
-# ---------------------------------------------------------------------------
-
-def _rat_json(q: Fraction) -> dict:
-    return {"num": q.numerator, "den": q.denominator, "unit": "pi"}
-
-
-def _ext_json(x: kfun.ExtNat | spectra.ExtRat):
-    """Infinity as "inf", else a count (ExtNat) or a multiple of pi (ExtRat)."""
-    if not x.is_finite:
-        return "inf"
-    return _rat_json(x.value) if isinstance(x, spectra.ExtRat) else x.value
-
-
-def _witness_json(dec: kfun.Decomposition | None):
-    if dec is None:
-        return None
-    return [[p.k, p.n] for p in dec.pairs]
-
-
-def _spectrum_json(s: spectra.Spectrum) -> dict:
-    if s.is_zero:
-        return {"kind": "zero"}
-    return {"kind": "lattice", "gen": _rat_json(s.gen)}
-
-
-def _citations_json(cites) -> list[dict]:
-    return [{"id": c.id, "statement": c.statement} for c in cites]
 
 
 # ---------------------------------------------------------------------------
@@ -188,33 +177,28 @@ _POSITIVE, _NONNEG = _int_at_least(1), _int_at_least(0)
 _KFUN_COLUMNS = ["n", "d", "value", "witness"]
 
 
-def _kfun_row(fn: str, n: int, d) -> tuple[str, dict, dict]:
-    """One minimizer value: its text line, its CSV cells by column and its
-    JSON value and witness."""
+def _kfun_row(fn: str, n: int, d) -> tuple[str, list]:
+    """One minimizer value: its text line and its cells, one per column of
+    ``_KFUN_COLUMNS``."""
     if fn == "K":
         label, result = f"K({n})", kfun.big_k(n)
     else:
         label, result = f"{fn}({n},{d})", getattr(kfun, fn)(n, d)
-    value = str(result.value)
-    if result.witness is None:
-        line, witness = f"{label} = {value}", ""
-    else:
-        witness = str(result.witness)
-        line = f"{label} = {value}, witness {witness}"
-    cells = {"n": n, "d": "" if d is None else str(d), "value": value, "witness": witness}
-    fields = {"value": _ext_json(result.value), "witness": _witness_json(result.witness)}
-    return line, cells, fields
+    line = f"{label} = {result.value}"
+    if result.witness is not None:
+        line += f", witness {result.witness}"
+    return line, [n, d, result.value, result.witness]
 
 
 def _handle_kfun(args) -> Output:
     d = _parse_d(args.fn, args.d, "kfun")
-    line, cells, fields = _kfun_row(args.fn, args.n, d)
+    line, cells = _kfun_row(args.fn, args.n, d)
     query = f"kfun {args.fn} {args.n}" + ("" if d is None else f" {d}")
     return Output(
         [line],
-        {"query": query, **fields, "provenance": [], "notes": []},
+        {"query": query, "value": cells[2], "witness": cells[3], "provenance": [], "notes": []},
         _KFUN_COLUMNS,
-        [[cells[c] for c in _KFUN_COLUMNS]],
+        [cells],
     )
 
 
@@ -222,23 +206,27 @@ def _handle_table(args) -> Output:
     if args.stop < args.start:
         raise UsageError("table requires start <= stop")
     d = _parse_d(args.fn, args.d, "table")
-    if args.stop - args.start >= TABLE_MAX_ROWS:  # each row holds about 1 KB
+    # a row holds about 0.6 KB, and 1.3 KB while JSON prints it
+    if args.stop - args.start >= TABLE_MAX_ROWS:
         raise OutOfRangeError(f"table prints at most {TABLE_MAX_ROWS} rows")
     if args.fn == "K":  # the one refusal of a K range, rows above the size limit too
         kfun.check_k_rows(args.start, args.stop)
     rows = [_kfun_row(args.fn, n, d) for n in range(args.start, args.stop + 1)]
     query = f"table {args.fn} {args.start} {args.stop}" + ("" if d is None else f" --d {d}")
+    if d is None:
+        columns, cells = ["n", "value", "witness"], [[n, v, w] for _, (n, _, v, w) in rows]
+    else:
+        columns, cells = _KFUN_COLUMNS, [row for _, row in rows]
     d_entry = {} if d is None else {"d": str(d)}
-    columns = _KFUN_COLUMNS if d is not None else [c for c in _KFUN_COLUMNS if c != "d"]
     return Output(
-        [line for line, _, _ in rows],
+        [line for line, _ in rows],
         {
             "query": query,
-            "rows": [{"n": cells["n"], **d_entry, **fields} for _, cells, fields in rows],
+            "rows": [{"n": n, **d_entry, "value": v, "witness": w} for _, (n, _, v, w) in rows],
             "notes": [],
         },
         columns,
-        [[cells[c] for c in columns] for _, cells, _ in rows],
+        cells,
     )
 
 
@@ -260,54 +248,43 @@ def _handle_spectrum(args) -> Output:
         {
             "query": f"spectrum {name}",
             "value": {
-                "product_spectrum": _spectrum_json(spectrum),
-                "minimal_action": _ext_json(min_action),
-                "split_min_action": _ext_json(split_action),
+                "product_spectrum": spectrum,
+                "minimal_action": min_action,
+                "split_min_action": split_action,
             },
             "witness": None,
             "provenance": [],
             "notes": notes,
         },
         ["object", "product_spectrum", "minimal_action", "split_min_action"],
-        [[name, str(spectrum), str(min_action), str(split_action)]],
+        [[name, spectrum, min_action, split_action]],
     )
 
 
 def _interval_output(query: str, interval: bounds.BoundInterval,
                      notes: tuple[str, ...] | list[str] = ()) -> Output:
+    lower, upper, witness = interval.lower, interval.upper, interval.witness
     lower_ids = [c.id for c in interval.lower_prov]
     upper_ids = [c.id for c in interval.upper_prov]
-    witness = interval.witness
-    witness_text = "" if witness is None else str(witness)
     text = [
-        f"{query}: [{interval.lower}, {interval.upper}]",
+        f"{query}: [{lower}, {upper}]",
         f"  lower: {', '.join(lower_ids) or '<trivial>'}",
         f"  upper: {', '.join(upper_ids) or '<trivial>'}",
     ]
     if witness is not None:
-        text.append(f"  witness: {witness_text}")
+        text.append(f"  witness: {witness}")
     text += [f"  note: {note}" for note in notes]
     return Output(
         text,
         {
             "query": query,
-            "interval": {"lower": _ext_json(interval.lower), "upper": _ext_json(interval.upper)},
-            "witness": _witness_json(witness),
-            "provenance": {
-                "lower": _citations_json(interval.lower_prov),
-                "upper": _citations_json(interval.upper_prov),
-            },
-            "notes": list(notes),
+            "interval": {"lower": lower, "upper": upper},
+            "witness": witness,
+            "provenance": {"lower": interval.lower_prov, "upper": interval.upper_prov},
+            "notes": notes,
         },
         ["query", "lower", "upper", "lower_provenance", "upper_provenance", "witness"],
-        [[
-            query,
-            str(interval.lower),
-            str(interval.upper),
-            ";".join(lower_ids),
-            ";".join(upper_ids),
-            witness_text,
-        ]],
+        [[query, lower, upper, ";".join(lower_ids), ";".join(upper_ids), witness]],
     )
 
 
@@ -351,13 +328,14 @@ def _handle_verify(args) -> Output:
     for c in report.checks:
         cells = [c.name, c.range_desc, c.pass_count, c.fail_count]
         line = f"check {c.name} [{c.range_desc}] pass={c.pass_count} fail={c.fail_count}"
-        if c.first_failure is None:
-            failure_json, failure = None, ""
-        else:
-            failure_json, failure = [str(x) for x in c.first_failure], str(c.first_failure)
+        inputs = failure = None
+        if c.first_failure is not None:
+            # each input by its str, spelled as Python spells a tuple of ints
+            inputs = [str(x) for x in c.first_failure]
+            failure = f"({', '.join(inputs)}{',' if len(inputs) == 1 else ''})"
             line += f" first_failure={failure}"
         text.append(line)
-        checks.append(dict(zip(_CHECK_COLUMNS, cells + [failure_json])))
+        checks.append(dict(zip(_CHECK_COLUMNS, cells + [inputs])))
         rows.append(cells + [failure])
     status = "ok" if report.ok else "FAILED"
     text.append(f"verify {args.suite}: {status}"

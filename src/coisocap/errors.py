@@ -96,16 +96,6 @@ class Extended:
             return NotImplemented
         return other.value is None or (self.value is not None and self.value <= other.value)
 
-    def __gt__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return other.value is not None and (self.value is None or self.value > other.value)
-
-    def __ge__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value is None or (other.value is not None and self.value >= other.value)
-
 
 def clip(text: str) -> str:
     """``text`` cut to 40 characters plus an ellipsis, for echoing a token

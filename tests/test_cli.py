@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coisocap.kfun as kfun
+from coisocap import parse_product, verify
 from coisocap.cli import TABLE_MAX_ROWS, run
 from coisocap.errors import clip
 from coisocap.verify import VERIFY_MAX_CELLS
@@ -314,6 +315,25 @@ def test_verify_reports_failures_with_exit_3(capsys, monkeypatch, fmt):
         rows = list(csv.DictReader(io.StringIO(out)))
         failed = [r for r in rows if r["fail_count"] != "0"]
         assert failed and all(r["first_failure"] for r in failed)
+
+
+@pytest.mark.parametrize("first_failure, text, inputs", [
+    ((parse_product("S(2;pi) x C(S2,1;pi/3)"), Fraction(1, 2)),
+     "(S(2;pi) x C(S2,1;pi/3), 1/2)", ["S(2;pi) x C(S2,1;pi/3)", "1/2"]),
+    ((5,), "(5,)", ["5"]),
+], ids=["product-and-fraction", "int-1-tuple"])
+def test_verify_prints_each_failing_input_by_its_str(capsys, monkeypatch, first_failure,
+                                                     text, inputs):
+    """Text and CSV spell a first failure as Python spells a tuple of ints,
+    each input by its str, as JSON lists it: never a repr."""
+    report = verify.VerifyReport((verify.CheckResult("c", "r", 1, 1, first_failure),), 0)
+    monkeypatch.setattr(verify, "run_suite", lambda *args: report)
+    outs = {fmt: invoke(capsys, "verify", "all", "--nmax", "1", "--format", fmt)
+            for fmt in ("text", "json", "csv")}
+    assert {code for code, _, _ in outs.values()} == {3}
+    assert outs["text"][1].splitlines()[0] == f"check c [r] pass=1 fail=1 first_failure={text}"
+    assert json.loads(outs["json"][1])["checks"][0]["first_failure"] == inputs
+    assert next(csv.DictReader(io.StringIO(outs["csv"][1])))["first_failure"] == text
 
 
 @pytest.mark.parametrize("argv, message", [
