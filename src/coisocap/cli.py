@@ -7,10 +7,11 @@ Subcommands: ``kfun`` (single minimizer queries), ``table`` (value tables),
 Each command is declared once, as one row of a table: ``_COMMANDS``, and
 ``_BOUND_KINDS`` for the kinds of ``bound``.  Every handler returns one
 ``Output`` record: its text lines, and a JSON document and CSV rows that
-hold the domain values themselves.  ``run`` prints the format ``--format``
-selects, and only the printer converts a value: ``json.dumps`` through
-``_json``, the one map from a value type to the frozen JSON schema, and
-``csv.writer`` by ``str``, with "" for None.
+hold the domain values themselves, as iterables (``table``'s are lazy,
+so a call computes only what its printer reads).  ``run`` prints the
+format ``--format`` selects, and only the printer converts a value:
+``json.dumps`` through ``_json``, the one map from a value type to the
+frozen JSON schema, and ``csv.writer`` by ``str``, with "" for None.
 
 One call builds and imports only what its argv uses.  ``build_parser``
 names every command and ``bound`` kind, so usage, help and "invalid
@@ -38,17 +39,18 @@ import argparse
 import gc
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from fractions import Fraction
 
 from . import bounds, kfun, spectra, verify
 from .errors import (CoisocapError, ExprParseError, Frozen, OutOfRangeError, check_rational_size,
-                     clip)
+                     clip, digit_limit)
 from .expr import format_product, parse_area, parse_product
 from .spectra import format_pi
 
 
-# Most rows one ``table`` call prints; the rows are built before printing.
+# Most rows one ``table`` call prints: a bound on run time (only JSON holds them).
 TABLE_MAX_ROWS = 10**5
 
 
@@ -62,12 +64,13 @@ class UsageError(CoisocapError, ValueError):
 
 class Output(Frozen):
     """One invocation's result, with its exit code: text lines, a JSON
-    document and CSV rows, whose domain values the printers convert."""
+    document and CSV rows, whose domain values the printers convert; each
+    field is an iterable, and only the printer that runs reads its own."""
 
     __slots__ = ("text", "json", "csv_header", "csv_rows", "code")
 
-    def __init__(self, text: list[str], json: dict, csv_header: list[str],
-                 csv_rows: list[list], code: int = 0) -> None:
+    def __init__(self, text: Iterable[str], json: dict, csv_header: list[str],
+                 csv_rows: Iterable[Iterable], code: int = 0) -> None:
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "json", json)
         object.__setattr__(self, "csv_header", csv_header)
@@ -76,7 +79,7 @@ class Output(Frozen):
 
 
 def _print_text(out: Output) -> None:
-    sys.stdout.write("".join(f"{line}\n" for line in out.text))
+    sys.stdout.writelines(f"{line}\n" for line in out.text)
 
 
 def _json(value):
@@ -92,6 +95,8 @@ def _json(value):
         return {"kind": "zero"} if value.is_zero else {"kind": "lattice", "gen": value.gen}
     if isinstance(value, bounds.Citation):
         return {"id": value.id, "statement": value.statement}
+    if isinstance(value, Iterator):  # a table's rows
+        return list(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -122,16 +127,27 @@ def _grammar_digits(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _argv_int(text: str) -> int:
+    """An integer from argv: the grammar's digits, and, as in an
+    expression's integer fields, fewer than ``digit_limit()`` of them;
+    else a ValueError that says what the token must be."""
+    digits = text.strip()
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    if not (_grammar_digits(text) and digits.isdigit()):
+        raise ValueError("an integer")
+    if len(digits) >= digit_limit():
+        raise ValueError(f"an integer of fewer than {digit_limit()} digits")
+    return int(text)
+
+
 def _int_at_least(lo: int):
     """argparse type for an integer >= lo."""
 
     def parse(text: str) -> int:
         try:
-            if not _grammar_digits(text):
-                raise ValueError(text)
-            value = int(text)
+            value = _argv_int(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {clip(text)!r}") from exc
+            raise argparse.ArgumentTypeError(f"expected {exc}, got {clip(text)!r}") from exc
         if value < lo:
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {lo}, got {clip(str(value))}"
@@ -157,13 +173,16 @@ def _parse_d(fn: str, text: str | None, command: str):
         return None
     if text is None:
         raise UsageError(_D_USAGE[command][1].format(fn))
+    if fn == "keq":
+        try:
+            return _argv_int(text)
+        except ValueError as exc:
+            raise UsageError(f"d must be {exc}, got {clip(text)!r}") from None
     if _grammar_digits(text):
-        if fn == "kk":  # the one digit-limit check; its OutOfRangeError is exit 1
-            check_rational_size(text, OutOfRangeError, "d")
+        check_rational_size(text, OutOfRangeError, "d")  # kk's one digit-limit check: exit 1
         with suppress(ValueError, ZeroDivisionError):
-            return int(text) if fn == "keq" else Fraction(text)
-    kind = "an integer" if fn == "keq" else "a rational like 9/2"
-    raise UsageError(f"d must be {kind}, got {clip(text)!r}")
+            return Fraction(text)
+    raise UsageError(f"d must be a rational like 9/2, got {clip(text)!r}")
 
 
 _FUNCTIONS = ("K", "keq", "kk")
@@ -174,12 +193,9 @@ _POSITIVE, _NONNEG = _int_at_least(1), _int_at_least(0)
 # Handlers
 # ---------------------------------------------------------------------------
 
-_KFUN_COLUMNS = ["n", "d", "value", "witness"]
-
-
 def _kfun_row(fn: str, n: int, d) -> tuple[str, list]:
-    """One minimizer value: its text line and its cells, one per column of
-    ``_KFUN_COLUMNS``."""
+    """One minimizer value: its text line and its cells, n, d, value and
+    witness."""
     if fn == "K":
         label, result = f"K({n})", kfun.big_k(n)
     else:
@@ -197,7 +213,7 @@ def _handle_kfun(args) -> Output:
     return Output(
         [line],
         {"query": query, "value": cells[2], "witness": cells[3], "provenance": [], "notes": []},
-        _KFUN_COLUMNS,
+        ["n", "d", "value", "witness"],
         [cells],
     )
 
@@ -206,27 +222,25 @@ def _handle_table(args) -> Output:
     if args.stop < args.start:
         raise UsageError("table requires start <= stop")
     d = _parse_d(args.fn, args.d, "table")
-    # a row holds about 0.6 KB, and 1.3 KB while JSON prints it
     if args.stop - args.start >= TABLE_MAX_ROWS:
         raise OutOfRangeError(f"table prints at most {TABLE_MAX_ROWS} rows")
     if args.fn == "K":  # the one refusal of a K range, rows above the size limit too
         kfun.check_k_rows(args.start, args.stop)
-    rows = [_kfun_row(args.fn, n, d) for n in range(args.start, args.stop + 1)]
+    elif d < 0:  # the kernel refuses every row: refuse before the CSV header
+        raise OutOfRangeError("d must be >= 0")
     query = f"table {args.fn} {args.start} {args.stop}" + ("" if d is None else f" --d {d}")
-    if d is None:
-        columns, cells = ["n", "value", "witness"], [[n, v, w] for _, (n, _, v, w) in rows]
-    else:
-        columns, cells = _KFUN_COLUMNS, [row for _, row in rows]
     d_entry = {} if d is None else {"d": str(d)}
+
+    def rows():  # each row's line and JSON object, whose values are its CSV cells
+        for n in range(args.start, args.stop + 1):
+            line, (_, _, value, witness) = _kfun_row(args.fn, n, d)
+            yield line, {"n": n, **d_entry, "value": value, "witness": witness}
+
     return Output(
-        [line for line, _ in rows],
-        {
-            "query": query,
-            "rows": [{"n": n, **d_entry, "value": v, "witness": w} for _, (n, _, v, w) in rows],
-            "notes": [],
-        },
-        columns,
-        cells,
+        (line for line, _ in rows()),
+        {"query": query, "rows": (row for _, row in rows()), "notes": []},
+        ["n", *d_entry, "value", "witness"],
+        (row.values() for _, row in rows()),
     )
 
 

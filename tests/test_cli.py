@@ -436,6 +436,29 @@ def test_oversized_integer_field_is_a_grammar_error(capsys, expr, name):
     assert err == f"error: {name} needs fewer than {sys.get_int_max_str_digits()} digits\n"
 
 
+_FEWER = f"an integer of fewer than {_LIMIT} digits"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("kfun", "keq", "5", _DIGITS), f"d must be {_FEWER}, got {clip(_DIGITS)!r}"),
+    (("kfun", "keq", "5", "-" + _DIGITS), f"d must be {_FEWER}, got {clip('-' + _DIGITS)!r}"),
+    (("table", "keq", "1", "2", "--d", "0" * _LIMIT),
+     f"d must be {_FEWER}, got {clip('0' * _LIMIT)!r}"),
+    (("kfun", "keq", _DIGITS, "7"), f"argument n: expected {_FEWER}, got {clip(_DIGITS)!r}"),
+    (("table", "kk", "1", f" +{_TOO_LONG} ", "--d", "3"),
+     f"argument stop: expected {_FEWER}, got {clip(f' +{_TOO_LONG} ')!r}"),
+    (("bound", "capacity", "5", _TOO_LONG),
+     f"argument d: expected {_FEWER}, got {clip(_TOO_LONG)!r}"),
+    (("verify", "all", "--nmax", _TOO_LONG),
+     f"argument --nmax: expected {_FEWER}, got {clip(_TOO_LONG)!r}"),
+], ids=["keq-d", "keq-negative-d", "table-keq-d-zeros", "kfun-n", "table-stop", "capacity-d",
+        "verify-nmax"])
+def test_an_integer_of_too_many_digits_is_named_for_its_length(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("argv", [
     ("kfun", "keq", "5", _DIGITS),
     ("kfun", "keq", _DIGITS + "x", "5"),
@@ -555,6 +578,9 @@ _D_ARGUMENTS = {
     "kk-d": (("kfun", "kk", "5", "{}"), True, "error: d must be >= 0\n"),
     "table-keq-d": (("table", "keq", "1", "3", "--d", "{}"), False, "error: d must be >= 0\n"),
     "table-kk-d": (("table", "kk", "1", "3", "--d", "{}"), True, "error: d must be >= 0\n"),
+    # refused before the CSV header too
+    "table-kk-d-csv": (("table", "kk", "1", "3", "--d", "{}", "--format", "csv"), True,
+                       "error: d must be >= 0\n"),
     "squeeze-d": (("bound", "squeeze", "9", "{}"), True,
                   "error: d must be >= n, got (n, d)=(9, {})\n"),
 }
@@ -626,6 +652,50 @@ def test_a_closed_stdout_keeps_a_failing_verify_at_exit_3(capsys, monkeypatch, t
         monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
         code = run(["verify", "kfun-props", "--nmax", "4"])
     assert code == 3 and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_closed_stdout_stops_the_table_kernel(capsys, monkeypatch, tmp_path, fmt):
+    calls, kk = [], kfun.kk
+
+    def counted_kk(n, d):
+        calls.append(n)
+        return kk(n, d)
+
+    monkeypatch.setattr(kfun, "kk", counted_kk)
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = run(["table", "kk", "1", "20000", "--d", "5", "--format", fmt])
+    assert code == 0 and capsys.readouterr().err == ""
+    if fmt != "json":  # JSON still computes every row before its first byte
+        assert len(calls) <= 1
+
+
+_HIGH_WATER = (
+    "import sys\n"
+    "def high_water_kb():\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+    "from coisocap import cli\n"
+    "after_import = high_water_kb()\n"
+    "code = cli.run(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(code, high_water_kb() - after_import, file=sys.stderr)\n"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_a_long_table_does_not_hold_its_rows(fmt):
+    # VmHWM is the child's own peak from its exec on; ru_maxrss of a child
+    # would count the RSS of the parent at fork
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", _HIGH_WATER, "table", "kk", "1", "100000", "--d", "5",
+         "--format", fmt],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120)
+    code, growth_kb = map(int, child.stderr.split())
+    assert code == 0 and growth_kb < 20 * 1024
 
 
 # ---------------------------------------------------------------------------
