@@ -218,7 +218,7 @@ def big_k_table(nmax: int) -> tuple[int, ...]:
     if nmax < 0:
         raise OutOfRangeError("nmax must be >= 0")
     if nmax > BIG_K_NMAX:  # the one refusal of a K value above the size limit
-        raise OutOfRangeError(f"nmax must be <= {BIG_K_NMAX} (the K table size limit)")
+        raise OutOfRangeError(f"K is tabulated only for n <= {BIG_K_NMAX} (its table size limit)")
     table = [0] * (nmax + 1)
     for m in range(1, nmax + 1):
         best = table[m - 1] + 1

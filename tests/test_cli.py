@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import coisocap.kfun as kfun
 from coisocap import parse_product, verify
-from coisocap.cli import TABLE_MAX_ROWS, run
+from coisocap.cli import _JSON_BATCH, TABLE_MAX_ROWS, run
 from coisocap.errors import clip
 from coisocap.verify import VERIFY_MAX_CELLS
 
@@ -338,7 +338,7 @@ def test_verify_prints_each_failing_input_by_its_str(capsys, monkeypatch, first_
 
 @pytest.mark.parametrize("argv, message", [
     (("kfun", "K", "1000000000000000"),
-     f"nmax must be <= {kfun.BIG_K_NMAX} (the K table size limit)"),
+     f"K is tabulated only for n <= {kfun.BIG_K_NMAX} (its table size limit)"),
     # refused before the first row, not when the table reaches it
     (("table", "K", "1", "1000001"), f"table prints at most {TABLE_MAX_ROWS} rows"),
 ], ids=["kfun-K", "table-K"])
@@ -613,6 +613,20 @@ def test_a_negative_d_gets_one_exit_code_and_message_however_it_is_spelled(data)
     assert (code, out.getvalue(), err.getvalue()) == (1, "", message.format(Fraction(spelling)))
 
 
+# Tokens that start with "-" but not with a digit or ".digit" in ASCII: "-"
+# alone is a value that is no rational, each other token an option.
+@pytest.mark.parametrize("token, last_line", [
+    ("-", "error: d must be a rational like 9/2, got '-'"),
+    ("-.", "coisocap: error: unrecognized arguments: -."),
+    ("--d", "coisocap: error: unrecognized arguments: --d"),
+    ("-x", "coisocap: error: unrecognized arguments: -x"),
+    ("-\u0663", "coisocap: error: unrecognized arguments: -\u0663"),
+], ids=["dash", "dash-dot", "double-dash", "dash-letter", "dash-arabic-indic-digit"])
+def test_a_dash_token_that_is_no_negative_number_is_a_parse_error(capsys, token, last_line):
+    code, out, err = invoke(capsys, "kfun", "kk", "5", token)
+    assert (code, out, err.splitlines()[-1]) == (2, "", last_line)
+
+
 # ---------------------------------------------------------------------------
 # a closed stdout
 # ---------------------------------------------------------------------------
@@ -667,8 +681,7 @@ def test_a_closed_stdout_stops_the_table_kernel(capsys, monkeypatch, tmp_path, f
         monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
         code = run(["table", "kk", "1", "20000", "--d", "5", "--format", fmt])
     assert code == 0 and capsys.readouterr().err == ""
-    if fmt != "json":  # JSON still computes every row before its first byte
-        assert len(calls) <= 1
+    assert len(calls) <= 1
 
 
 _HIGH_WATER = (
@@ -685,7 +698,7 @@ _HIGH_WATER = (
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
-@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_a_long_table_does_not_hold_its_rows(fmt):
     # VmHWM is the child's own peak from its exec on; ru_maxrss of a child
     # would count the RSS of the parent at fork
@@ -696,6 +709,15 @@ def test_a_long_table_does_not_hold_its_rows(fmt):
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120)
     code, growth_kb = map(int, child.stderr.split())
     assert code == 0 and growth_kb < 20 * 1024
+
+
+@pytest.mark.parametrize("rows", [1, _JSON_BATCH - 1, _JSON_BATCH, _JSON_BATCH + 1,
+                                  2 * _JSON_BATCH + 1])
+def test_json_written_by_row_batches_is_the_layout_of_json_dumps(capsys, rows):
+    code, out, err = invoke(capsys, "table", "kk", "1", str(rows), "--d", "5", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert len(json.loads(out)["rows"]) == rows
 
 
 # ---------------------------------------------------------------------------
