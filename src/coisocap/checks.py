@@ -46,15 +46,17 @@ d <= max(dmax, 2n - 1), both values only, from one table of
 ``square_mass_costs`` (keq(n, d) = C(2n - d, d - n) on the capacity
 window, and kk a running minimum of keq over n <= n' <= d' <= d); and the
 squeeze intervals over 2 <= n <= nmax, n <= d <= dmax, one
-``bounds.squeeze_bounds`` call per cell.  ``kfun-props`` also builds the
-K table over 0..max(nmax, dmax) and the K answers ``kfun.big_k(n)`` for
-n <= nmax, once each.  The kfun predicates compare exact integers, with
-None for infinity; the squeeze monotonicity and collapse checks both
-read the squeeze intervals.  The diagonal, root-bound window and witness
-audit checks, which have few cells or need witnesses, still call
-``kk``/``keq`` per cell, and the capacity checks call
-``bounds.capacity_bounds`` once per cell.  Every check still visits and
-counts each of its cells.
+``bounds.squeeze_bounds`` call per cell.  The cost table reads no K table:
+it scans each q's levels from ceil(sqrt(q)) up, as the kernel does, so a
+wrong K table cannot hang it or change a grid.  ``kfun-props`` builds the
+K table over 0..max(nmax, dmax), which its four-square check tests, and
+the K answers ``kfun.big_k(n)`` for n <= nmax, once each.  The kfun
+predicates compare exact integers, with None for infinity; the squeeze
+monotonicity and collapse checks both read the squeeze intervals.  The
+diagonal, root-bound window and witness audit checks, which have few
+cells or need witnesses, still call ``kk``/``keq`` per cell, and the
+capacity checks call ``bounds.capacity_bounds`` once per cell.  Every
+check still visits and counts each of its cells.
 
 The budget is counted, before any grid is built, over the grids' index
 cells and the checks' cells, up to ``verify.VERIFY_MAX_CELLS``
@@ -82,7 +84,7 @@ from functools import lru_cache, partial
 from . import bounds, kfun, spectra
 from .errors import OutOfRangeError
 from .expr import parse_product
-from .kfun import _meets, _monoid, _square_parts
+from .kfun import _ceil_sqrt, _meets, _monoid, _square_parts
 from .verify import CheckResult, VerifyReport
 
 # ---------------------------------------------------------------------------
@@ -233,17 +235,18 @@ def square_mass_costs(top: int) -> list[list[int]]:
     (C[0] is empty): the least cost of parts with square sum q whose
     distinct parts generate the slack r.
 
-    One scan per q answers every r: it walks the part tuples of the levels
-    K(q), K(q) + 2, ... (the part sum has the parity of q), and each r
-    takes the first level at which some tuple's distinct parts generate it.
-    At level q the all-ones tuple generates every r, so the scan ends there.
+    One scan per q answers every r, as ``kfun._square_mass_search`` scans
+    its levels: it walks the part tuples of the levels ceil(sqrt(q)),
+    ceil(sqrt(q)) + 1, ..., and each r takes the first level at which some
+    tuple's distinct parts generate it.  A level below K(q), or of the
+    other parity than q, holds no tuple.  At level q the all-ones tuple
+    generates every r, so the scan ends there.
     """
-    table = kfun.big_k_table(top)
     costs: list[list[int]] = [[]]
     for q in range(1, top + 1):
         row = [0] * (top - q + 1)
         left = range(len(row))
-        cost = table[q]
+        cost = _ceil_sqrt(q)
         while left:
             for parts in _square_parts(cost, q, q, cost):
                 monoid = _monoid(tuple(set(parts)))
@@ -253,7 +256,7 @@ def square_mass_costs(top: int) -> list[list[int]]:
                 left = [r for r in left if not row[r]]
                 if not left:
                     break
-            cost += 2
+            cost += 1
         costs.append(row)
     return costs
 

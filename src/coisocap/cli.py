@@ -254,6 +254,12 @@ def _handle_table(args) -> Output:
 def _handle_spectrum(args) -> Output:
     obj = parse_product(args.expr)
     spectrum = spectra.product_spectrum(obj)
+    # The generator's denominator is the lcm of the areas' denominators, so
+    # areas of fewer digits than the limit can give one that str() refuses.
+    limit = digit_limit()
+    if not spectrum.is_zero and spectrum.gen.denominator >= 10 ** (limit - 1):
+        raise OutOfRangeError(f"the product spectrum's generator needs a numerator and a"
+                              f" denominator of fewer than {limit} digits")
     min_action = spectra.minimal_action(spectrum)
     split_action = spectra.split_min_action(obj)
     notes = spectra.assumption_notes(obj)

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
 
 from .errors import Extended, Frozen, OutOfRangeError, require_exact, require_int, require_n
 
@@ -44,7 +44,7 @@ from .errors import Extended, Frozen, OutOfRangeError, require_exact, require_in
 # one table.
 BIG_K_NMAX = 10**6
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 Monoid = tuple[int, int, list[int]]  # see _monoid
 
 

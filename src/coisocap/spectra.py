@@ -11,10 +11,10 @@ to exactly these two shapes and group sums are computed by rational gcd.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Iterable, Union
 
 from .errors import Extended, Frozen, clip, require_area, require_exact
 
@@ -218,7 +218,7 @@ class Closed(Frozen):
         return f"C({self.label},{self.half_dim};{gen}{tail})"
 
 
-CoisotropicAtom = Union[Sphere, Stiefel, Closed]
+CoisotropicAtom = Sphere | Stiefel | Closed
 
 
 class ProductObject(Frozen):

@@ -383,6 +383,11 @@ def _too_big(name):
     return f"{name} needs a numerator and a denominator of fewer than {_LIMIT} digits"
 
 
+# areas within the limit whose product spectrum is not: 10**3999 and 33...3
+# are coprime, so the generator's denominator, their lcm, has 8,000 digits
+_WIDE = f"S(1;1/1{'0' * 3999}) x S(1;1/{'3' * 4000})"
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (("kfun", "kk", "5", "1e10000000"), 1, _too_big("d")),
     (("kfun", "kk", "5", "1e5000"), 1, _too_big("d")),
@@ -394,14 +399,23 @@ def _too_big(name):
     (("spectrum", f"S(1;3pi/{_TOO_LONG})"), 2, _too_big("area")),
     (("bound", "width", f"{_TOO_LONG}/3"), 2, _too_big("area")),
     (("bound", "width", f"3/{_TOO_LONG}pi"), 2, _too_big("area")),
+    *((("spectrum", _WIDE, "--format", fmt), 1, _too_big("the product spectrum's generator"))
+      for fmt in ("text", "json", "csv")),
 ], ids=["kfun-kk", "kfun-kk-5000-digits", "table-kk", "spectrum", "bound-width",
         "spectrum-numerator", "spectrum-denominator", "bound-width-numerator",
-        "bound-width-denominator"])
+        "bound-width-denominator", "spectrum-lcm-text", "spectrum-lcm-json", "spectrum-lcm-csv"])
 def test_oversized_rational_is_refused_up_front(capsys, argv, code, message):
     t0 = time.perf_counter()
     got, out, err = invoke(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
     assert (got, out, err) == (code, "", f"error: {message}\n")
+
+
+def test_energy_of_a_product_past_the_spectrum_limit_is_answered(capsys):
+    # its endpoints are input areas: the least one, here also the least sphere area
+    code, out, err = invoke(capsys, "bound", "energy", _WIDE, "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].endswith(f": [pi/{'3' * 4000}, pi/{'3' * 4000}]")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,8 +2,8 @@
 by position and by keyword, compares and hashes as its tuple of fields,
 never equals an object of another class, refuses assignment and
 deletion, and survives a pickle round trip.  A cold ``import
-coisocap.cli`` loads every layer and neither ``dataclasses`` nor
-``inspect``."""
+coisocap.cli`` loads every layer and none of ``dataclasses``,
+``inspect`` and ``typing``."""
 import copy
 import itertools
 import operator
@@ -229,7 +229,7 @@ def test_cold_cli_import_loads_every_layer_without_dataclasses_or_inspect():
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     added = set(subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT], env=env, check=True,
                                capture_output=True, text=True).stdout.split())
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "typing"}
     layers = {f"coisocap.{layer}" for layer in
               ("errors", "expr", "kfun", "spectra", "bounds", "verify", "cli")}
     assert layers <= added

@@ -262,6 +262,24 @@ def test_grids_match_the_per_call_kernel():
     assert checks._kk_grid(30, 60) == _grid(kfun.kk, checks._kk_cells(30, 60))
 
 
+def test_square_mass_costs_are_keq_per_cell():
+    # C[q][r] = keq(q + r, q + 2r), one public call per cell, at every top
+    want = {(q, r): kfun.keq(q + r, q + 2 * r).value.value
+            for q in range(1, 151) for r in range(151 - q)}
+    for top in range(151):
+        assert checks.square_mass_costs(top) == [
+            [], *([want[q, r] for r in range(top - q + 1)] for q in range(1, top + 1))]
+
+
+def test_square_mass_costs_read_no_k_table(monkeypatch):
+    def refused(nmax):
+        raise AssertionError("the cost table scans its levels from ceil(sqrt(q))")
+
+    want = checks.square_mass_costs(60)
+    monkeypatch.setattr(kfun, "big_k_table", refused)
+    assert checks.square_mass_costs(60) == want
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(1, 12), st.integers(0, 40))
 @example(1, 0)
