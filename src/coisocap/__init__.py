@@ -38,7 +38,9 @@ def __getattr__(name: str):
     if layer is None and name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # The builtin import, unlike importlib.import_module, is what
-    # ``-X importtime`` reports, one line per layer.
+    # ``-X importtime`` reports, one line per layer it loads.  A layer that
+    # ``coisocap.cli`` registered to run on first use is in sys.modules
+    # already: the import runs it, and reports no line.
     module_name = f"{__name__}.{layer or name}"
     __import__(module_name)
     module = sys.modules[module_name]

@@ -17,8 +17,11 @@ One call builds and imports only what its argv uses.  ``build_parser``
 names every command and ``bound`` kind, so usage, help and "invalid
 choice" errors read the same, but gives arguments only to the ones argv
 names.  ``json`` and ``csv`` are imported by their printers.  Importing
-this module still imports every layer, but of ``kfun`` only the kernel
-and of ``verify`` only the runner: the cross-checks, in ``oracles``, and
+this module runs ``errors``, of ``kfun`` only the kernel and of
+``verify`` only the runner; it registers ``spectra``, ``expr`` and
+``bounds`` in ``sys.modules`` and on the package, but each runs on its
+first attribute access (``importlib.util.LazyLoader``), so a ``kfun`` or
+``table`` call runs none of them.  The cross-checks, in ``oracles``, and
 the suites' checks and sweep, in ``checks``, are compiled by the first
 sweep.
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import os
 import re
 import sys
@@ -46,11 +50,26 @@ from contextlib import suppress
 from fractions import Fraction
 from itertools import islice
 
-from . import bounds, kfun, spectra, verify
-from .errors import (CoisocapError, ExprParseError, OutOfRangeError, check_rational_size, clip,
-                     digit_limit)
-from .expr import format_product, parse_area, parse_product
-from .spectra import format_pi
+from . import kfun, verify
+from .errors import (CoisocapError, ExprParseError, Extended, OutOfRangeError,
+                     check_rational_size, clip, digit_limit)
+
+
+def _lazy(layer: str):
+    """The module ``coisocap.<layer>``, registered now and run on first
+    attribute access, unless it is registered already."""
+    name = f"{__package__}.{layer}"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], layer, module)
+    return module
+
+
+spectra, expr, bounds = _lazy("spectra"), _lazy("expr"), _lazy("bounds")
 
 
 # Most rows one ``table`` call prints: a bound on run time.
@@ -79,10 +98,11 @@ def _json(value):
     which converts what this returns in turn."""
     if isinstance(value, Fraction):  # a multiple of pi
         return {"num": value.numerator, "den": value.denominator, "unit": "pi"}
-    if isinstance(value, (kfun.ExtNat, spectra.ExtRat)):
+    if isinstance(value, Extended):  # ExtNat or ExtRat
         return "inf" if value.value is None else value.value
     if isinstance(value, kfun.Decomposition):
         return [[p.k, p.n] for p in value.pairs]
+    # No kfun or table value gets past here, so those calls run neither layer below.
     if isinstance(value, spectra.Spectrum):
         return {"kind": "zero"} if value.is_zero else {"kind": "lattice", "gen": value.gen}
     if isinstance(value, bounds.Citation):
@@ -252,7 +272,7 @@ def _handle_table(args) -> Output:
 
 
 def _handle_spectrum(args) -> Output:
-    obj = parse_product(args.expr)
+    obj = expr.parse_product(args.expr)
     spectrum = spectra.product_spectrum(obj)
     # The generator's denominator is the lcm of the areas' denominators, so
     # areas of fewer digits than the limit can give one that str() refuses.
@@ -263,7 +283,7 @@ def _handle_spectrum(args) -> Output:
     min_action = spectra.minimal_action(spectrum)
     split_action = spectra.split_min_action(obj)
     notes = spectra.assumption_notes(obj)
-    name = format_product(obj)
+    name = expr.format_product(obj)
     return Output(
         [
             f"object: {name}",
@@ -316,9 +336,9 @@ def _interval_output(query: str, interval: bounds.BoundInterval,
 
 
 def _handle_energy(args) -> Output:
-    obj = parse_product(args.expr)
+    obj = expr.parse_product(args.expr)
     return _interval_output(
-        f"bound energy {format_product(obj)}",
+        f"bound energy {expr.format_product(obj)}",
         bounds.energy_bounds(obj),
         notes=spectra.assumption_notes(obj),
     )
@@ -335,9 +355,9 @@ def _handle_squeeze(args) -> Output:
 
 
 def _handle_width(args) -> Output:
-    area = parse_area(args.area)
+    area = expr.parse_area(args.area)
     interval = bounds.width_energy_bound(area, args.closed_factor)
-    query = f"bound width {format_pi(area)}"
+    query = f"bound width {spectra.format_pi(area)}"
     if args.closed_factor:
         query += " --closed-factor"
     return _interval_output(query, interval)

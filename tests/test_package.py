@@ -104,12 +104,54 @@ def test_layers_are_attributes_after_a_bare_import():
                 f"for m in {layers!r}.split()))").stdout.split() == ["True"]
 
 
-def test_importtime_reports_every_layer_of_a_cold_cli_import():
+# The layers ``import coisocap.cli`` runs; it registers ``spectra``, ``expr``
+# and ``bounds`` too, but each runs on first use.
+CLI_IMPORT_RUNS = {"errors", "kfun", "verify", "cli"}
+
+
+def ran_by(statement: str, *flags: str) -> subprocess.CompletedProcess:
+    """A cold run of ``statement`` that prints the ``coisocap`` layers it has
+    run: a registered layer that has not run holds no name of its own."""
+    return cold(f"import sys\n{statement}\n"
+                "print(' '.join(name.removeprefix('coisocap.')"
+                " for name, module in sys.modules.items() if name.startswith('coisocap.')"
+                " and any(not key.startswith('__')"
+                " for key in object.__getattribute__(module, '__dict__'))))", *flags)
+
+
+def test_importtime_reports_every_layer_a_cold_cli_import_runs():
     # The per-layer import times of the benchmark read these lines; a layer
-    # the package loaded through importlib would be missing from them.
-    report = cold("import coisocap.cli", "-X", "importtime").stderr
-    timed = {line.rsplit("|", 1)[1].strip() for line in report.splitlines() if "|" in line}
-    assert {f"coisocap.{layer}" for layer in (*EXPORTS, "cli")} <= timed
+    # run on first use has no line, and the import runs none of them.
+    result = ran_by("import coisocap.cli", "-X", "importtime")
+    timed = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if "|" in line}
+    assert set(result.stdout.split()) == CLI_IMPORT_RUNS
+    assert {f"coisocap.{layer}" for layer in CLI_IMPORT_RUNS} <= timed
+    assert not {"coisocap.spectra", "coisocap.expr", "coisocap.bounds"} & timed
+
+
+# (argv, the layers the call runs beyond those the import runs)
+CALLS = [
+    (["kfun", "keq", "5", "7"], set()),
+    (["kfun", "kk", "5", "7/2", "--format", "json"], set()),
+    (["kfun", "K", "7", "--format", "csv"], set()),
+    (["table", "K", "1", "3"], set()),
+    (["table", "keq", "1", "3", "--d", "5", "--format", "json"], set()),
+    (["table", "kk", "1", "3", "--d", "5", "--format", "csv"], set()),
+    (["spectrum", "S(1;pi)"], {"expr", "spectra"}),
+    (["spectrum", "S(1;pi)", "--format", "json"], {"expr", "spectra"}),
+    (["bound", "energy", "S(2;pi)"], {"expr", "spectra", "bounds"}),
+    (["bound", "capacity", "5", "7", "--format", "text"], {"spectra", "bounds"}),
+    (["bound", "width", "pi", "--format", "csv"], {"expr", "spectra", "bounds"}),
+    (["verify", "oracle", "--nmax", "3"], {"expr", "spectra", "checks", "oracles"}),
+    (["verify", "all", "--nmax", "3"], {"expr", "spectra", "bounds", "checks", "oracles"}),
+]
+
+
+@pytest.mark.parametrize("argv, layers", CALLS, ids=["-".join(argv) for argv, _ in CALLS])
+def test_a_cli_call_runs_only_the_layers_it_uses(argv, layers):
+    ran = ran_by("import contextlib, io\nfrom coisocap.cli import run\n"
+                 f"with contextlib.redirect_stdout(io.StringIO()):\n    assert run({argv!r}) == 0")
+    assert set(ran.stdout.split()) == CLI_IMPORT_RUNS | layers
 
 
 def test_the_tracer_wraps_every_layer_and_times_a_sweep():
@@ -124,6 +166,42 @@ def test_the_tracer_wraps_every_layer_and_times_a_sweep():
                    "print(counts['kfun.keq_naive'] >= 1, counts['kfun.kk_naive'] >= 1,"
                    " file=sys.stderr)")
     assert summary.stderr.split() == ["0", "1", "True", "True"]
+
+
+def test_the_tracer_wraps_the_layers_run_on_first_use():
+    # ``install`` reads each layer off ``sys.modules``, which runs it; the
+    # names ``bounds`` imports from ``kfun`` are wrapped too, so nest.
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    spans = cold(f"import sys\nsys.path.insert(0, {str(bench)!r})\nimport tracing\n"
+                 "tracer = tracing.install()\nfrom coisocap import cli\n"
+                 "assert cli.run(['bound', 'energy', 'S(2;pi) x V(1,3;pi/2)']) == 0\n"
+                 "assert cli.run(['bound', 'capacity', '5', '7']) == 0\n"
+                 "buf, names = tracer.buf, tracer.names\n"
+                 "for i in range(0, len(buf), tracing.WIDTH):\n"
+                 "    parent = buf[i + 1]\n"
+                 "    print(names[buf[i]], names[buf[parent]] if parent >= 0 else '-',"
+                 " file=sys.stderr)").stderr.splitlines()
+    pairs = {tuple(line.split()) for line in spans}
+    assert {("expr.parse_product", "cli.run"), ("bounds.energy_bounds", "cli.run"),
+            ("spectra.split_min_action", "bounds.energy_bounds"),
+            ("kfun.keq", "bounds.capacity_bounds")} <= pairs
+
+
+@pytest.mark.parametrize("cli_first", [False, True], ids=["name-first", "cli-first"])
+@pytest.mark.parametrize("layer, name", [
+    ("spectra", "Spectrum"), ("expr", "parse_product"), ("bounds", "Citation")])
+def test_a_layer_run_on_first_use_is_one_module_run_once(layer, name, cli_first):
+    # An audit hook sees each ``exec`` of a module body, eager or lazy.
+    cli, by_name = "import coisocap.cli", f"from coisocap.{layer} import {name}"
+    result = cold(
+        "import sys\nruns = []\n"
+        "sys.addaudithook(lambda event, args: event == 'exec'"
+        f" and args[0].co_filename.endswith('{layer}.py') and runs.append(1))\n"
+        + "\n".join((cli, by_name) if cli_first else (by_name, cli)) +
+        f"\nimport coisocap\nmodule = sys.modules['coisocap.{layer}']\n"
+        f"print(coisocap.{layer} is module, coisocap.cli.{layer} is module,"
+        f" coisocap.{name} is {name} is module.{name}, len(runs))")
+    assert result.stdout.split() == ["True", "True", "True", "1"]
 
 
 @pytest.mark.parametrize("argv, sweeps", [
