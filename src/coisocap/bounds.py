@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import (Frozen, IntervalConflictError, OutOfRangeError, clip, require_area,
                      require_exact, require_int, require_n)
-from .kfun import Decomposition, WitnessedValue, keq, kk, Rational
+from .kfun import Decomposition, WitnessedValue, keq, kk
 from .spectra import (
     Closed,
     ExtRat,
@@ -162,7 +162,7 @@ def capacity_bounds(n: int, d: int) -> BoundInterval:
     return _reciprocal_interval(keq(n, d), "eq:A-coiso-d-B", "eq:A-coiso-d-Z", "mono:B-in-Z")
 
 
-def squeeze_bounds(n: int, d: Rational) -> BoundInterval:
+def squeeze_bounds(n: int, d: int | Fraction) -> BoundInterval:
     """Interval for the dimension-d squeezing constant of the unit ball,
     for n >= 2 and d >= n."""
     require_int(n, "n")

@@ -81,9 +81,8 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from . import bounds, kfun, spectra
+from . import bounds, expr, kfun, spectra
 from .errors import OutOfRangeError
-from .expr import parse_product
 from .kfun import _ceil_sqrt, _meets, _monoid, _square_parts
 from .verify import CheckResult, VerifyReport
 
@@ -573,7 +572,7 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
         return collapsed if d >= 2 * n - 1 else True
 
     def energy_is_pi(text):
-        interval = bounds.energy_bounds(parse_product(text))
+        interval = bounds.energy_bounds(expr.parse_product(text))
         return interval.lower == interval.upper == spectra.ExtRat.fin(1)
 
     def conformal(obj, c):
@@ -585,7 +584,7 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
         interval = bounds.width_energy_bound(a, flag)
         return interval.lower == interval.upper == spectra.ExtRat.fin(a)
 
-    objects = tuple(map(parse_product, _SAMPLE_PRODUCTS))
+    objects = tuple(map(expr.parse_product, _SAMPLE_PRODUCTS))
     return [squeeze_cells], build, [
         (
             "bounds-capacity-normalized",

@@ -17,13 +17,16 @@ One call builds and imports only what its argv uses.  ``build_parser``
 names every command and ``bound`` kind, so usage, help and "invalid
 choice" errors read the same, but gives arguments only to the ones argv
 names.  ``json`` and ``csv`` are imported by their printers.  Importing
-this module runs ``errors``, of ``kfun`` only the kernel and of
-``verify`` only the runner; it registers ``spectra``, ``expr`` and
-``bounds`` in ``sys.modules`` and on the package, but each runs on its
-first attribute access (``importlib.util.LazyLoader``), so a ``kfun`` or
-``table`` call runs none of them.  The cross-checks, in ``oracles``, and
-the suites' checks and sweep, in ``checks``, are compiled by the first
-sweep.
+this module runs ``errors`` and, of ``kfun``, only the kernel; it
+registers ``spectra``, ``expr``, ``bounds`` and ``verify`` in
+``sys.modules`` and on the package, but each runs on its first attribute
+access (``_lazy``), so a ``kfun`` or ``table`` call runs none of them, and
+only a ``verify`` call builds ``verify``'s arguments.  The cross-checks,
+in ``oracles``, and the suites' checks and sweep, in ``checks``, are
+compiled by the first sweep.  Nor does a ``kfun``, ``table`` or refused
+call import ``fractions`` (nor, through it, ``decimal`` and ``numbers``):
+a d spelled as an integer is read as an int, and ``_json`` finds a
+``Fraction`` through ``sys.modules``.
 
 ``main``, the installed script, freezes the heap (``gc.freeze``) after
 ``run`` returns, so the collections of interpreter shutdown skip it;
@@ -38,6 +41,7 @@ option, so a negative d exits 1 however it is spelled.
 """
 from __future__ import annotations
 
+import _thread
 import argparse
 import gc
 import importlib.util
@@ -47,12 +51,38 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from contextlib import suppress
-from fractions import Fraction
 from itertools import islice
+from types import ModuleType
 
-from . import kfun, verify
+from . import kfun
 from .errors import (CoisocapError, ExprParseError, Extended, OutOfRangeError,
-                     check_rational_size, clip, digit_limit)
+                     check_rational_size, clip, digit_limit, is_fraction)
+
+# Held while a layer registered by ``_lazy`` runs; reentrant, since running
+# one layer can run another (``expr`` imports from ``spectra``).
+_FIRST_RUN = _thread.RLock()
+
+
+class _Registered(ModuleType):
+    """A layer registered in ``sys.modules`` whose body has not run.
+
+    The first attribute access runs the body under ``_FIRST_RUN`` and then
+    makes the module a plain ``ModuleType``, so no later access takes the
+    lock.  Another thread's first access waits for the body to finish
+    (``importlib.util.LazyLoader`` takes no lock before CPython 3.12.3);
+    the running thread's own accesses read the module as it stands."""
+
+    def __getattribute__(self, attr):
+        with _FIRST_RUN:
+            if object.__getattribute__(self, "__class__") is _Registered:
+                spec = object.__getattribute__(self, "__spec__")
+                if spec.loader_state is None:  # else this thread is running it
+                    spec.loader_state = "running"
+                    try:
+                        spec.loader.exec_module(self)
+                    finally:
+                        self.__class__ = ModuleType
+        return object.__getattribute__(self, attr)
 
 
 def _lazy(layer: str):
@@ -61,15 +91,14 @@ def _lazy(layer: str):
     name = f"{__package__}.{layer}"
     module = sys.modules.get(name)
     if module is None:
-        spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = importlib.util.module_from_spec(importlib.util.find_spec(name))
+        module.__class__ = _Registered
+        sys.modules[name] = module
         setattr(sys.modules[__package__], layer, module)
     return module
 
 
-spectra, expr, bounds = _lazy("spectra"), _lazy("expr"), _lazy("bounds")
+spectra, expr, bounds, verify = map(_lazy, ("spectra", "expr", "bounds", "verify"))
 
 
 # Most rows one ``table`` call prints: a bound on run time.
@@ -96,7 +125,7 @@ def _print_text(out: Output) -> None:
 def _json(value):
     """A domain value in the frozen JSON schema: the encoder's ``default``,
     which converts what this returns in turn."""
-    if isinstance(value, Fraction):  # a multiple of pi
+    if is_fraction(value):  # a multiple of pi
         return {"num": value.numerator, "den": value.denominator, "unit": "pi"}
     if isinstance(value, Extended):  # ExtNat or ExtRat
         return "inf" if value.value is None else value.value
@@ -193,7 +222,8 @@ _D_USAGE = {
 
 def _parse_d(fn: str, text: str | None, command: str):
     """The d of a query on ``fn``: None for K, an integer for keq and a
-    rational for kk (and for the squeeze bound, which is kk's)."""
+    rational for kk (and for the squeeze bound, which is kk's): an int when
+    it is spelled as one, else a Fraction."""
     if fn == "K":
         if text is not None:
             raise UsageError(_D_USAGE[command][0])
@@ -207,6 +237,10 @@ def _parse_d(fn: str, text: str | None, command: str):
             raise UsageError(f"d must be {exc}, got {clip(text)!r}") from None
     if _grammar_digits(text):
         check_rational_size(text, OutOfRangeError, "d")  # kk's one digit-limit check: exit 1
+        with suppress(ValueError):
+            return _argv_int(text)  # an integer d needs no Fraction
+        from fractions import Fraction
+
         with suppress(ValueError, ZeroDivisionError):
             return Fraction(text)
     raise UsageError(f"d must be a rational like 9/2, got {clip(text)!r}")
@@ -413,7 +447,8 @@ def _arg(*flags, **options):
 
 
 # {name: (help, handler, default format, arguments)} for the commands and for
-# the kinds of ``bound``, whose row holds the kinds instead of arguments
+# the kinds of ``bound``, whose row holds the kinds instead of arguments;
+# arguments may be a function that returns them
 _BOUND_KINDS = {
     "energy": ("displacement energy of a product", _handle_energy, "json", (_arg("expr"),)),
     "capacity": ("regular coisotropic capacity of the ball", _handle_capacity, "json",
@@ -433,9 +468,11 @@ _COMMANDS = {
     "spectrum": ("spectrum algebra for a product expression", _handle_spectrum, "text",
                  (_arg("expr"),)),
     "bound": ("certified bound intervals", None, None, _BOUND_KINDS),
+    # built only for a parser that gives ``verify`` its arguments: ``SUITES`` runs ``verify``
     "verify": ("bulk invariant sweeps", _handle_verify, "text",
-               (_arg("suite", choices=verify.SUITES),
-                _arg("--nmax", type=_POSITIVE, required=True), _arg("--dmax", type=_NONNEG))),
+               lambda: (_arg("suite", choices=verify.SUITES),
+                        _arg("--nmax", type=_POSITIVE, required=True),
+                        _arg("--dmax", type=_NONNEG))),
 }
 
 
@@ -459,7 +496,7 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict,
             continue
         if handler in (_handle_kfun, _handle_table, _handle_squeeze):
             command._negative_number_matcher = _NEGATIVE_D
-        for flags, options in arguments:
+        for flags, options in arguments() if callable(arguments) else arguments:
             command.add_argument(*flags, **options)
         command.set_defaults(handler=handler)
         command.add_argument("--format", choices=tuple(_PRINTERS), default=default,

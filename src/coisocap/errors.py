@@ -1,10 +1,16 @@
 """Exception types shared across the package, the bases of its value
 types, the argument rules every layer applies, and the helper that keeps
-their messages short."""
+their messages short.
+
+This module does not import ``fractions`` (which loads ``decimal`` and
+``numbers``): an int passes the exact-number rules without it, and any
+other value is checked against ``sys.modules``, since no value can be a
+``Fraction`` before ``fractions`` has been imported.  ``require_area``,
+which returns a ``Fraction``, imports it on a call made before any
+``Fraction`` exists."""
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from operator import attrgetter
 
 
@@ -135,10 +141,18 @@ def require_int(value, name: str) -> int:
     return value
 
 
+def is_fraction(value) -> bool:
+    """Whether ``value`` is a ``Fraction``, read without importing ``fractions``."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
 def require_exact(value, name: str) -> int | Fraction:
     """``value``, refused with ``TypeError`` unless it is an int or a
     Fraction: a float, bool, str or Decimal is never converted."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not (isinstance(value, int) or is_fraction(value)):
         raise TypeError(f"{name} must be an int or Fraction, got {type(value).__name__}")
     return value
 
@@ -153,7 +167,8 @@ def require_n(n) -> int:
 def require_area(value, name: str, error: type[ValueError] = ValueError) -> Fraction:
     """``value`` as a Fraction, refused unless it is a positive exact
     number; ``error`` is the class of the range refusal."""
-    area = value if type(value) is Fraction else Fraction(require_exact(value, name))
+    fraction = (sys.modules.get("fractions") or __import__("fractions")).Fraction
+    area = value if type(value) is fraction else fraction(require_exact(value, name))
     if area.numerator <= 0:
         raise error(f"{name} must be positive, got {area}")
     return area

@@ -26,14 +26,16 @@ Their names are still names of this module (``kfun.keq_naive``): the first
 lookup of one imports ``oracles`` (PEP 562) and keeps the value here, so a
 call that never looks one up never compiles them.
 
-All arithmetic is exact (Python integers / fractions.Fraction).
+All arithmetic is exact (Python integers / fractions.Fraction).  This
+module never imports ``fractions``, since a rational d is only compared
+and floored, so an integer query loads none of ``fractions``, ``decimal``
+or ``numbers``; ``Fraction`` in its annotations is ``fractions.Fraction``.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import Extended, Frozen, OutOfRangeError, require_exact, require_int, require_n
@@ -44,7 +46,6 @@ from .errors import Extended, Frozen, OutOfRangeError, require_exact, require_in
 # one table.
 BIG_K_NMAX = 10**6
 
-Rational = int | Fraction
 Monoid = tuple[int, int, list[int]]  # see _monoid
 
 
@@ -381,7 +382,7 @@ def keq(n: int, d: int) -> WitnessedValue:
     return _square_mass_search(n, n, d, d)
 
 
-def kk(n: int, d: Rational) -> WitnessedValue:
+def kk(n: int, d: int | Fraction) -> WitnessedValue:
     """Minimal cost over decompositions with weight >= n and dimension at
     most floor(d); infinity exactly when floor(d) < n.
 

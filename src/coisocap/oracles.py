@@ -20,8 +20,8 @@ import math
 from functools import lru_cache
 
 from .errors import CapExceededError, OutOfRangeError, require_int, require_n
-from .kfun import (Decomposition, Pair, Rational, WitnessedValue, _ceil_div, _ceil_sqrt,
-                   _query_cap, _witnessed)
+from .kfun import (Decomposition, Pair, WitnessedValue, _ceil_div, _ceil_sqrt, _query_cap,
+                   _witnessed)
 
 # Largest n of the naive oracles, and half the largest floor(d) of kk_naive:
 # their enumeration grows exponentially with the dimension.
@@ -108,7 +108,7 @@ def keq_naive(n: int, d: int) -> WitnessedValue:
     return _witnessed(_naive_table().get((n, _oracle_cap(n, d, exact=True))))
 
 
-def kk_naive(n: int, d: Rational) -> WitnessedValue:
+def kk_naive(n: int, d: int | Fraction) -> WitnessedValue:
     """Exhaustive-enumeration oracle for ``kk`` (small n and d only).
 
     Feasible decompositions satisfy dim <= floor(d) <= 2 * ORACLE_CAP, so
@@ -205,6 +205,6 @@ def is_valid_exact_witness(dec: Decomposition, n: int, d: int) -> bool:
     return all(p.n >= p.k >= 1 for p in dec.pairs) and dec.weight == n and dec.dim == d
 
 
-def is_valid_relaxed_witness(dec: Decomposition, n: int, d: Rational) -> bool:
+def is_valid_relaxed_witness(dec: Decomposition, n: int, d: int | Fraction) -> bool:
     """Recheck a ``kk`` witness from raw pair data."""
     return all(p.n >= p.k >= 1 for p in dec.pairs) and dec.weight >= n and dec.dim <= math.floor(d)

@@ -10,14 +10,15 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import coisocap.kfun as kfun
-from coisocap import parse_product, verify
+from coisocap import cli, parse_product, verify
 from coisocap.cli import _JSON_BATCH, TABLE_MAX_ROWS, run
-from coisocap.errors import clip
+from coisocap.errors import OutOfRangeError, check_rational_size, clip, digit_limit
 from coisocap.verify import VERIFY_MAX_CELLS
 
 K_ROW_1_TO_20 = [1, 2, 3, 2, 3, 4, 5, 4, 3, 4, 5, 6, 5, 6, 7, 4, 5, 6, 7, 6]
@@ -639,6 +640,55 @@ def test_a_negative_d_gets_one_exit_code_and_message_however_it_is_spelled(data)
 def test_a_dash_token_that_is_no_negative_number_is_a_parse_error(capsys, token, last_line):
     code, out, err = invoke(capsys, "kfun", "kk", "5", token)
     assert (code, out, err.splitlines()[-1]) == (2, "", last_line)
+
+
+_PARSE_D = cli._parse_d
+
+
+def _fraction_d(fn, text, command):
+    """``cli._parse_d`` of a kk d as it read every spelling: through ``Fraction()``."""
+    if text is None:  # "--" ends the options: no d
+        return _PARSE_D(fn, text, command)
+    if cli._grammar_digits(text):
+        check_rational_size(text, OutOfRangeError, "d")
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return Fraction(text)
+    raise cli.UsageError(f"d must be a rational like 9/2, got {clip(text)!r}")
+
+
+_BLANKS = st.sampled_from(["", " ", "\t", " \n", "\x0b", "\x1c"])
+
+
+@st.composite
+def _d_tokens(draw):
+    """A d token: blanks, an optional sign (or two), leading zeros, digits
+    and an optional "/", "." or "e" part; or any string of those characters."""
+    number = (draw(st.sampled_from(["", "+", "-", "+-", "--"])) + "0" * draw(st.integers(0, 3))
+              + draw(st.text("0123456789", max_size=3))
+              + draw(st.sampled_from(["", "/", ".", "e", "e-", "E+", "/0", ". ", "/ "]))
+              + draw(st.text("0123456789", max_size=2)))
+    tokens = st.just(draw(_BLANKS) + number + draw(_BLANKS))
+    return draw(st.one_of(tokens, st.text(" \t\x1c+-0123456789/.eE_", max_size=8)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from([("kfun", "kk", "5"), ("bound", "squeeze", "3")]), _d_tokens())
+@example(("kfun", "kk", "5"), "+-7")
+@example(("kfun", "kk", "5"), "-0")
+@example(("kfun", "kk", "5"), " +007 ")
+@example(("kfun", "kk", "5"), "\x1c7")
+@example(("kfun", "kk", "5"), "7/0")
+@example(("kfun", "kk", "5"), "1" * digit_limit())
+@example(("bound", "squeeze", "3"), "0" * digit_limit() + "7")
+def test_a_d_spelled_as_an_integer_reads_as_fraction_reads_it(head, token):
+    outcomes = []
+    for parse_d in (cli._parse_d, _fraction_d):
+        out, err = io.StringIO(), io.StringIO()
+        with (mock.patch.object(cli, "_parse_d", parse_d), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            code = run([*head, token])
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,10 @@ def test_layers_are_attributes_after_a_bare_import():
                 f"for m in {layers!r}.split()))").stdout.split() == ["True"]
 
 
-# The layers ``import coisocap.cli`` runs; it registers ``spectra``, ``expr``
-# and ``bounds`` too, but each runs on first use.
-CLI_IMPORT_RUNS = {"errors", "kfun", "verify", "cli"}
+# The layers ``import coisocap.cli`` runs; it registers ``spectra``, ``expr``,
+# ``bounds`` and ``verify`` too, but each runs on first use.
+CLI_IMPORT_RUNS = {"errors", "kfun", "cli"}
+REGISTERED = {"spectra", "expr", "bounds", "verify"}
 
 
 def ran_by(statement: str, *flags: str) -> subprocess.CompletedProcess:
@@ -126,7 +127,7 @@ def test_importtime_reports_every_layer_a_cold_cli_import_runs():
     timed = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if "|" in line}
     assert set(result.stdout.split()) == CLI_IMPORT_RUNS
     assert {f"coisocap.{layer}" for layer in CLI_IMPORT_RUNS} <= timed
-    assert not {"coisocap.spectra", "coisocap.expr", "coisocap.bounds"} & timed
+    assert not {f"coisocap.{layer}" for layer in REGISTERED} & timed
 
 
 # (argv, the layers the call runs beyond those the import runs)
@@ -142,8 +143,12 @@ CALLS = [
     (["bound", "energy", "S(2;pi)"], {"expr", "spectra", "bounds"}),
     (["bound", "capacity", "5", "7", "--format", "text"], {"spectra", "bounds"}),
     (["bound", "width", "pi", "--format", "csv"], {"expr", "spectra", "bounds"}),
-    (["verify", "oracle", "--nmax", "3"], {"expr", "spectra", "checks", "oracles"}),
-    (["verify", "all", "--nmax", "3"], {"expr", "spectra", "bounds", "checks", "oracles"}),
+    (["verify", "kfun-props", "--nmax", "3"], {"verify", "checks", "oracles"}),
+    (["verify", "oracle", "--nmax", "3"], {"verify", "checks", "oracles"}),
+    (["verify", "bounds-props", "--nmax", "3"], {"verify", "expr", "spectra", "bounds",
+                                                 "checks"}),
+    (["verify", "all", "--nmax", "3"], {"verify", "expr", "spectra", "bounds", "checks",
+                                        "oracles"}),
 ]
 
 
@@ -189,7 +194,8 @@ def test_the_tracer_wraps_the_layers_run_on_first_use():
 
 @pytest.mark.parametrize("cli_first", [False, True], ids=["name-first", "cli-first"])
 @pytest.mark.parametrize("layer, name", [
-    ("spectra", "Spectrum"), ("expr", "parse_product"), ("bounds", "Citation")])
+    ("spectra", "Spectrum"), ("expr", "parse_product"), ("bounds", "Citation"),
+    ("verify", "run_suite")])
 def test_a_layer_run_on_first_use_is_one_module_run_once(layer, name, cli_first):
     # An audit hook sees each ``exec`` of a module body, eager or lazy.
     cli, by_name = "import coisocap.cli", f"from coisocap.{layer} import {name}"
@@ -200,8 +206,35 @@ def test_a_layer_run_on_first_use_is_one_module_run_once(layer, name, cli_first)
         + "\n".join((cli, by_name) if cli_first else (by_name, cli)) +
         f"\nimport coisocap\nmodule = sys.modules['coisocap.{layer}']\n"
         f"print(coisocap.{layer} is module, coisocap.cli.{layer} is module,"
-        f" coisocap.{name} is {name} is module.{name}, len(runs))")
-    assert result.stdout.split() == ["True", "True", "True", "1"]
+        f" coisocap.{name} is {name} is module.{name}, len(runs), type(module).__name__)")
+    # a plain module once run: no later access takes the first run's lock
+    assert result.stdout.split() == ["True", "True", "True", "1", "module"]
+
+
+RACE = """\
+import argparse, sys, threading
+sys.setswitchinterval(1e-6)
+from coisocap import cli
+errors = []
+def call():
+    try:
+        cli._handle_spectrum(argparse.Namespace(expr="S(2;pi) x V(1,3;pi/2)"))
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=call) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(errors)
+"""
+
+
+def test_threads_that_run_a_layer_first_at_once_all_see_it_whole():
+    # Before CPython 3.12.3 a LazyLoader module is plain once its body starts:
+    # three of these threads read ``expr`` half run, in every run.
+    for _ in range(5):
+        assert cold(RACE).stdout.split() == ["[]"]
 
 
 @pytest.mark.parametrize("argv, sweeps", [
@@ -218,6 +251,39 @@ def test_only_verify_loads_the_check_declarations(argv, sweeps):
                        f"with contextlib.redirect_stdout(io.StringIO()):\n    {call}")
     assert ("coisocap.checks" in loaded) is sweeps
     assert ("coisocap.oracles" in loaded) is sweeps
+
+
+RATIONAL = ["fractions", "decimal", "numbers"]  # fractions imports the other two
+
+# (argv, the modules of RATIONAL it loads): none for a kfun, table or refused
+# call whose numbers are all integers
+FRACTION_CALLS = [
+    (["kfun", "keq", "5", "7"], []),
+    (["kfun", "kk", "5", "7", "--format", "json"], []),
+    (["kfun", "kk", "5", " +007 ", "--format", "csv"], []),
+    (["kfun", "K", "7", "--format", "json"], []),
+    (["table", "kk", "1", "3", "--d", "-0", "--format", "json"], []),
+    (["table", "keq", "1", "3", "--d", "5", "--format", "csv"], []),
+    (["kfun", "kk", "5", "-1"], []),
+    (["kfun", "kk", "5", "1" * 5000], []),
+    (["kfun", "K", "0"], []),
+    (["kfun", "keq", "5", "7/2"], []),
+    (["table", "K", "3", "1"], []),
+    (["bound", "nosuchkind"], []),
+    (["kfun", "kk", "5", "7/2"], RATIONAL),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", FRACTION_CALLS,
+                         ids=[" ".join(argv)[:24] for argv, _ in FRACTION_CALLS])
+def test_only_a_rational_loads_fractions_decimal_and_numbers(argv, loaded):
+    ran = ran_by("import contextlib, io\nfrom coisocap.cli import run\n"
+                 "with contextlib.redirect_stdout(io.StringIO()),"
+                 " contextlib.redirect_stderr(io.StringIO()):\n"
+                 f"    run({argv!r})\n"
+                 f"print(*(m for m in {RATIONAL!r} if m in sys.modules), file=sys.stderr)")
+    assert set(ran.stdout.split()) == CLI_IMPORT_RUNS
+    assert ran.stderr.split() == loaded
 
 
 def test_the_suites_are_the_declared_suites():
