@@ -20,13 +20,13 @@ names.  ``json`` and ``csv`` are imported by their printers.  Importing
 this module runs ``errors`` and, of ``kfun``, only the kernel; it
 registers ``spectra``, ``expr``, ``bounds`` and ``verify`` in
 ``sys.modules`` and on the package, but each runs on its first attribute
-access (``_lazy``), so a ``kfun`` or ``table`` call runs none of them, and
-only a ``verify`` call builds ``verify``'s arguments.  The cross-checks,
-in ``oracles``, and the suites' checks and sweep, in ``checks``, are
-compiled by the first sweep.  Nor does a ``kfun``, ``table`` or refused
-call import ``fractions`` (nor, through it, ``decimal`` and ``numbers``):
-a d spelled as an integer is read as an int, and ``_json`` finds a
-``Fraction`` through ``sys.modules``.
+access (``_lazy``), so a ``kfun`` or ``table`` call runs none of them.
+Only a ``verify`` call builds ``verify``'s arguments, which runs its one
+module, the suites and the sweep; the first sweep compiles ``oracles``.
+Nor does a ``kfun``, ``table`` or refused call import ``fractions``
+(nor, through it, ``decimal`` and ``numbers``): a d spelled as an integer
+is read as an int, and ``_json`` finds a ``Fraction`` through
+``sys.modules``.
 
 ``main``, the installed script, freezes the heap (``gc.freeze``) after
 ``run`` returns, so the collections of interpreter shutdown skip it;
@@ -187,7 +187,7 @@ def _argv_int(text: str) -> int:
     """An integer from argv: the grammar's digits, and, as in an
     expression's integer fields, fewer than ``digit_limit()`` of them;
     else a ValueError that says what the token must be."""
-    digits = text.strip()
+    digits = text.strip(" \t\n\v\f\r")  # what int() strips; str.strip() drops \x1c-\x1f too
     digits = digits[1:] if digits[:1] in ("+", "-") else digits
     if not (_grammar_digits(text) and digits.isdigit()):
         raise ValueError("an integer")

@@ -1,18 +1,91 @@
-"""Bulk verification sweeps over the library invariants: the report types
-and the entry point.
+"""Bulk verification sweeps over the library invariants: the suites, their
+value grids and checks, the sweep and its report.
 
-Each check walks a deterministic grid of inputs and counts passes and
-failures; the first failing input is kept for diagnosis.  The suites
-(``SUITES``: ``kfun-props``, ``oracle``, ``bounds-props`` and ``all``),
-their declarations and the sweep that runs them are in ``checks``, which
-``run_suite`` imports on its first call, so importing this module compiles
-only the report types and the argument checks.  ``checks`` documents the
-declarations, the cell budget (``VERIFY_MAX_CELLS``, 2 * 10**6, counted
-before any grid is built) and how a check counts its passes.
+``run_suite`` runs one suite of ``SUITES`` and returns a ``VerifyReport``
+of one ``CheckResult`` per check, sorted by name: the check's passes,
+failures and first failing input.  The suites:
+
+* ``kfun-props``: the minimizer relations (monotonicity, domination,
+  collapse, the two root bounds, linear and divisor bounds,
+  subadditivity), feasibility windows, witness audits, and the
+  exhaustive square-decomposition cross-check.
+* ``oracle``: square-mass kernel results against the naive enumeration
+  oracles (clamped to the oracle cap and to d <= 2n, the range on which
+  the equivalence is stated).
+* ``bounds-props``: interval sanity, normalization, conformality and
+  collapse rules of the bound engine, plus the spectrum algebra laws.
+* ``all``: everything above.
+
+``SUITE_CHECKS`` maps each suite to its declarations.  A declaration, a
+function of (nmax, dmax), returns the suite's value grids, each a
+function returning a fresh iterator over the grid's index cells; the one
+step that builds them; and its checks, rows of (name, range text, cells,
+flags): cells returns a fresh iterator over the check's inputs, and
+flags, given cells, one pass byte per cell in that order.  The sweep
+counts the flags in C; only a failing check steps through cells() again,
+to its first failing input.  The checks look up the names of ``oracles``
+on ``kfun``, as every caller does, and the layers as modules: under
+``cli``, which runs ``expr``, ``spectra`` and ``bounds`` on first use,
+``kfun-props`` and ``oracle`` run neither ``expr`` nor ``spectra``.
+
+Most checks get their flags from one predicate call per cell, mapped in C.
+The three checks that hold nearly all the cells of a large ``all`` run,
+``kfun-kk-subadditive``, ``kfun-kk-monotone-in-d`` and
+``bounds-squeeze-monotone-lower``, get theirs a lane at a time from
+``Lanes``: a lane is a run of cells in the order of ``cells()``, those of
+one (n, n') for subadditivity, cut into parts of at most ``_MAX_FIELDS``,
+and those over d' of one (n, d) for the two monotonicity checks; its
+values are packed into the fixed-width fields of one Python int, and one
+subtraction compares all of them.  Each check first maps its values to
+non-negative ints: kk values shifted by the grid's least or largest finite
+value, infinity to the end its comparison needs, and the squeeze lower
+endpoints to their rank among the distinct endpoints, sorted once in exact
+``ExtRat`` order.  Both monotonicity checks read their rows with
+``_rising_flags``; the subadditivity lanes of an n whose kk(n, d) are all
+infinite pass whole.
+
+The large sweeps read the grids, built once each: ``kk`` over n <= 2*nmax
+and d <= 2*dmax and ``keq`` over n <= nmax and d <= max(dmax, 2n - 1),
+both values only, from one table of ``square_mass_costs``
+(keq(n, d) = C(2n - d, d - n) on the capacity window, and kk a running
+minimum of keq over n <= n' <= d' <= d); and the squeeze intervals over
+2 <= n <= nmax, n <= d <= dmax, one ``bounds.squeeze_bounds`` call per
+cell.  The cost table reads no K table: it scans each q's levels from
+ceil(sqrt(q)) up, as the kernel does, so a wrong K table cannot hang it or
+change a grid.  ``kfun-props`` builds the K table over 0..max(nmax, dmax),
+which its four-square check tests, and the K answers ``kfun.big_k(n)`` for
+n <= nmax, once each.  The kfun predicates compare exact integers, with
+None for infinity; the squeeze monotonicity and collapse checks both read
+the squeeze intervals.  The diagonal, root-bound window and witness audit
+checks, which have few cells or need witnesses, call ``kk``/``keq`` per
+cell, and the capacity checks ``bounds.capacity_bounds``; every check
+still visits and counts each of its cells.
+
+The budget, ``VERIFY_MAX_CELLS`` read at each call, is counted before any
+grid is built, over the grids' index cells and the checks' cells; a suite
+that counts more is refused with ``OutOfRangeError``.  A grid or check
+whose cells are a ``Product`` of ranges or tuples, such as
+``kfun-kk-subadditive``, nearly all the cells of a large run, is counted
+in closed form.  The others are walked, up to what the products leave of
+the budget and one more.  No generator runs long between two cells, so
+the walk is bounded for any nmax and dmax.  The budget counts calls, not
+their cost, so the costliest admitted runs take minutes; README
+"Verification sweeps" gives them with measured times.  No suite builds
+the K table past 1,149 (nmax 1, dmax 1,149).
 """
 from __future__ import annotations
 
-from .errors import Frozen
+import itertools
+import math
+import time
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from fractions import Fraction
+from functools import lru_cache, partial
+
+from . import bounds, expr, kfun, spectra
+from .errors import Frozen, OutOfRangeError
+from .kfun import _ceil_sqrt, _meets, _monoid, _square_parts
 
 # Most grid entries and cells one suite sweeps, checked before any grid is
 # built: ``verify all --nmax 26`` counts 1,972,789 and ``--nmax 27`` 2,287,121.
@@ -47,7 +120,631 @@ class VerifyReport(Frozen):
         return self.fail_count == 0
 
 
-SUITES = ("kfun-props", "oracle", "bounds-props", "all")
+# ---------------------------------------------------------------------------
+# Cells, check rows and one check's sweep
+# ---------------------------------------------------------------------------
+
+Cells = Callable[[], Iterable[tuple]]
+# A check row: name, range text, a function returning a fresh iterator over
+# the cells, and a function of that one returning the cells' pass flags,
+# one byte each, in the order of the cells.
+Check = tuple[str, str, Cells, Callable[[Cells], bytearray]]
+
+
+def _length(factor: Sequence) -> int:
+    """len(factor), also for a range longer than ``len`` admits."""
+    if isinstance(factor, range):
+        return max(0, -((factor.start - factor.stop) // factor.step))
+    return len(factor)
+
+
+class Product:
+    """The cells of a grid or check that is the product of ``factors``,
+    ranges or tuples, in ``itertools.product`` order: a cells function,
+    iterable as well, whose ``size`` the budget reads without stepping
+    through the cells."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, *factors: Sequence) -> None:
+        self.factors = factors
+
+    def __call__(self) -> Iterator[tuple]:
+        return itertools.product(*self.factors)
+
+    __iter__ = __call__
+
+    def size(self) -> int:
+        return math.prod(map(_length, self.factors))
+
+
+def _sweep(name: str, range_desc: str, cells: Cells,
+           flags: Callable[[Cells], bytearray]) -> CheckResult:
+    """Counts the flags of ``cells``; a failing check reads its first failing
+    cell from a fresh ``cells()``."""
+    passed = flags(cells)
+    npass = passed.count(1)
+    first = None
+    if npass < len(passed):
+        first = next(itertools.islice(cells(), passed.find(0), None))
+    return CheckResult(name, range_desc, npass, len(passed) - npass, first)
+
+
+# A suite's declaration: its value grids, each as a function returning a
+# fresh iterator over the grid's index cells; the step that builds those
+# grids; and its checks.
+Declared = tuple[list[Callable[[], Iterable]], Callable[[], None], list[Check]]
+
+
+def _cell_flags(predicate, cells) -> bytearray:
+    """One byte per cell of ``cells()``, 1 where ``predicate`` holds."""
+    return bytearray(map(bool, itertools.starmap(predicate, cells())))
+
+
+def _each(predicate) -> Callable[[Cells], bytearray]:
+    """The flags function of a check that calls ``predicate`` on each cell."""
+    return partial(_cell_flags, predicate)
+
+
+class Lanes:
+    """Lanes of up to ``width`` non-negative ints of at most ``top``, each
+    packed into one Python int, its first value in the lowest field.
+
+    A field has ``size`` bytes, enough to keep ``top`` below its top bit,
+    the field's guard bit.  For lanes x and y of such values,
+    ``y + guard - x`` borrows from no field and leaves a field's guard bit
+    set exactly where x <= y.
+    """
+
+    def __init__(self, top: int, width: int) -> None:
+        self.size = size = (top.bit_length() + 8) // 8
+        self.bits = 8 * size
+        self.ones = int.from_bytes((b"\x01" + bytes(size - 1)) * width, "little")
+        self.guard = self.ones << (self.bits - 1)
+        self._field = partial(int.to_bytes, length=size, byteorder="little")
+        self._length = width * size
+
+    def fields(self, values: Iterable[int]) -> bytes:
+        """``values`` as fields, the first lowest."""
+        return b"".join(map(self._field, values))
+
+    def pack(self, values: Iterable[int]) -> int:
+        """One lane of ``values``, the first in the lowest field."""
+        return int.from_bytes(self.fields(values), "little")
+
+    def flags(self, diff: int, count: int) -> bytes:
+        """One pass byte for each of the first ``count`` fields of ``diff``,
+        a difference ``y + guard - x``: 1 where the field's guard bit is set."""
+        bits = (diff & self.guard) >> (self.bits - 1)
+        return bits.to_bytes(self._length, "little")[:count * self.size:self.size]
+
+
+# the most fields of one part of a subadditivity lane, which bounds the
+# size of the ints one comparison makes
+_MAX_FIELDS = 1 << 16
+
+
+def _rising_flags(rows: list[list[int]]) -> bytearray:
+    """One pass byte per (row, d, d') with d <= d', in that order, 1 where
+    row[d] <= row[d'], for rows of non-negative ints: a lane per (row, d)."""
+    top = max((max(row) for row in rows if row), default=0)
+    lanes = Lanes(top, max(map(len, rows), default=0))
+    flags = bytearray()
+    for values in rows:
+        row = lanes.pack(values)
+        for d, x in enumerate(values):
+            flags += lanes.flags((row >> d * lanes.bits) + lanes.guard - x * lanes.ones,
+                                 len(values) - d)
+    return flags
+
+
+# ---------------------------------------------------------------------------
+# Value grids
+# ---------------------------------------------------------------------------
+
+Grid = list[list[int | None]]
+
+
+def _kk_cells(nmax: int, dmax: int) -> Product:
+    """n <= 2*nmax and d <= 2*dmax, the range of the subadditive sums."""
+    return Product(range(1, 2 * nmax + 1), range(2 * dmax + 1))
+
+
+def _keq_cells(nmax: int, dmax: int) -> Iterable[tuple[int, int]]:
+    """n <= nmax, d <= dmax and the capacity window n <= d <= 2n - 1."""
+    return ((n, d) for n in range(1, nmax + 1) for d in range(max(dmax, 2 * n - 1) + 1))
+
+
+def _kk_reach(nmax: int, dmax: int) -> int:
+    """The largest n of a keq(n, d) that the kk grid's values depend on: its
+    rows n <= 2*nmax read keq at n <= n' <= d' <= min(2n - 2, 2*dmax)."""
+    return min(4 * nmax - 2, 2 * dmax)
+
+
+def square_mass_costs(top: int) -> list[list[int]]:
+    """C[q][r] = keq(q + r, q + 2r), values only, for q >= 1 and q + r <= top
+    (C[0] is empty): the least cost of parts with square sum q whose
+    distinct parts generate the slack r.
+
+    One scan per q answers every r, as ``kfun._square_mass_search`` scans
+    its levels: it walks the part tuples of the levels ceil(sqrt(q)),
+    ceil(sqrt(q)) + 1, ..., and each r takes the first level at which some
+    tuple's distinct parts generate it.  A level below K(q), or of the
+    other parity than q, holds no tuple.  At level q the all-ones tuple
+    generates every r, so the scan ends there.
+    """
+    costs: list[list[int]] = [[]]
+    for q in range(1, top + 1):
+        row = [0] * (top - q + 1)
+        left = range(len(row))
+        cost = _ceil_sqrt(q)
+        while left:
+            for parts in _square_parts(cost, q, q, cost):
+                monoid = _monoid(tuple(set(parts)))
+                for r in left:
+                    if _meets(monoid, r, r):
+                        row[r] = cost
+                left = [r for r in left if not row[r]]
+                if not left:
+                    break
+            cost += 1
+        costs.append(row)
+    return costs
+
+
+@lru_cache(maxsize=1)
+def _costs(nmax: int, dmax: int) -> list[list[int]]:
+    """The square-mass cost table of both grids, built once per run."""
+    return square_mass_costs(max(nmax, _kk_reach(nmax, dmax)))
+
+
+def _kk_grid(nmax: int, dmax: int) -> Grid:
+    """kk at [n][d] for the cells of ``_kk_cells``, from the keq values.
+
+    kk(n, d) is None for d < n, 1 for d >= 2n - 1 (the pair (1, n)), and
+    min(kk(n + 1, d), kk(n, d - 1), keq(n, d)) between, as a decomposition
+    has weight n and dimension d or leaves room in one of them.  The rows
+    are built from the top down, from max(2*nmax, ``_kk_reach``) with the
+    row above taken as None: kk is None there at every d <= ``_kk_reach``,
+    all that the rows n <= 2*nmax read of it.
+    """
+    costs, width = _costs(nmax, dmax), 2 * dmax + 1
+    rows: Grid = []
+    above: list[int | None] = [None] * width
+    for n in range(max(2 * nmax, _kk_reach(nmax, dmax)), 0, -1):
+        row: list[int | None] = [None] * min(n, width)
+        for d in range(n, min(2 * n - 1, width)):
+            row.append(min(v for v in (row[-1], above[d], costs[2 * n - d][d - n])
+                           if v is not None))
+        row += [1] * (width - len(row))
+        if n <= 2 * nmax:
+            rows.append(row)
+        above = row
+    return [[], *reversed(rows)]
+
+
+def _keq_grid(nmax: int, dmax: int) -> Grid:
+    """keq at [n][d] for the cells of ``_keq_cells``: C(2n - d, d - n) of the
+    cost table on the capacity window n <= d <= 2n - 1, None elsewhere."""
+    costs = _costs(nmax, dmax)
+    return [[], *([None] * n + [costs[2 * n - d][d - n] for d in range(n, 2 * n)]
+                  + [None] * (dmax - 2 * n + 1) for n in range(1, nmax + 1))]
+
+
+def _le(a: int | None, b: int | None) -> bool:
+    """a <= b on grid values, None standing for infinity."""
+    return b is None or (a is not None and a <= b)
+
+
+# ---------------------------------------------------------------------------
+# kfun checks
+# ---------------------------------------------------------------------------
+
+def _kfun_checks(nmax: int, dmax: int) -> Declared:
+    four_square_top = max(nmax, dmax)
+    ns, ds = range(1, nmax + 1), range(dmax + 1)
+    table = kk = keq = big_k = None
+
+    def build():
+        nonlocal table, kk, keq, big_k
+        table = kfun.big_k_table(four_square_top)
+        kk, keq = _kk_grid(nmax, dmax), _keq_grid(nmax, dmax)
+        # the K table's grid, 0..max(nmax, dmax), counts these calls in the budget
+        big_k = {n: kfun.big_k(n) for n in ns}
+
+    # (range text, cells) of the ranges several checks share
+    each_n = f"1<=n<={nmax}", Product(ns)
+    each_nd = f"1<=n<={nmax}, 0<=d<={dmax}", Product(ns, ds)
+
+    def window_cells():
+        # n <= d <= 2n with (d - n + 9)^2 >= 36n; as d - n + 9 > 0, that is
+        # d - n + 9 >= ceil(sqrt(36n)) = isqrt(36n - 1) + 1
+        for n in range(9, nmax + 1):
+            for d in range(max(n, n - 9 + math.isqrt(36 * n - 1) + 1), 2 * n + 1):
+                yield (n, d)
+
+    def window_ok(n, d):
+        cost = kfun.kk(n, d).value
+        if not cost.is_finite or not kfun.lt_sqrt_plus(cost.value, 2 * n - d, 3):
+            return False
+        wit = kfun.sqrt_bound_witness(n, d)
+        return kfun.is_valid_relaxed_witness(wit, n, d) and kfun.lt_sqrt_plus(
+            wit.cost, 2 * n - d, 3
+        )
+
+    def monotone_flags(cells):
+        # kk(n, d') <= kk(n, d), so d' rises in hi + 1 - kk, infinity reading 0
+        rows = [kk[n][:dmax + 1] for n in ns]
+        hi = max((v for row in rows for v in row if v is not None), default=0)
+        return _rising_flags([[0 if v is None else hi + 1 - v for v in row] for row in rows])
+
+    def subadditive_flags(cells):
+        # t <= a + b for t = kk(n + n', d + d'), a = kk(n, d), b = kk(n', d'),
+        # unless a or b is infinite, one lane per (n, n'): d' = 0..dmax for
+        # each d in turn, in the order of cells().  On finite values in [lo, hi]
+        # it reads t - 2 lo + 1 <= (a - lo + 1) + (b - lo), whose right side
+        # lies in [1, 2 span + 1]; so the left side, clamped to [0, 2 span + 2],
+        # decides it alike, and an infinite t reads 2 span + 2, above every
+        # finite sum.  An infinite a reads 2 span + 2 and an infinite b
+        # 2 span + 1, so their sums, at most 4 span + 3, pass every cell.
+        finite = [v for row in kk for v in row if v is not None]
+        lo, hi = min(finite, default=0), max(finite, default=0)
+        span, width = hi - lo, dmax + 1
+        top = 2 * span + 2
+        # a lane is cut into parts of whole runs of d', of at most _MAX_FIELDS
+        # fields unless one run is longer
+        step = min(width, max(1, _MAX_FIELDS // width))
+        parts = [range(d0, min(d0 + step, width)) for d0 in range(0, width, step)]
+        lanes = Lanes(4 * span + 3, step * width)
+        size = lanes.size
+
+        def t_lane(m):
+            row = lanes.fields([top if t is None else min(max(t - 2 * lo + 1, 0), top)
+                                for t in kk[m]])
+            return [int.from_bytes(b"".join(row[d * size:(d + width) * size] for d in part),
+                                   "little") for part in parts]
+
+        ts = {m: t_lane(m) for m in range(2, 2 * nmax + 1)}
+        bs = {n2: int.from_bytes(lanes.fields([top - 1 if b is None else b - lo
+                                               for b in kk[n2][:width]]) * step, "little")
+              for n2 in ns}
+        flags = bytearray(b"\x01") * (nmax * nmax * width * width)
+        for n in ns:
+            row = kk[n][:width]
+            if all(a is None for a in row):
+                continue  # every a is infinite: the lanes of n pass whole
+            a_fields = [lanes.fields([top if a is None else a - lo + 1]) * width for a in row]
+            a_guard = [lanes.guard + int.from_bytes(b"".join(a_fields[d] for d in part), "little")
+                       for part in parts]
+            for n2 in ns:
+                at = ((n - 1) * nmax + n2 - 1) * width * width
+                for part, a, t in zip(parts, a_guard, ts[n + n2]):
+                    count = len(part) * width
+                    start = at + part.start * width
+                    flags[start:start + count] = lanes.flags(a + bs[n2] - t, count)
+        return flags
+
+    def witnesses_ok(n, d):
+        for found, valid, args in (
+            (kfun.keq(n, d), kfun.is_valid_exact_witness, (n, d)),
+            (kfun.kk(n, d), kfun.is_valid_relaxed_witness, (n, d)),
+            (big_k[n], kfun.is_valid_exact_witness, (n, n)),
+        ):
+            if found.value.is_finite and not (
+                valid(found.witness, *args) and found.witness.cost == found.value.value
+            ):
+                return False
+        return True
+
+    def four_square_ok(n):
+        a, b, c, d = kfun.four_square(n)
+        if a * a + b * b + c * c + d * d != n or not a >= b >= c >= d >= 0:
+            return False
+        return n == 0 or table[n] <= a + b + c + d
+
+    exhaustive_top = min(nmax, 200)
+    grids = [
+        Product(range(four_square_top + 1)),
+        _kk_cells(nmax, dmax),
+        lambda: _keq_cells(nmax, dmax),
+    ]
+    return grids, build, [
+        (
+            "kfun-collapse-at-diagonal",
+            *each_n,
+            _each(lambda n: keq[n][n] == kfun.kk(n, n).value.value == table[n]),
+        ),
+        ("kfun-keq-dominates-kk", *each_nd, _each(lambda n, d: _le(kk[n][d], keq[n][d]))),
+        (
+            "kfun-kk-monotone-in-d",
+            f"1<=n<={nmax}, 0<=d<=d'<={dmax}",
+            lambda: ((n, d, d2) for n in ns for d in ds for d2 in range(d, dmax + 1)),
+            monotone_flags,
+        ),
+        ("kfun-square-root-bound", *each_n, _each(lambda n: kfun.root_bound_holds(n, table[n]))),
+        (
+            "kfun-keq-linear-bound",
+            f"1<=n<={nmax}, n<=d<=2n-1",
+            lambda: ((n, d) for n in ns for d in range(n, 2 * n)),
+            _each(lambda n, d: _le(keq[n][d], 2 * n - d)),
+        ),
+        (
+            "kfun-kk-window-root-bound",
+            f"9<=n<={nmax}, window d<=2n",
+            window_cells,
+            _each(window_ok),
+        ),
+        (
+            "kfun-kk-subadditive",
+            f"1<=n,n'<={nmax}, 0<=d,d'<={dmax}",
+            Product(ns, ns, ds, ds),
+            subadditive_flags,
+        ),
+        (
+            "kfun-keq-divisor-bound",
+            f"1<=n<={nmax}, k|n, k^2<=n",
+            lambda: ((n, k) for n in ns for k in range(1, math.isqrt(n) + 1) if n % k == 0),
+            _each(lambda n, k: _le(keq[n][2 * n - k * k], k)),
+        ),
+        (
+            "kfun-keq-feasibility-window",
+            *each_nd,
+            _each(lambda n, d: (keq[n][d] is not None) == (n <= d <= 2 * n - 1)),
+        ),
+        (
+            "kfun-kk-feasibility-window",
+            *each_nd,
+            _each(lambda n, d: (kk[n][d] is not None) == (d >= n)),
+        ),
+        ("kfun-witness-validity", *each_nd, _each(witnesses_ok)),
+        (
+            "kfun-square-cost-exhaustive",
+            f"1<=n<={exhaustive_top}",
+            Product(range(1, exhaustive_top + 1)),
+            _each(lambda n: table[n] == kfun.square_cost_naive(n)),
+        ),
+        (
+            "kfun-four-square-identity",
+            f"0<=n<={four_square_top}",
+            Product(range(four_square_top + 1)),
+            _each(four_square_ok),
+        ),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# oracle checks
+# ---------------------------------------------------------------------------
+
+def _oracle_checks(nmax: int, dmax: int) -> Declared:
+    top = min(nmax, kfun.ORACLE_CAP)
+
+    def cells():
+        for n in range(1, top + 1):
+            for d in range(min(dmax, 2 * n) + 1):
+                yield (n, d)
+
+    def agree(fast, naive):
+        def pred(n, d):
+            a, b = fast(n, d), naive(n, d)
+            if a.value != b.value:
+                return False
+            if a.value.is_finite and a.witness.key() != b.witness.key():
+                return False
+            return True
+
+        return pred
+
+    desc = f"1<=n<={top}, 0<=d<=min({dmax},2n)"
+    return [], (lambda: None), [
+        ("oracle-keq-agrees", desc, cells, _each(agree(kfun.keq, kfun.keq_naive))),
+        ("oracle-kk-agrees", desc, cells, _each(agree(kfun.kk, kfun.kk_naive))),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# bounds and spectra checks
+# ---------------------------------------------------------------------------
+
+_FRACTIONS = tuple(
+    sorted({Fraction(p, q) for p in range(0, 4) for q in range(1, 4)})
+)
+_POSITIVE = tuple(f for f in _FRACTIONS if f > 0)
+
+
+# The sample products of the conformality and spectrum checks, and the
+# products whose energy interval is [pi, pi], as ``format_product`` writes them.
+_SAMPLE_PRODUCTS = (
+    "S(2;pi)", "S(2;pi) x S(2;pi)", "S(2;2pi) x S(3;pi)", "S(1;pi/2) x S(1;pi/3)",
+    "S(1;pi) x C(T2,1;0;asph)", "S(1;pi) x C(S2,1;pi)", "S(2;pi) x C(S2w,1;pi/3)",
+    "V(2,3;pi) x S(2;pi/2)", "V(1,4;3pi/2)", "C(T2,1;0;asph)",
+)
+_ENERGY_EXAMPLES = ("S(2;pi) x S(2;pi)", "S(1;pi) x S(1;pi) x C(S2,1;pi)", "S(2;2pi) x S(3;pi)")
+
+
+def _bounds_checks(nmax: int, dmax: int) -> Declared:
+    """The bound engine checks, followed by the spectrum algebra checks."""
+    squeeze = None
+    squeeze_ns = range(2, min(nmax, dmax) + 1)
+
+    def squeeze_cells():
+        return ((n, d) for n in squeeze_ns for d in range(n, dmax + 1))
+
+    def build():
+        nonlocal squeeze
+        squeeze = {(n, d): bounds.squeeze_bounds(n, d) for n, d in squeeze_cells()}
+
+    def squeeze_monotone_flags(cells):
+        # squeeze(n, d).lower <= squeeze(n, d').lower, on the endpoints' ranks
+        # in exact ExtRat order, equal endpoints sharing one; each endpoint is
+        # looked up by its numerator and denominator, cheaper to hash than it
+        def key(lower):
+            return None if lower.value is None else (lower.value.numerator,
+                                                     lower.value.denominator)
+
+        lowers = {key(interval.lower): interval.lower for interval in squeeze.values()}
+        rank = {key(lower): i for i, lower in enumerate(sorted(lowers.values()))}
+        return _rising_flags([[rank[key(squeeze[n, d].lower)] for d in range(n, dmax + 1)]
+                              for n in squeeze_ns])
+
+    def capacity_normalized(n):
+        interval = bounds.capacity_bounds(n, 2 * n - 1)
+        return interval.lower == interval.upper == spectra.ExtRat.fin(1)
+
+    def capacity_sane(n, d):
+        interval = bounds.capacity_bounds(n, d)
+        return spectra.ExtRat.fin(0) < interval.lower <= interval.upper
+
+    def collapse_ok(n, d):
+        interval = squeeze[n, d]
+        collapsed = interval.lower == interval.upper == spectra.ExtRat.fin(1)
+        want = kfun.kk(n, d).value == kfun.ExtNat(1)
+        if collapsed != want:
+            return False
+        return collapsed if d >= 2 * n - 1 else True
+
+    def energy_is_pi(text):
+        interval = bounds.energy_bounds(expr.parse_product(text))
+        return interval.lower == interval.upper == spectra.ExtRat.fin(1)
+
+    def conformal(obj, c):
+        base = bounds.energy_bounds(obj)
+        scaled = bounds.energy_bounds(obj.scaled(c))
+        return scaled.lower == base.lower.scaled(c) and scaled.upper == base.upper.scaled(c)
+
+    def width_ok(a, flag):
+        interval = bounds.width_energy_bound(a, flag)
+        return interval.lower == interval.upper == spectra.ExtRat.fin(a)
+
+    objects = tuple(map(expr.parse_product, _SAMPLE_PRODUCTS))
+    return [squeeze_cells], build, [
+        (
+            "bounds-capacity-normalized",
+            f"1<=n<={nmax}",
+            Product(range(1, nmax + 1)),
+            _each(capacity_normalized),
+        ),
+        (
+            "bounds-capacity-interval-sane",
+            f"1<=n<={nmax}, n<=d<=2n-1",
+            lambda: ((n, d) for n in range(1, nmax + 1) for d in range(n, 2 * n)),
+            _each(capacity_sane),
+        ),
+        (
+            "bounds-squeeze-monotone-lower",
+            f"2<=n<={nmax}, n<=d<=d'<={dmax}",
+            lambda: ((n, d, d2) for n, d in squeeze_cells() for d2 in range(d, dmax + 1)),
+            squeeze_monotone_flags,
+        ),
+        (
+            "bounds-squeeze-collapse",
+            f"2<=n<={nmax}, n<=d<={dmax}",
+            squeeze_cells,
+            _each(collapse_ok),
+        ),
+        (
+            "bounds-energy-examples",
+            "3 fixed products",
+            Product(_ENERGY_EXAMPLES),
+            _each(energy_is_pi),
+        ),
+        (
+            "bounds-energy-conformality",
+            "sample objects x positive rational scales",
+            Product(objects, _POSITIVE),
+            _each(conformal),
+        ),
+        (
+            "bounds-width-interval",
+            "positive rational areas x {with,without} closed factor",
+            Product(_POSITIVE, (False, True)),
+            _each(width_ok),
+        ),
+    ] + _spectra_checks(objects)
+
+
+def _spectra_checks(objects: tuple[spectra.ProductObject, ...]) -> list[Check]:
+    lattices = tuple(spectra.Spectrum.lattice(f) for f in _POSITIVE) + (
+        spectra.Spectrum.zero(),
+    )
+
+    def algebra(s1, s2, s3):
+        if spectra.spectrum_sum(s1, s2) != spectra.spectrum_sum(s2, s1):
+            return False
+        left = spectra.spectrum_sum(spectra.spectrum_sum(s1, s2), s3)
+        right = spectra.spectrum_sum(s1, spectra.spectrum_sum(s2, s3))
+        if left != right:
+            return False
+        if spectra.spectrum_sum(s1, s1) != s1:
+            return False
+        return spectra.spectrum_sum(spectra.Spectrum.zero(), s1) == s1
+
+    def rescale(obj, c):
+        split = spectra.split_min_action(obj)
+        prod = spectra.minimal_action(spectra.product_spectrum(obj))
+        scaled = obj.scaled(c)
+        return (
+            spectra.split_min_action(scaled) == split.scaled(c)
+            and spectra.minimal_action(spectra.product_spectrum(scaled)) == prod.scaled(c)
+        )
+
+    def normal_form(gens):
+        base = spectra.Spectrum.from_generators(gens)
+        for perm in itertools.permutations(gens):
+            if spectra.Spectrum.from_generators(perm) != base:
+                return False
+        regenerated = (base.gen,) if not base.is_zero else ()
+        return spectra.Spectrum.from_generators(regenerated) == base
+
+    return [
+        (
+            "spectra-sum-algebra",
+            "lattice/zero triples over a fraction grid",
+            Product(lattices, lattices, lattices),
+            _each(algebra),
+        ),
+        (
+            "spectra-rescaling",
+            "sample objects x positive rational scales",
+            Product(objects, _POSITIVE),
+            _each(rescale),
+        ),
+        (
+            "spectra-sphere-m-independent",
+            "1<=m,m'<=4 x positive areas",
+            Product(range(1, 5), range(1, 5), _POSITIVE),
+            _each(lambda m, m2, a: spectra.spectrum_of_atom(spectra.Sphere(m, a))
+                  == spectra.spectrum_of_atom(spectra.Sphere(m2, a))),
+        ),
+        (
+            "spectra-normal-form",
+            "generator triples over a fraction grid",
+            lambda: ((gens,) for gens in itertools.combinations_with_replacement(_FRACTIONS, 3)),
+            _each(normal_form),
+        ),
+        (
+            "spectra-product-min-vs-split",
+            "sample objects",
+            Product(objects),
+            _each(lambda obj: spectra.minimal_action(spectra.product_spectrum(obj))
+                  <= spectra.split_min_action(obj)),
+        ),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Suites
+# ---------------------------------------------------------------------------
+
+# The declarations of each suite, in the order they are swept; its keys are
+# ``SUITES``, in the order ``verify --help`` lists them.
+SUITE_CHECKS = {
+    "kfun-props": (_kfun_checks,),
+    "oracle": (_oracle_checks,),
+    "bounds-props": (_bounds_checks,),
+}
+SUITE_CHECKS["all"] = tuple(itertools.chain.from_iterable(SUITE_CHECKS.values()))
+SUITES = tuple(SUITE_CHECKS)
 
 
 def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
@@ -64,7 +761,24 @@ def run_suite(suite: str, nmax: int, dmax: int | None = None) -> VerifyReport:
         dmax = 2 * nmax
     if isinstance(dmax, bool) or not isinstance(dmax, int) or dmax < 0:
         raise ValueError("dmax must be an integer >= 0")
-    # imported here, so that only a sweep compiles the declarations and the sweep
-    from . import checks
+    declared = [declare(nmax, dmax) for declare in SUITE_CHECKS[suite]]
+    checks = [row for _, _, rows in declared for row in rows]
+    cell_sets = [cells for grids, _, _ in declared for cells in grids]
+    cell_sets += [cells for _, _, cells, _ in checks]
+    budget = VERIFY_MAX_CELLS  # read at each call
+    left = budget - sum(cells.size() for cells in cell_sets if isinstance(cells, Product))
+    walk = itertools.chain.from_iterable(cells() for cells in cell_sets
+                                         if not isinstance(cells, Product))
+    # step through the budget in C, not in a Python loop; a unit left over is one too many
+    deque(itertools.islice(walk, max(left, 0)), maxlen=0)
+    if left < 0 or any(True for _ in walk):
+        raise OutOfRangeError(
+            f"verify {suite} would sweep more than {budget} cells (the verify cell budget)"
+        )
 
-    return checks.sweep(suite, nmax, dmax, VERIFY_MAX_CELLS)
+    start = time.monotonic()
+    for _, build, _ in declared:
+        build()
+    results = [_sweep(*check) for check in checks]
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    return VerifyReport(tuple(sorted(results, key=lambda c: c.name)), elapsed_ms)

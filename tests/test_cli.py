@@ -542,15 +542,27 @@ def _off_grammar_numbers(draw):
     return number[:at] + odd + number[at:]
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.sampled_from(sorted(_NUMBER_ARGUMENTS)), _off_grammar_numbers())
-def test_an_argv_number_off_the_grammar_digits_is_refused(argument, number):
+def _assert_refused(argument, number):
+    """``number`` as ``argument`` exits 2 with the argument's message."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(_fill(argument, number))
     assert (code, out.getvalue()) == (2, "")
     assert err.getvalue().splitlines()[-1] == _NUMBER_ARGUMENTS[argument][1].format(
         repr(clip(number)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(sorted(_NUMBER_ARGUMENTS)), _off_grammar_numbers())
+def test_an_argv_number_off_the_grammar_digits_is_refused(argument, number):
+    _assert_refused(argument, number)
+
+
+@pytest.mark.parametrize("number", ["\x1c7", "7\x1f"], ids=["lead-x1c", "trail-x1f"])
+@pytest.mark.parametrize("argument", sorted(set(_NUMBER_ARGUMENTS) - set(_RATIONAL)))
+def test_an_integer_amid_a_blank_int_refuses_is_refused_as_such(argument, number):
+    # str.strip() drops \x1c-\x1f, which int() refuses: the token is no integer
+    _assert_refused(argument, number)
 
 
 @st.composite

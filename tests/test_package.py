@@ -143,12 +143,10 @@ CALLS = [
     (["bound", "energy", "S(2;pi)"], {"expr", "spectra", "bounds"}),
     (["bound", "capacity", "5", "7", "--format", "text"], {"spectra", "bounds"}),
     (["bound", "width", "pi", "--format", "csv"], {"expr", "spectra", "bounds"}),
-    (["verify", "kfun-props", "--nmax", "3"], {"verify", "checks", "oracles"}),
-    (["verify", "oracle", "--nmax", "3"], {"verify", "checks", "oracles"}),
-    (["verify", "bounds-props", "--nmax", "3"], {"verify", "expr", "spectra", "bounds",
-                                                 "checks"}),
-    (["verify", "all", "--nmax", "3"], {"verify", "expr", "spectra", "bounds", "checks",
-                                        "oracles"}),
+    (["verify", "kfun-props", "--nmax", "3"], {"verify", "oracles"}),
+    (["verify", "oracle", "--nmax", "3"], {"verify", "oracles"}),
+    (["verify", "bounds-props", "--nmax", "3"], {"verify", "expr", "spectra", "bounds"}),
+    (["verify", "all", "--nmax", "3"], {"verify", "expr", "spectra", "bounds", "oracles"}),
 ]
 
 
@@ -247,10 +245,10 @@ def test_threads_that_run_a_layer_first_at_once_all_see_it_whole():
 ], ids=["import", "kfun", "table", "bound", "spectrum", "verify"])
 def test_only_verify_loads_the_check_declarations(argv, sweeps):
     call = f"assert run({argv!r}) == 0" if argv else "pass"
-    loaded = loaded_by("import contextlib, io\nfrom coisocap.cli import run\n"
-                       f"with contextlib.redirect_stdout(io.StringIO()):\n    {call}")
-    assert ("coisocap.checks" in loaded) is sweeps
-    assert ("coisocap.oracles" in loaded) is sweeps
+    ran = ran_by("import contextlib, io\nfrom coisocap.cli import run\n"
+                 f"with contextlib.redirect_stdout(io.StringIO()):\n    {call}").stdout.split()
+    assert ("verify" in ran) is sweeps
+    assert ("oracles" in ran) is sweeps
 
 
 RATIONAL = ["fractions", "decimal", "numbers"]  # fractions imports the other two
@@ -284,12 +282,6 @@ def test_only_a_rational_loads_fractions_decimal_and_numbers(argv, loaded):
                  f"print(*(m for m in {RATIONAL!r} if m in sys.modules), file=sys.stderr)")
     assert set(ran.stdout.split()) == CLI_IMPORT_RUNS
     assert ran.stderr.split() == loaded
-
-
-def test_the_suites_are_the_declared_suites():
-    from coisocap import checks, verify
-
-    assert verify.SUITES == tuple(checks.SUITE_CHECKS)
 
 
 @pytest.mark.parametrize("call, printers", [

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import pytest
 
-from coisocap import checks, kfun
+from coisocap import kfun, verify
 
 N = 100
 INF = 10**9  # above every cost the table holds
@@ -91,7 +91,7 @@ def test_kk_matches_the_knapsack():
 @pytest.mark.parametrize("fn", ["keq", "kk"])
 def test_verify_grids_match_the_knapsack(fn):
     want = knapsack(2 * N)[fn == "kk"]
-    got = checks._keq_grid(N, 2 * N) if fn == "keq" else checks._kk_grid(N // 2, N)
+    got = verify._keq_grid(N, 2 * N) if fn == "keq" else verify._kk_grid(N // 2, N)
     assert [(n, d) for n, d in cells(N) if got[n][d] != want[n][d]] == []
 
 

@@ -7,8 +7,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coisocap import (bounds, checks, format_product, kfun, parse_product, run_suite,
-                      spectra, verify)
+from coisocap import (bounds, format_product, kfun, parse_product, run_suite, spectra,
+                      verify)
 from coisocap.errors import OutOfRangeError
 from coisocap.verify import SUITES
 
@@ -206,7 +206,7 @@ def test_grid_sweeps_match_per_call_sweeps(nmax):
 
 
 def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
-    build = checks._kk_grid
+    build = verify._kk_grid
 
     def wrong(nmax, dmax):
         grid = build(nmax, dmax)
@@ -214,7 +214,7 @@ def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
         grid[2][3] = 5
         return grid
 
-    monkeypatch.setattr(checks, "_kk_grid", wrong)
+    monkeypatch.setattr(verify, "_kk_grid", wrong)
     by_name = {c.name: c for c in run_suite("kfun-props", 4).checks}
     # kk(2,2) = 2 >= kk(2,3) fails first at d = 2, d' = 3
     assert by_name["kfun-kk-monotone-in-d"].first_failure == (2, 2, 3)
@@ -235,7 +235,7 @@ def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
     ):
         grid = build(4, 8)
         grid[n][d] = value
-        monkeypatch.setattr(checks, "_kk_grid", lambda nmax, dmax, grid=grid: grid)
+        monkeypatch.setattr(verify, "_kk_grid", lambda nmax, dmax, grid=grid: grid)
         got = {c.name: c for c in run_suite("kfun-props", 4).checks}["kfun-kk-subadditive"]
         want = _reference_sweep(got.name, got.range_desc,
                                 itertools.product(range(1, 5), range(1, 5), range(9), range(9)),
@@ -258,8 +258,8 @@ def _grid(fn, cells):
 def test_grids_match_the_per_call_kernel():
     # every keq cell of the capacity window for n <= 200, with the cells
     # d < n before it, and every kk cell for n <= 60, d <= 120
-    assert checks._keq_grid(200, 0) == _grid(kfun.keq, checks._keq_cells(200, 0))
-    assert checks._kk_grid(30, 60) == _grid(kfun.kk, checks._kk_cells(30, 60))
+    assert verify._keq_grid(200, 0) == _grid(kfun.keq, verify._keq_cells(200, 0))
+    assert verify._kk_grid(30, 60) == _grid(kfun.kk, verify._kk_cells(30, 60))
 
 
 def test_square_mass_costs_are_keq_per_cell():
@@ -267,7 +267,7 @@ def test_square_mass_costs_are_keq_per_cell():
     want = {(q, r): kfun.keq(q + r, q + 2 * r).value.value
             for q in range(1, 151) for r in range(151 - q)}
     for top in range(151):
-        assert checks.square_mass_costs(top) == [
+        assert verify.square_mass_costs(top) == [
             [], *([want[q, r] for r in range(top - q + 1)] for q in range(1, top + 1))]
 
 
@@ -275,9 +275,9 @@ def test_square_mass_costs_read_no_k_table(monkeypatch):
     def refused(nmax):
         raise AssertionError("the cost table scans its levels from ceil(sqrt(q))")
 
-    want = checks.square_mass_costs(60)
+    want = verify.square_mass_costs(60)
     monkeypatch.setattr(kfun, "big_k_table", refused)
-    assert checks.square_mass_costs(60) == want
+    assert verify.square_mass_costs(60) == want
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -288,8 +288,8 @@ def test_square_mass_costs_read_no_k_table(monkeypatch):
 @example(3, 40)
 @example(12, 40)
 def test_grids_match_the_per_call_grids(nmax, dmax):
-    assert checks._kk_grid(nmax, dmax) == _grid(kfun.kk, checks._kk_cells(nmax, dmax))
-    assert checks._keq_grid(nmax, dmax) == _grid(kfun.keq, checks._keq_cells(nmax, dmax))
+    assert verify._kk_grid(nmax, dmax) == _grid(kfun.kk, verify._kk_cells(nmax, dmax))
+    assert verify._keq_grid(nmax, dmax) == _grid(kfun.keq, verify._keq_cells(nmax, dmax))
 
 
 # grid entries a wrong kernel could write: infinity, zero, small values of
@@ -305,7 +305,7 @@ def _lane_flags(rows, name):
 
 
 def _wrong_kk_grid(data, nmax, dmax):
-    grid = checks._kk_grid(nmax, dmax)
+    grid = verify._kk_grid(nmax, dmax)
     wrong = data.draw(st.lists(st.tuples(
         st.integers(1, 2 * nmax), st.integers(0, 2 * dmax), _WRONG_VALUES), max_size=6))
     for n, d, value in wrong:
@@ -314,8 +314,8 @@ def _wrong_kk_grid(data, nmax, dmax):
 
 
 def _kfun_lane_flags(grid, nmax, dmax, name):
-    _, build, rows = checks._kfun_checks(nmax, dmax)
-    with mock.patch.object(checks, "_kk_grid", lambda nmax, dmax: grid):
+    _, build, rows = verify._kfun_checks(nmax, dmax)
+    with mock.patch.object(verify, "_kk_grid", lambda nmax, dmax: grid):
         build()
     return _lane_flags(rows, name)
 
@@ -327,8 +327,8 @@ def test_subadditivity_lanes_match_the_per_cell_rule(data):
     dmax = data.draw(st.integers(0, 2 * nmax + 1))
     grid = _wrong_kk_grid(data, nmax, dmax)
     # lanes cut into parts of whole runs of d', as a tall (n, n') lane is
-    max_fields = data.draw(st.sampled_from((checks._MAX_FIELDS, 1, 7, 16)))
-    with mock.patch.object(checks, "_MAX_FIELDS", max_fields):
+    max_fields = data.draw(st.sampled_from((verify._MAX_FIELDS, 1, 7, 16)))
+    with mock.patch.object(verify, "_MAX_FIELDS", max_fields):
         got, cells = _kfun_lane_flags(grid, nmax, dmax, "kfun-kk-subadditive")
     assert got == [int(_subadditive(grid)(*cell)) for cell in cells()]
 
@@ -356,7 +356,7 @@ def test_lanes_hold_at_field_size_boundaries(span):
     # subadditivity cell (2, 2, 1, 1) then compares kk(4, 2) = 1, the least
     # value, with the sum of two infinite kk(2, 1), the largest field, and
     # (1, 2, 4, 1) kk(3, 5) = 1 with kk(1, 4) and an infinite kk(2, 1)
-    grid = checks._kk_grid(2, 4)
+    grid = verify._kk_grid(2, 4)
     assert grid[2][1] is None and grid[3][5] == 1 == min(v for v in grid[3] if v is not None)
     grid[1][4], grid[4][2] = 1 + span, 1
     for name, rule in (("kfun-kk-subadditive", _subadditive),
@@ -401,7 +401,7 @@ def _assert_squeeze_lanes_hold(lowers, nmax, dmax):
     """The squeeze monotonicity flags, on intervals with the lower endpoints
     ``lowers``, match the per-cell rule."""
     squeeze = {key: SimpleNamespace(lower=lower) for key, lower in lowers.items()}
-    _, build, rows = checks._bounds_checks(nmax, dmax)
+    _, build, rows = verify._bounds_checks(nmax, dmax)
     with mock.patch.object(bounds, "squeeze_bounds", lambda n, d: squeeze[n, d]):
         build()
     got, cells = _lane_flags(rows, "bounds-squeeze-monotone-lower")
@@ -418,18 +418,18 @@ def _failing_every(k, predicate):
 
 @pytest.mark.parametrize("nmax, dmax", [(1, 0), (4, 8), (7, 3), (9, 27)])
 def test_sweep_matches_the_per_cell_loop(nmax, dmax):
-    declares = {declare for suite in SUITES for declare in checks.SUITE_CHECKS[suite]}
+    declares = {declare for suite in SUITES for declare in verify.SUITE_CHECKS[suite]}
     lanes = []
     for declare in declares:
         _, build, rows = declare(nmax, dmax)
         build()
         for name, desc, cells, flags in rows:
-            if not (isinstance(flags, partial) and flags.func is checks._cell_flags):
+            if not (isinstance(flags, partial) and flags.func is verify._cell_flags):
                 lanes.append(name)
                 continue
             predicate, = flags.args
             for k in (None, 1, 2, 7):
-                got = checks._sweep(name, desc, cells, checks._each(_failing_every(k, predicate)))
+                got = verify._sweep(name, desc, cells, verify._each(_failing_every(k, predicate)))
                 want = _reference_sweep(name, desc, cells(), _failing_every(k, predicate))
                 assert got == want, (name, k)
     # each checked against its per-cell rule by a property above
@@ -465,20 +465,20 @@ def test_cell_budget_is_checked_before_any_work(monkeypatch):
 @example(30, 60)
 @example(1, 0)
 def test_products_count_their_cells_in_closed_form(nmax, dmax):
-    declares = {declare for suite in SUITES for declare in checks.SUITE_CHECKS[suite]}
+    declares = {declare for suite in SUITES for declare in verify.SUITE_CHECKS[suite]}
     products = []
     for declare in declares:
         grids, _, rows = declare(nmax, dmax)
         products += [cells for cells in [*grids, *(row[2] for row in rows)]
-                     if isinstance(cells, checks.Product)]
+                     if isinstance(cells, verify.Product)]
     assert any(len(cells.factors) == 4 for cells in products)  # kfun-kk-subadditive
     for cells in products:
         assert cells.size() == sum(1 for _ in cells())
 
 
 def test_products_count_ranges_beyond_len():
-    assert checks.Product(range(10**30), range(7, 2, -2), (0, 1)).size() == 10**30 * 3 * 2
-    assert checks.Product(range(5, 5), range(10**30)).size() == 0
+    assert verify.Product(range(10**30), range(7, 2, -2), (0, 1)).size() == 10**30 * 3 * 2
+    assert verify.Product(range(5, 5), range(10**30)).size() == 0
     t0 = time.perf_counter()
     for suite in ("all", "kfun-props", "bounds-props"):
         with pytest.raises(OutOfRangeError, match="the verify cell budget"):
@@ -487,7 +487,7 @@ def test_products_count_ranges_beyond_len():
 
 
 def test_fixed_products_are_canonical():
-    for text in checks._SAMPLE_PRODUCTS + checks._ENERGY_EXAMPLES:
+    for text in verify._SAMPLE_PRODUCTS + verify._ENERGY_EXAMPLES:
         assert format_product(parse_product(text)) == text
 
 

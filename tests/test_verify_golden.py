@@ -9,7 +9,7 @@ Each golden holds the ``checks`` of one ``verify ... --format json`` run:
 name, range text, pass and fail counts and the first failure of every
 check.  The wall time is not part of it.  A pass means the sweep still
 visits the same cells with the same outcomes.  The shapes cover a dmax
-below the default 2 * nmax (``kfun-props``, where ``checks._kk_reach``
+below the default 2 * nmax (``kfun-props``, where ``verify._kk_reach``
 is 2 * dmax), dmax 0 (``bounds-props``, with no squeeze rows) and a dmax
 above the default (``oracle``, and ``all`` at nmax 8 and dmax 40, whose
 lanes of d' are long and whose squeeze rows reach d = 40).
