@@ -65,9 +65,13 @@ _REGISTRY: dict[str, str] = {
 }
 
 
+# One shared, immutable Citation per registry entry.
+_CITATIONS = {cid: Citation(cid, text) for cid, text in _REGISTRY.items()}
+
+
 def citation(cid: str) -> Citation:
     """Look up a registry entry; unknown ids are a programming error."""
-    return Citation(cid, _REGISTRY[cid])
+    return _CITATIONS[cid]
 
 
 def citation_ids() -> tuple[str, ...]:

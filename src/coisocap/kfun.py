@@ -185,10 +185,14 @@ class WitnessedValue(Frozen):
         object.__setattr__(self, "witness", witness)
 
 
+# The one infinite result, shared by every infeasible query.
+_NO_DECOMPOSITION = WitnessedValue(NAT_INF)
+
+
 def _witnessed(found: tuple[int, tuple[tuple[int, int], ...]] | None) -> WitnessedValue:
     """The value of a search result (cost, key), or infinity for None."""
     if found is None:
-        return WitnessedValue(NAT_INF)
+        return _NO_DECOMPOSITION
     cost, key = found
     return WitnessedValue(ExtNat(cost), Decomposition(Pair(k, n) for k, n in key))
 
@@ -398,8 +402,8 @@ def kk(n: int, d: int | Fraction) -> WitnessedValue:
 # ---------------------------------------------------------------------------
 
 _ORACLE_NAMES = frozenset((
-    "ORACLE_CAP", "NaiveEntry", "_oracle_cap", "_naive_table", "keq_naive", "kk_naive",
-    "square_cost_naive", "four_square", "sqrt_bound_witness", "lt_sqrt_plus",
+    "ORACLE_CAP", "NaiveEntry", "_oracle_cap", "_naive_table", "_kk_naive_table", "keq_naive",
+    "kk_naive", "square_cost_naive", "four_square", "sqrt_bound_witness", "lt_sqrt_plus",
     "root_bound_holds", "is_valid_exact_witness", "is_valid_relaxed_witness",
 ))
 

@@ -5,7 +5,9 @@
   and ``kk``, capped at small inputs: one unpruned walk over every pair
   tuple of dimension <= 2 * ORACLE_CAP, made on first use, keeps the least
   (cost, key) at each (weight, dim), and each oracle call is a lookup in
-  that table.  ``square_cost_naive`` is the exhaustive oracle of ``big_k``.
+  that table or, for ``kk_naive``, in its running minimum over weight >= n
+  and dim <= floor(d), built once.  ``square_cost_naive`` is the
+  exhaustive oracle of ``big_k``.
 * ``four_square`` and ``sqrt_bound_witness``: constructive decompositions.
 * ``lt_sqrt_plus``, ``root_bound_holds`` and the witness audits: exact
   bound comparisons, and rechecks of a witness from raw pair data.
@@ -108,6 +110,27 @@ def keq_naive(n: int, d: int) -> WitnessedValue:
     return _witnessed(_naive_table().get((n, _oracle_cap(n, d, exact=True))))
 
 
+@lru_cache(maxsize=1)
+def _kk_naive_table() -> list[list[NaiveEntry | None]]:
+    """best[n][D], the least entry of ``_naive_table`` with weight >= n and
+    dim <= D, for n <= ORACLE_CAP and D <= 2 * ORACLE_CAP: best(n, D) =
+    min(entry(n, D), best(n + 1, D), best(n, D - 1)), filled from the
+    largest weight down.  A weight is at most its dim, so no entry lies
+    above n = 2 * ORACLE_CAP."""
+    table, top = _naive_table(), 2 * ORACLE_CAP
+    rows: list[list[NaiveEntry | None]] = []
+    above: list[NaiveEntry | None] = [None] * (top + 1)
+    for n in range(top, 0, -1):
+        row: list[NaiveEntry | None] = []
+        for dim in range(top + 1):
+            row.append(min((e for e in (table.get((n, dim)), above[dim], row[-1] if row else None)
+                            if e is not None), default=None))
+        if n <= ORACLE_CAP:
+            rows.append(row)
+        above = row
+    return [[], *reversed(rows)]
+
+
 def kk_naive(n: int, d: int | Fraction) -> WitnessedValue:
     """Exhaustive-enumeration oracle for ``kk`` (small n and d only).
 
@@ -115,11 +138,7 @@ def kk_naive(n: int, d: int | Fraction) -> WitnessedValue:
     the enumeration over total dimension <= 2 * ORACLE_CAP is complete.
     """
     dcap = _oracle_cap(n, d, exact=False)
-    return _witnessed(min(
-        (entry for (weight, dim), entry in _naive_table().items()
-         if weight >= n and dim <= dcap),
-        default=None,
-    ))
+    return _witnessed(_kk_naive_table()[n][dcap])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,20 @@ on ``kfun``, as every caller does, and the layers as modules: under
 ``cli``, which runs ``expr``, ``spectra`` and ``bounds`` on first use,
 ``kfun-props`` and ``oracle`` run neither ``expr`` nor ``spectra``.
 
-Most checks get their flags from one predicate call per cell, mapped in C.
+Checks whose cells share no call get their flags from one predicate call
+per cell, mapped in C.  The fixed spectrum and scaling grids, which do not
+grow with nmax, make each shared call once.  ``spectra-sum-algebra`` sums
+each ordered pair of its lattices once, reading those sums for
+commutativity once per pair and for idempotence and identity once per
+lattice; associativity still makes its two outer sums in every cell.
+The ``bounds-props`` build makes each sample object's scalings, energy
+interval, split minimal action and product minimal action once, which
+``bounds-energy-conformality``, ``spectra-rescaling`` and
+``spectra-product-min-vs-split`` read, with one scaled call per (object,
+scale) cell; ``spectra-sphere-m-independent`` makes one spectrum per
+Sphere(m, a).  ``spectra-normal-form`` still calls ``from_generators``
+once per ordering, as that is its law.
+
 The three checks that hold nearly all the cells of a large ``all`` run,
 ``kfun-kk-subadditive``, ``kfun-kk-monotone-in-d`` and
 ``bounds-squeeze-monotone-lower``, get theirs a lane at a time from
@@ -563,16 +576,24 @@ _ENERGY_EXAMPLES = ("S(2;pi) x S(2;pi)", "S(1;pi) x S(1;pi) x C(S2,1;pi)", "S(2;
 
 
 def _bounds_checks(nmax: int, dmax: int) -> Declared:
-    """The bound engine checks, followed by the spectrum algebra checks."""
-    squeeze = None
+    """The bound engine checks and the spectrum checks of the sample
+    objects, followed by the spectrum algebra checks."""
+    squeeze = samples = None
     squeeze_ns = range(2, min(nmax, dmax) + 1)
+    objects = tuple(map(expr.parse_product, _SAMPLE_PRODUCTS))
 
     def squeeze_cells():
         return ((n, d) for n in squeeze_ns for d in range(n, dmax + 1))
 
     def build():
-        nonlocal squeeze
+        nonlocal squeeze, samples
         squeeze = {(n, d): bounds.squeeze_bounds(n, d) for n, d in squeeze_cells()}
+        # per sample object, once for every check that reads them: its
+        # scalings by _POSITIVE, its energy interval, its split minimal action
+        # and its product minimal action
+        samples = [(tuple(obj.scaled(c) for c in _POSITIVE), bounds.energy_bounds(obj),
+                    spectra.split_min_action(obj),
+                    spectra.minimal_action(spectra.product_spectrum(obj))) for obj in objects]
 
     def squeeze_monotone_flags(cells):
         # squeeze(n, d).lower <= squeeze(n, d').lower, on the endpoints' ranks
@@ -607,16 +628,30 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
         interval = bounds.energy_bounds(expr.parse_product(text))
         return interval.lower == interval.upper == spectra.ExtRat.fin(1)
 
-    def conformal(obj, c):
-        base = bounds.energy_bounds(obj)
-        scaled = bounds.energy_bounds(obj.scaled(c))
-        return scaled.lower == base.lower.scaled(c) and scaled.upper == base.upper.scaled(c)
+    def conformal_flags(cells):
+        # energy_bounds(obj.scaled(c)) is energy_bounds(obj) scaled by c
+        flags = bytearray()
+        for scalings, base, _, _ in samples:
+            for c, scaled in zip(_POSITIVE, scalings):
+                interval = bounds.energy_bounds(scaled)
+                flags.append(interval.lower == base.lower.scaled(c)
+                             and interval.upper == base.upper.scaled(c))
+        return flags
+
+    def rescale_flags(cells):
+        # both minimal actions of obj.scaled(c) are those of obj scaled by c
+        flags = bytearray()
+        for scalings, _, split, prod in samples:
+            for c, scaled in zip(_POSITIVE, scalings):
+                flags.append(spectra.split_min_action(scaled) == split.scaled(c)
+                             and spectra.minimal_action(spectra.product_spectrum(scaled))
+                             == prod.scaled(c))
+        return flags
 
     def width_ok(a, flag):
         interval = bounds.width_energy_bound(a, flag)
         return interval.lower == interval.upper == spectra.ExtRat.fin(a)
 
-    objects = tuple(map(expr.parse_product, _SAMPLE_PRODUCTS))
     return [squeeze_cells], build, [
         (
             "bounds-capacity-normalized",
@@ -652,7 +687,7 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
             "bounds-energy-conformality",
             "sample objects x positive rational scales",
             Product(objects, _POSITIVE),
-            _each(conformal),
+            conformal_flags,
         ),
         (
             "bounds-width-interval",
@@ -660,33 +695,49 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
             Product(_POSITIVE, (False, True)),
             _each(width_ok),
         ),
-    ] + _spectra_checks(objects)
+        (
+            "spectra-rescaling",
+            "sample objects x positive rational scales",
+            Product(objects, _POSITIVE),
+            rescale_flags,
+        ),
+        (
+            "spectra-product-min-vs-split",
+            "sample objects",
+            Product(objects),
+            lambda cells: bytearray(prod <= split for _, _, split, prod in samples),
+        ),
+    ] + _spectra_checks()
 
 
-def _spectra_checks(objects: tuple[spectra.ProductObject, ...]) -> list[Check]:
+def _spectra_checks() -> list[Check]:
     lattices = tuple(spectra.Spectrum.lattice(f) for f in _POSITIVE) + (
         spectra.Spectrum.zero(),
     )
+    spheres = range(1, 5)
 
-    def algebra(s1, s2, s3):
-        if spectra.spectrum_sum(s1, s2) != spectra.spectrum_sum(s2, s1):
-            return False
-        left = spectra.spectrum_sum(spectra.spectrum_sum(s1, s2), s3)
-        right = spectra.spectrum_sum(s1, spectra.spectrum_sum(s2, s3))
-        if left != right:
-            return False
-        if spectra.spectrum_sum(s1, s1) != s1:
-            return False
-        return spectra.spectrum_sum(spectra.Spectrum.zero(), s1) == s1
+    def algebra_flags(cells):
+        # the sum of each ordered pair once, read for commutativity once per
+        # pair and for idempotence and identity ({0} is the last lattice)
+        # once per lattice; associativity makes its two outer sums per cell
+        idx = range(len(lattices))
+        sums = [[spectra.spectrum_sum(s1, s2) for s2 in lattices] for s1 in lattices]
+        commutes = [[sums[i][j] == sums[j][i] for j in idx] for i in idx]
+        unit = [sums[i][i] == s == sums[-1][i] for i, s in enumerate(lattices)]
+        flags = bytearray()
+        for i, j, k in itertools.product(idx, idx, idx):
+            flags.append(commutes[i][j]
+                         and spectra.spectrum_sum(sums[i][j], lattices[k])
+                         == spectra.spectrum_sum(lattices[i], sums[j][k])
+                         and unit[i])
+        return flags
 
-    def rescale(obj, c):
-        split = spectra.split_min_action(obj)
-        prod = spectra.minimal_action(spectra.product_spectrum(obj))
-        scaled = obj.scaled(c)
-        return (
-            spectra.split_min_action(scaled) == split.scaled(c)
-            and spectra.minimal_action(spectra.product_spectrum(scaled)) == prod.scaled(c)
-        )
+    def sphere_flags(cells):
+        # the spectrum of each Sphere(m, a) once; a cell (m, m', a) compares two
+        atoms = {m: [spectra.spectrum_of_atom(spectra.Sphere(m, a)) for a in _POSITIVE]
+                 for m in spheres}
+        return bytearray(s1 == s2 for m, m2 in itertools.product(spheres, spheres)
+                         for s1, s2 in zip(atoms[m], atoms[m2]))
 
     def normal_form(gens):
         base = spectra.Spectrum.from_generators(gens)
@@ -701,33 +752,19 @@ def _spectra_checks(objects: tuple[spectra.ProductObject, ...]) -> list[Check]:
             "spectra-sum-algebra",
             "lattice/zero triples over a fraction grid",
             Product(lattices, lattices, lattices),
-            _each(algebra),
-        ),
-        (
-            "spectra-rescaling",
-            "sample objects x positive rational scales",
-            Product(objects, _POSITIVE),
-            _each(rescale),
+            algebra_flags,
         ),
         (
             "spectra-sphere-m-independent",
             "1<=m,m'<=4 x positive areas",
-            Product(range(1, 5), range(1, 5), _POSITIVE),
-            _each(lambda m, m2, a: spectra.spectrum_of_atom(spectra.Sphere(m, a))
-                  == spectra.spectrum_of_atom(spectra.Sphere(m2, a))),
+            Product(spheres, spheres, _POSITIVE),
+            sphere_flags,
         ),
         (
             "spectra-normal-form",
             "generator triples over a fraction grid",
             lambda: ((gens,) for gens in itertools.combinations_with_replacement(_FRACTIONS, 3)),
             _each(normal_form),
-        ),
-        (
-            "spectra-product-min-vs-split",
-            "sample objects",
-            Product(objects),
-            _each(lambda obj: spectra.minimal_action(spectra.product_spectrum(obj))
-                  <= spectra.split_min_action(obj)),
         ),
     ]
 

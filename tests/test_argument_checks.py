@@ -85,6 +85,8 @@ REFUSALS = [
     (kk_naive, (0, "x"), TypeError, "d must be an int or Fraction, got str"),
     (keq_naive, (13, 20), CapExceededError, "naive oracle capped at n <= 12, got n=13"),
     (kk_naive, (13, 20), CapExceededError, "naive oracle capped at n <= 12, got n=13"),
+    # the n cap is checked before the floor(d) cap
+    (kk_naive, (13, 25), CapExceededError, "naive oracle capped at n <= 12, got n=13"),
     (kk_naive, (3, 25), CapExceededError,
      "naive oracle capped at floor(d) <= 24, got floor(d)=25"),
     (kk_naive, (3, Fraction(51, 2)), CapExceededError,

@@ -4,6 +4,7 @@ import pytest
 
 from coisocap import (
     BoundInterval,
+    Citation,
     Closed,
     ExtRat,
     IntervalConflictError,
@@ -23,6 +24,7 @@ from coisocap import (
     squeeze_bounds,
     width_energy_bound,
 )
+from coisocap.bounds import _REGISTRY
 
 PI = ExtRat.fin(1)
 
@@ -41,6 +43,10 @@ def test_registry_is_fixed():
     assert "thm:emb-d-B" in known
     cite = citation("cor:e-A-Cross")
     assert cite.id == "cor:e-A-Cross" and cite.statement
+    for cid in known:
+        # one shared entry per id, equal to a freshly built one
+        assert citation(cid) is citation(cid)
+        assert citation(cid) == Citation(cid, _REGISTRY[cid])
     with pytest.raises(KeyError):
         citation("not-a-registered-id")
 

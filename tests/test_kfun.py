@@ -174,6 +174,13 @@ def test_keq_examples():
     assert two.value == ExtNat(2) and two.witness.key() == ((1, 1), (1, 1))
 
 
+def test_infeasible_queries_share_one_infinite_value():
+    # keq(3, 2) has d < n, kk(5, 3) floor(d) < n and keq(1, 5) d > 2n - 1
+    first, second, third = keq(3, 2), kk(5, 3), keq(1, 5)
+    assert first is second is third
+    assert first == WitnessedValue(NAT_INF) and first.witness is None
+
+
 def test_keq_feasibility_window():
     for n in range(1, 13):
         for d in range(0, 3 * n + 1):
@@ -366,6 +373,20 @@ def test_keq_naive_matches_reference_enumeration():
         for d in range(31):
             found = _reference_filter(n, lambda w, dim: w == n and dim == d)
             _assert_matches(keq_naive(n, d), found)
+
+
+def _kk_naive_scan(n, d):
+    """The reference of ``kk_naive``'s table: a scan of every (weight, dim)
+    entry for the least with weight >= n and dim <= floor(d)."""
+    return min((entry for (weight, dim), entry in _naive_table().items()
+                if weight >= n and dim <= math.floor(d)), default=None)
+
+
+def test_kk_naive_table_matches_the_scan():
+    for n in range(1, ORACLE_CAP + 1):
+        for dcap in range(2 * ORACLE_CAP + 1):
+            for d in (dcap, Fraction(2 * dcap + 1, 2), Fraction(3 * dcap + 2, 3)):
+                _assert_matches(kk_naive(n, d), _kk_naive_scan(n, d))
 
 
 def test_kk_naive_matches_reference_enumeration():

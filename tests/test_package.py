@@ -59,8 +59,8 @@ def test_a_name_loads_only_its_layer_and_what_that_imports():
 
 
 # The names ``oracles`` defines, which ``kfun`` looks up there on first use.
-ORACLE_NAMES = ("ORACLE_CAP", "NaiveEntry", "_oracle_cap", "_naive_table", "keq_naive",
-                "kk_naive", "square_cost_naive", "four_square", "sqrt_bound_witness",
+ORACLE_NAMES = ("ORACLE_CAP", "NaiveEntry", "_oracle_cap", "_naive_table", "_kk_naive_table",
+                "keq_naive", "kk_naive", "square_cost_naive", "four_square", "sqrt_bound_witness",
                 "lt_sqrt_plus", "root_bound_holds", "is_valid_exact_witness",
                 "is_valid_relaxed_witness")
 

@@ -1,5 +1,6 @@
 import itertools
 import time
+from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
 from unittest import mock
@@ -432,9 +433,134 @@ def test_sweep_matches_the_per_cell_loop(nmax, dmax):
                 got = verify._sweep(name, desc, cells, verify._each(_failing_every(k, predicate)))
                 want = _reference_sweep(name, desc, cells(), _failing_every(k, predicate))
                 assert got == want, (name, k)
-    # each checked against its per-cell rule by a property above
-    assert sorted(lanes) == ["bounds-squeeze-monotone-lower", "kfun-kk-monotone-in-d",
-                             "kfun-kk-subadditive"]
+    # the lanes each checked against their per-cell rule by a property above,
+    # the fixed-grid checks against their per-cell predicates below
+    assert sorted(lanes) == sorted(["bounds-squeeze-monotone-lower", "kfun-kk-monotone-in-d",
+                                    "kfun-kk-subadditive", *_FIXED_GRID_PREDICATES])
+
+
+# ---------------------------------------------------------------------------
+# The fixed spectrum and scaling grids against their per-cell predicates
+# ---------------------------------------------------------------------------
+
+def _algebra(s1, s2, s3):
+    if spectra.spectrum_sum(s1, s2) != spectra.spectrum_sum(s2, s1):
+        return False
+    left = spectra.spectrum_sum(spectra.spectrum_sum(s1, s2), s3)
+    right = spectra.spectrum_sum(s1, spectra.spectrum_sum(s2, s3))
+    if left != right:
+        return False
+    if spectra.spectrum_sum(s1, s1) != s1:
+        return False
+    return spectra.spectrum_sum(spectra.Spectrum.zero(), s1) == s1
+
+
+def _conformal(obj, c):
+    base = bounds.energy_bounds(obj)
+    scaled = bounds.energy_bounds(obj.scaled(c))
+    return scaled.lower == base.lower.scaled(c) and scaled.upper == base.upper.scaled(c)
+
+
+def _rescale(obj, c):
+    split = spectra.split_min_action(obj)
+    prod = spectra.minimal_action(spectra.product_spectrum(obj))
+    scaled = obj.scaled(c)
+    return (spectra.split_min_action(scaled) == split.scaled(c)
+            and spectra.minimal_action(spectra.product_spectrum(scaled)) == prod.scaled(c))
+
+
+# The fixed-grid checks and the predicates they replaced, which make every
+# call of a cell in that cell: the oracle of their flags.
+_FIXED_GRID_PREDICATES = {
+    "spectra-sum-algebra": _algebra,
+    "bounds-energy-conformality": _conformal,
+    "spectra-rescaling": _rescale,
+    "spectra-sphere-m-independent": lambda m, m2, a: (
+        spectra.spectrum_of_atom(spectra.Sphere(m, a))
+        == spectra.spectrum_of_atom(spectra.Sphere(m2, a))),
+    "spectra-product-min-vs-split": lambda obj: (
+        spectra.minimal_action(spectra.product_spectrum(obj)) <= spectra.split_min_action(obj)),
+}
+
+
+def _fixed_grid_rows():
+    """The fixed-grid check rows of a built ``bounds-props`` declaration."""
+    _, build, rows = verify._bounds_checks(3, 6)
+    build()
+    return {row[0]: row for row in rows if row[0] in _FIXED_GRID_PREDICATES}
+
+
+def _wrong_at(real, bad, wrong):
+    """``real``, but ``wrong`` at the one input ``bad``."""
+    return lambda *args: wrong if args == bad else real(*args)
+
+
+_HALF, _THIRD = spectra.Spectrum.lattice(Fraction(1, 2)), spectra.Spectrum.lattice(Fraction(1, 3))
+_REAL_SUM = spectra.spectrum_sum
+
+
+# broken stand-ins: (module, name, the stand-in); None keeps the real layers
+_STAND_INS = {
+    "real": None,
+    "sum-not-commutative": (spectra, "spectrum_sum",
+                            lambda s1, s2: s2 if s1.is_zero else s1),
+    "sum-not-associative": (spectra, "spectrum_sum", lambda s1, s2: (
+        _REAL_SUM(s1, s2) if s1.is_zero or s2.is_zero
+        else spectra.Spectrum.lattice((s1.gen + s2.gen) / 2))),
+    "sum-wrong-once": (spectra, "spectrum_sum",
+                       _wrong_at(_REAL_SUM, (_HALF, _THIRD), spectra.Spectrum.lattice(1))),
+    "energy-wrong-scaled": (bounds, "energy_bounds", _wrong_at(
+        bounds.energy_bounds, (parse_product("S(1;pi) x S(1;2pi/3)"),),
+        bounds.energy_bounds(parse_product("S(2;pi)")))),
+    "energy-wrong-unscaled": (bounds, "energy_bounds", _wrong_at(
+        bounds.energy_bounds, (parse_product("S(2;pi)"),),
+        bounds.energy_bounds(parse_product("S(2;2pi)")))),
+    "split-wrong-once": (spectra, "split_min_action", _wrong_at(
+        spectra.split_min_action, (parse_product("S(2;2pi) x S(3;pi)"),),
+        spectra.ExtRat.fin(5))),
+    "atom-wrong-once": (spectra, "spectrum_of_atom", _wrong_at(
+        spectra.spectrum_of_atom, (spectra.Sphere(3, Fraction(1, 2)),),
+        spectra.Spectrum.lattice(Fraction(1, 4)))),
+}
+
+
+@pytest.mark.parametrize("stand_in", _STAND_INS)
+def test_fixed_grid_checks_match_their_per_cell_predicates(monkeypatch, stand_in):
+    if _STAND_INS[stand_in]:
+        monkeypatch.setattr(*_STAND_INS[stand_in])
+    got = {name: verify._sweep(*row) for name, row in _fixed_grid_rows().items()}
+    want = {name: _reference_sweep(name, desc, cells(), _FIXED_GRID_PREDICATES[name])
+            for name, (_, desc, cells, _) in _fixed_grid_rows().items()}
+    assert got == want
+    # a stand-in breaks some check, the real layers none
+    assert any(result.fail_count for result in got.values()) == (stand_in != "real")
+
+
+def test_fixed_grids_make_each_distinct_call_once(monkeypatch):
+    # counts calls, not time: the build makes each sample object's unscaled
+    # values once; then the algebra check sums each ordered pair of its 8
+    # lattices once, besides the two outer sums of associativity in each of
+    # its 8^3 cells, the sphere check makes one spectrum per (m, a), and the
+    # scaling checks one call per (object, scale)
+    calls = {}
+    for module, name in ((spectra, "spectrum_sum"), (spectra, "spectrum_of_atom"),
+                         (spectra, "split_min_action"), (bounds, "energy_bounds")):
+        def counted(*args, fn=getattr(module, name), log=calls.setdefault(name, [])):
+            log.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    _, build, rows = verify._bounds_checks(3, 6)
+    build()
+    assert (len(calls["energy_bounds"]), len(calls["split_min_action"])) == (10, 10)
+    rows = {row[0]: row for row in rows}
+    for check, name, want in (("spectra-sum-algebra", "spectrum_sum", 8 * 8 + 2 * 8**3),
+                              ("spectra-sphere-m-independent", "spectrum_of_atom", 4 * 7),
+                              ("spectra-rescaling", "split_min_action", 10 * 7),
+                              ("bounds-energy-conformality", "energy_bounds", 10 * 7)):
+        calls[name].clear()
+        assert verify._sweep(*rows[check]).fail_count == 0
+        assert len(calls[name]) == want, check
 
 
 def test_cell_budget_is_checked_before_any_work(monkeypatch):
