@@ -13,6 +13,7 @@ registered inequalities were combined inconsistently and raises
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (Frozen, IntervalConflictError, OutOfRangeError, clip, require_area,
                      require_exact, require_int, require_n)
@@ -143,14 +144,23 @@ def energy_bounds(obj: ProductObject) -> BoundInterval:
     return BoundInterval(lower, upper, lower_prov, upper_prov)
 
 
+_ONE = ExtRat.fin(1)
+
+
+@lru_cache(maxsize=64)
+def _reciprocal(cost: int) -> ExtRat:
+    """1/cost, made once per cost: a sweep's many cells share a few costs."""
+    return ExtRat.fin(Fraction(1, cost))
+
+
 def _reciprocal_interval(found: WitnessedValue, lower_id: str,
                          *upper_ids: str) -> BoundInterval:
     """The interval [1/cost, 1] for a finite minimizer value, witnessed by
     its decomposition."""
     assert found.value.is_finite  # guaranteed by the callers' argument checks
-    lower = ExtRat.fin(Fraction(1, found.value.value))
     upper_prov = tuple(citation(cid) for cid in upper_ids)
-    return BoundInterval(lower, ExtRat.fin(1), (citation(lower_id),), upper_prov, found.witness)
+    return BoundInterval(_reciprocal(found.value.value), _ONE, (citation(lower_id),), upper_prov,
+                         found.witness)
 
 
 def capacity_bounds(n: int, d: int) -> BoundInterval:

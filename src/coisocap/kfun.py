@@ -19,9 +19,13 @@ holds a sum of multiples of the parts; ``big_k`` is the case r = 0 and
 takes its value from a dynamic program over 0..n.
 
 Every finite value comes with a witness decomposition; infeasible instances
-yield infinity, never an error.  The cross-checks, independent of the
-search, are in ``oracles``: the exhaustive-enumeration oracles, the
-four-square and square-root-bound constructions and the witness audits.
+yield infinity, never an error.  The search, ``big_k`` and the naive
+oracles all make their answers with ``_witnessed``, which builds and checks
+each distinct (cost, key) once and keeps the 1,024 used last, so equal
+answers made while it holds them are one frozen object.  The
+cross-checks, independent of the search, are in ``oracles``: the
+exhaustive-enumeration oracles, the four-square and square-root-bound
+constructions and the witness audits.
 Their names are still names of this module (``kfun.keq_naive``): the first
 lookup of one imports ``oracles`` (PEP 562) and keeps the value here, so a
 call that never looks one up never compiles them.
@@ -189,8 +193,15 @@ class WitnessedValue(Frozen):
 _NO_DECOMPOSITION = WitnessedValue(NAT_INF)
 
 
+@lru_cache(maxsize=1024)
 def _witnessed(found: tuple[int, tuple[tuple[int, int], ...]] | None) -> WitnessedValue:
-    """The value of a search result (cost, key), or infinity for None."""
+    """The value of a search result (cost, key), or infinity for None.
+
+    Interned: equal results are one object, built and checked on first
+    use.  The cache is bounded, since each query of a range can have its
+    own answer; a key that fails a check is never kept, so it raises on
+    every call.
+    """
     if found is None:
         return _NO_DECOMPOSITION
     cost, key = found
@@ -344,16 +355,16 @@ def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> Witnessed
     the largest part exceeds that of the best key found.  The cache holds
     more than the 930 distinct queries of ``verify all --nmax 15`` (2,550
     at ``--nmax 25``), and a repeated query returns the same frozen object.
+    Equal answers of any queries are one object too while ``_witnessed``
+    holds it (121 distinct answers at ``--nmax 15``).
     """
-    def slack(q: int) -> tuple[int, int]:
-        # weight q + r and dimension q + 2r within their ranges, r >= 0
-        return max(0, w_lo - q, _ceil_div(d_lo - q, 2)), min(w_hi - q, (d_hi - q) // 2)
-
     q_lo = max(1, 2 * w_lo - d_hi)
     q_hi = min(w_hi, d_hi, 2 * w_hi - d_lo)
-    r_lo, r_hi = slack(q_lo)
-    if q_lo > q_hi or r_lo > r_hi:
-        return _witnessed(None)
+    # A square mass q leaves the slacks r >= 0 with weight q + r in
+    # [w_lo, w_hi] and dimension q + 2r in [d_lo, d_hi].
+    if q_lo > q_hi or max(0, w_lo - q_lo, (d_lo - q_lo + 1) // 2) > min(
+            w_hi - q_lo, (d_hi - q_lo) // 2):
+        return _NO_DECOMPOSITION
     # q_lo ones admit any slack, so the search ends by cost q_lo.
     cost = _ceil_sqrt(q_lo)
     while True:
@@ -361,7 +372,9 @@ def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> Witnessed
         for parts in _square_parts(cost, q_lo, q_hi, cost):
             if best is not None and parts[0] > best[0][0]:
                 break
-            key = _witness_key(parts, *slack(sum(k * k for k in parts)))
+            q = sum([k * k for k in parts])
+            key = _witness_key(parts, max(0, w_lo - q, (d_lo - q + 1) // 2),
+                               min(w_hi - q, (d_hi - q) // 2))
             if key is not None and (best is None or key < best):
                 best = key
         if best is not None:

@@ -67,12 +67,19 @@ cell.  The cost table reads no K table: it scans each q's levels from
 ceil(sqrt(q)) up, as the kernel does, so a wrong K table cannot hang it or
 change a grid.  ``kfun-props`` builds the K table over 0..max(nmax, dmax),
 which its four-square check tests, and the K answers ``kfun.big_k(n)`` for
-n <= nmax, once each.  The kfun predicates compare exact integers, with
-None for infinity; the squeeze monotonicity and collapse checks both read
-the squeeze intervals.  The diagonal, root-bound window and witness audit
-checks, which have few cells or need witnesses, call ``kk``/``keq`` per
-cell, and the capacity checks ``bounds.capacity_bounds``; every check
-still visits and counts each of its cells.
+n <= nmax with their witness audits, once each.  The kfun predicates
+compare exact integers, with None for infinity; the squeeze monotonicity
+and collapse checks both read the squeeze intervals.  The diagonal,
+root-bound window and witness audit checks, which have few cells or need
+witnesses, call ``kk``/``keq`` per cell, where a repeated query is a cache
+lookup and equal answers are one object; the witness audit audits
+``keq(n, d)`` and ``kk(n, d)`` in each cell and reads the audit of K(n)
+from the build.  The ``bounds-props`` build makes the window interval
+``bounds.capacity_bounds(n, 2n - 1)`` once per n, which both capacity
+checks read, and ``bounds-capacity-interval-sane`` calls
+``bounds.capacity_bounds`` in its other cells; the constants its
+predicates compare with are made once per run.  Every check still visits
+and counts each of its cells.
 
 The budget, ``VERIFY_MAX_CELLS`` read at each call, is counted before any
 grid is built, over the grids' index cells and the checks' cells; a suite
@@ -349,6 +356,13 @@ def _le(a: int | None, b: int | None) -> bool:
     return b is None or (a is not None and a <= b)
 
 
+def _audit(found: kfun.WitnessedValue, valid, n: int, d: int) -> bool:
+    """Whether a finite answer's witness passes ``valid`` at (n, d) and
+    costs the answer's value; an infinite answer passes."""
+    return not found.value.is_finite or (valid(found.witness, n, d)
+                                         and found.witness.cost == found.value.value)
+
+
 # ---------------------------------------------------------------------------
 # kfun checks
 # ---------------------------------------------------------------------------
@@ -356,14 +370,15 @@ def _le(a: int | None, b: int | None) -> bool:
 def _kfun_checks(nmax: int, dmax: int) -> Declared:
     four_square_top = max(nmax, dmax)
     ns, ds = range(1, nmax + 1), range(dmax + 1)
-    table = kk = keq = big_k = None
+    table = kk = keq = big_k_ok = None
 
     def build():
-        nonlocal table, kk, keq, big_k
+        nonlocal table, kk, keq, big_k_ok
         table = kfun.big_k_table(four_square_top)
         kk, keq = _kk_grid(nmax, dmax), _keq_grid(nmax, dmax)
-        # the K table's grid, 0..max(nmax, dmax), counts these calls in the budget
-        big_k = {n: kfun.big_k(n) for n in ns}
+        # the audit of each K witness, read by every cell of its row; the K
+        # table's grid, 0..max(nmax, dmax), counts these calls in the budget
+        big_k_ok = {n: _audit(kfun.big_k(n), kfun.is_valid_exact_witness, n, n) for n in ns}
 
     # (range text, cells) of the ranges several checks share
     each_n = f"1<=n<={nmax}", Product(ns)
@@ -438,16 +453,8 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         return flags
 
     def witnesses_ok(n, d):
-        for found, valid, args in (
-            (kfun.keq(n, d), kfun.is_valid_exact_witness, (n, d)),
-            (kfun.kk(n, d), kfun.is_valid_relaxed_witness, (n, d)),
-            (big_k[n], kfun.is_valid_exact_witness, (n, n)),
-        ):
-            if found.value.is_finite and not (
-                valid(found.witness, *args) and found.witness.cost == found.value.value
-            ):
-                return False
-        return True
+        return (_audit(kfun.keq(n, d), kfun.is_valid_exact_witness, n, d)
+                and _audit(kfun.kk(n, d), kfun.is_valid_relaxed_witness, n, d) and big_k_ok[n])
 
     def four_square_ok(n):
         a, b, c, d = kfun.four_square(n)
@@ -578,16 +585,20 @@ _ENERGY_EXAMPLES = ("S(2;pi) x S(2;pi)", "S(1;pi) x S(1;pi) x C(S2,1;pi)", "S(2;
 def _bounds_checks(nmax: int, dmax: int) -> Declared:
     """The bound engine checks and the spectrum checks of the sample
     objects, followed by the spectrum algebra checks."""
-    squeeze = samples = None
+    squeeze = windows = samples = None
     squeeze_ns = range(2, min(nmax, dmax) + 1)
     objects = tuple(map(expr.parse_product, _SAMPLE_PRODUCTS))
+    # the constants the predicates compare with, made once per run
+    zero, one, nat_one = spectra.ExtRat.fin(0), spectra.ExtRat.fin(1), kfun.ExtNat(1)
 
     def squeeze_cells():
         return ((n, d) for n in squeeze_ns for d in range(n, dmax + 1))
 
     def build():
-        nonlocal squeeze, samples
+        nonlocal squeeze, windows, samples
         squeeze = {(n, d): bounds.squeeze_bounds(n, d) for n, d in squeeze_cells()}
+        # capacity_bounds(n, 2n - 1), which both capacity checks read
+        windows = {n: bounds.capacity_bounds(n, 2 * n - 1) for n in range(1, nmax + 1)}
         # per sample object, once for every check that reads them: its
         # scalings by _POSITIVE, its energy interval, its split minimal action
         # and its product minimal action
@@ -609,24 +620,24 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
                               for n in squeeze_ns])
 
     def capacity_normalized(n):
-        interval = bounds.capacity_bounds(n, 2 * n - 1)
-        return interval.lower == interval.upper == spectra.ExtRat.fin(1)
+        interval = windows[n]
+        return interval.lower == interval.upper == one
 
     def capacity_sane(n, d):
-        interval = bounds.capacity_bounds(n, d)
-        return spectra.ExtRat.fin(0) < interval.lower <= interval.upper
+        interval = windows[n] if d == 2 * n - 1 else bounds.capacity_bounds(n, d)
+        return zero < interval.lower <= interval.upper
 
     def collapse_ok(n, d):
         interval = squeeze[n, d]
-        collapsed = interval.lower == interval.upper == spectra.ExtRat.fin(1)
-        want = kfun.kk(n, d).value == kfun.ExtNat(1)
+        collapsed = interval.lower == interval.upper == one
+        want = kfun.kk(n, d).value == nat_one
         if collapsed != want:
             return False
         return collapsed if d >= 2 * n - 1 else True
 
     def energy_is_pi(text):
         interval = bounds.energy_bounds(expr.parse_product(text))
-        return interval.lower == interval.upper == spectra.ExtRat.fin(1)
+        return interval.lower == interval.upper == one
 
     def conformal_flags(cells):
         # energy_bounds(obj.scaled(c)) is energy_bounds(obj) scaled by c

@@ -27,6 +27,8 @@ from coisocap.kfun import (
     BIG_K_NMAX,
     ORACLE_CAP,
     _naive_table,
+    _square_mass_search,
+    _witnessed,
     check_k_rows,
     is_valid_exact_witness,
     is_valid_relaxed_witness,
@@ -230,6 +232,33 @@ def test_repeated_queries_return_the_cached_answer():
     # d = 9 and d = 19/2 share floor(d), so they are one query
     assert kk(7, 9) is kk(7, Fraction(19, 2))
     assert keq(30, 45) is keq(30, 45)
+
+
+def test_equal_answers_of_different_queries_are_one_object():
+    # two kk queries, and a keq query, K and a kk query, share one answer
+    # while it is among the answers the cache holds
+    _square_mass_search.cache_clear()
+    _witnessed.cache_clear()
+    assert kk(5, 9) is kk(5, 10)
+    assert keq(9, 9) is big_k(9) is kk(9, 9)
+    assert kk(5, 9) == WitnessedValue(ExtNat(1), Decomposition([Pair(1, 5)]))
+    assert big_k(9) == WitnessedValue(ExtNat(3), Decomposition([Pair(3, 3)]))
+
+
+def test_the_answer_cache_is_bounded():
+    maxsize = _witnessed.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 4096
+
+
+@pytest.mark.parametrize("found", [
+    (2, ((2, 1),)),  # k > n
+    (3, ((1, 1), (2, 2))),  # out of canonical order
+    (3, ((1, 1),)),  # cost differs from the key
+])
+def test_a_malformed_answer_raises_on_every_call(found):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            _witnessed(found)
 
 
 def test_kk_monotone_and_dominated():

@@ -12,13 +12,21 @@ Tier-1 compares the kernel and both ``verify`` grids with it on every cell
 n <= 100, d <= 2n.  Run as a script, it compares one function further:
 
     PYTHONPATH=src python tests/test_value_oracle.py keq 200
+
+A second oracle works on the kernel's own reduction, square mass and slack,
+with none of its code: ``slack_costs`` is the least part sum of parts with
+square sum q and slack r, so keq(q + r, q + 2r) is its entry at (q, r), and
+kk(n, d) the least entry with q + r >= n and q + 2r <= d.  Tier-1 compares
+``keq`` with it on every cell q + r <= 200, and ``kk`` on drawn cells.
 """
 import math
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coisocap import kfun, verify
 
@@ -93,6 +101,58 @@ def test_verify_grids_match_the_knapsack(fn):
     want = knapsack(2 * N)[fn == "kk"]
     got = verify._keq_grid(N, 2 * N) if fn == "keq" else verify._kk_grid(N // 2, N)
     assert [(n, d) for n, d in cells(N) if got[n][d] != want[n][d]] == []
+
+
+@lru_cache(maxsize=1)
+def slack_costs(top: int) -> list[list[int]]:
+    """C[q][r] for q + r <= top, INF where no parts fit: the least part sum
+    of positive parts k with square sum q and slack r, where a part k takes
+    any multiple of k as slack (a pair (k, k + t) has weight k*k + k*t and
+    dimension k*k + 2*k*t).  Row q takes, for each k <= sqrt(q), row
+    q - k*k as a running minimum along steps of k, adds k and keeps the
+    least."""
+    rows = [[0] + [INF] * top]
+    for q in range(1, top + 1):
+        row = [INF] * (top - q + 1)
+        for k in range(1, math.isqrt(q) + 1):
+            prev = rows[q - k * k]
+            for start in range(k):
+                least = INF
+                for r in range(start, len(row), k):
+                    least = min(least, prev[r])
+                    row[r] = min(row[r], least + k)
+        rows.append(row)
+    return rows
+
+
+SLACK_TOP = 200
+
+
+def test_keq_matches_the_slack_costs_on_every_cell():
+    costs = slack_costs(SLACK_TOP)
+    cells = [(q, r) for q in range(1, SLACK_TOP + 1) for r in range(SLACK_TOP - q + 1)]
+    assert len(cells) == 20100
+    wrong = [(q, r) for q, r in cells
+             if value(kfun.keq(q + r, q + 2 * r)) != (None if costs[q][r] >= INF else costs[q][r])]
+    assert wrong == []
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, SLACK_TOP // 2).flatmap(
+    lambda n: st.tuples(st.just(n), st.fractions(n - 1, 2 * n))))  # kk is 1 from d = 2n - 1 on
+@example((1, Fraction(0)))
+@example((1, Fraction(1)))
+@example((5, Fraction(7)))  # a slack range one too wide at odd d - q reads 2 here
+@example((7, Fraction(27, 2)))
+@example((SLACK_TOP // 2, Fraction(SLACK_TOP)))
+@example((SLACK_TOP, Fraction(SLACK_TOP)))
+def test_kk_is_the_least_slack_cost_in_range(cell):
+    # weight q + r >= n and dimension q + 2r <= floor(d), so q + r <= SLACK_TOP
+    n, d = cell
+    dcap, costs = math.floor(d), slack_costs(SLACK_TOP)
+    least = min((c for q in range(1, dcap + 1) for r, c in enumerate(costs[q][:(dcap - q) // 2 + 1])
+                 if q + r >= n), default=INF)
+    assert value(kfun.kk(n, d)) == (None if least >= INF else least)
 
 
 if __name__ == "__main__":

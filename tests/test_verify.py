@@ -77,9 +77,10 @@ def test_each_value_is_computed_once(monkeypatch):
     assert run_suite("all", 6).ok
     assert calls["big_k"] == [(n,) for n in range(1, 7)]
     assert calls["squeeze_bounds"] == [(n, d) for n in range(2, 7) for d in range(n, 13)]
-    # bounds-capacity-normalized, then bounds-capacity-interval-sane
+    # the window intervals of the build, which both capacity checks read,
+    # then the rest of bounds-capacity-interval-sane
     assert calls["capacity_bounds"] == [(n, 2 * n - 1) for n in range(1, 7)] + [
-        (n, d) for n in range(1, 7) for d in range(n, 2 * n)]
+        (n, d) for n in range(1, 7) for d in range(n, 2 * n - 1)]
 
 
 def test_invalid_arguments():
@@ -261,6 +262,38 @@ def test_grids_match_the_per_call_kernel():
     # d < n before it, and every kk cell for n <= 60, d <= 120
     assert verify._keq_grid(200, 0) == _grid(kfun.keq, verify._keq_cells(200, 0))
     assert verify._kk_grid(30, 60) == _grid(kfun.kk, verify._kk_cells(30, 60))
+
+
+def _witnesses_ok_per_cell(n, d):
+    """kfun-witness-validity as one predicate per cell, auditing the K
+    witness of n again at every d."""
+    for found, valid, args in (
+        (kfun.keq(n, d), kfun.is_valid_exact_witness, (n, d)),
+        (kfun.kk(n, d), kfun.is_valid_relaxed_witness, (n, d)),
+        (kfun.big_k(n), kfun.is_valid_exact_witness, (n, n)),
+    ):
+        if found.value.is_finite and not (
+            valid(found.witness, *args) and found.witness.cost == found.value.value
+        ):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("bad_n", [1, 4, 7])
+def test_witness_audits_match_the_per_cell_audits(monkeypatch, bad_n):
+    # an audit that refuses the K witness of one n fails that n's row, and
+    # the build's one K audit per n reports what the per-cell audits do
+    bad = kfun.big_k(bad_n).witness.key()
+    valid = kfun.is_valid_exact_witness
+    monkeypatch.setattr(kfun, "is_valid_exact_witness",
+                        lambda dec, n, d: dec.key() != bad and valid(dec, n, d))
+    nmax, dmax = 8, 13
+    got = {c.name: c for c in run_suite("kfun-props", nmax, dmax).checks}["kfun-witness-validity"]
+    want = _reference_sweep(got.name, got.range_desc,
+                            itertools.product(range(1, nmax + 1), range(dmax + 1)),
+                            _witnesses_ok_per_cell)
+    assert got == want
+    assert (got.fail_count, got.first_failure) == (dmax + 1, (bad_n, 0))
 
 
 def test_square_mass_costs_are_keq_per_cell():
