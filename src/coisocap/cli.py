@@ -13,6 +13,14 @@ format ``--format`` selects; its printer converts each value, JSON by
 ``_json``, the one map to the frozen schema, and CSV by ``str`` ("" for
 None), and writes each table row as it comes, keeping none.
 
+argv has two readers, both driven by the same rows.  ``_plain_args``
+reads a plain argv (a command, its options each named in full and once,
+and values that argparse would take as they are) straight from the rows,
+into a ``SimpleNamespace`` equal to argparse's, so such a call imports
+neither ``argparse`` nor, through it, ``gettext``, ``locale``, ``re`` and
+``shutil``.  Any other argv, ``--help`` and every usage error among them,
+goes to argparse, which ``build_parser`` imports.
+
 One call builds and imports only what its argv uses.  ``build_parser``
 names every command and ``bound`` kind, so usage, help and "invalid
 choice" errors read the same, but gives arguments only to the ones argv
@@ -42,17 +50,15 @@ option, so a negative d exits 1 however it is spelled.
 from __future__ import annotations
 
 import _thread
-import argparse
 import gc
 import importlib.util
 import os
-import re
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from contextlib import suppress
-from itertools import islice
-from types import ModuleType
+from itertools import islice, zip_longest
+from types import ModuleType, SimpleNamespace
 
 from . import kfun
 from .errors import (CoisocapError, ExprParseError, Extended, OutOfRangeError,
@@ -197,18 +203,21 @@ def _argv_int(text: str) -> int:
 
 
 def _int_at_least(lo: int):
-    """argparse type for an integer >= lo."""
+    """The ``type`` of an argument that is an integer >= lo; it raises
+    argparse's ``ArgumentTypeError``, importing argparse, for any other token."""
 
     def parse(text: str) -> int:
         try:
             value = _argv_int(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"expected {exc}, got {clip(text)!r}") from exc
-        if value < lo:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {lo}, got {clip(str(value))}"
-            )
-        return value
+            message = f"expected {exc}, got {clip(text)!r}"
+        else:
+            if value >= lo:
+                return value
+            message = f"expected an integer >= {lo}, got {clip(str(value))}"
+        import argparse
+
+        raise argparse.ArgumentTypeError(message)
 
     return parse
 
@@ -434,11 +443,12 @@ def _handle_verify(args) -> Output:
 # The command table
 # ---------------------------------------------------------------------------
 
-# argparse's ``_negative_number_matcher`` for the commands whose d ``_parse_d``
-# reads: a token that names no option and starts with "-" then an ASCII digit or
-# ".digit" is a value.  argparse's own admits only a negative int or decimal, so
-# "-1/2" and "-1e3" would be unrecognized options (exit 2), not a d < 0 (exit 1).
-_NEGATIVE_D = re.compile(r"-\.?[0-9]")
+# The pattern of argparse's ``_negative_number_matcher`` for the commands whose
+# d ``_parse_d`` reads: a token that names no option and starts with "-" then an
+# ASCII digit or ".digit" is a value.  argparse's own admits only a negative int
+# or decimal, so "-1/2" and "-1e3" would be unrecognized options (exit 2), not a
+# d < 0 (exit 1).
+_NEGATIVE_D = r"-\.?[0-9]"
 
 
 def _arg(*flags, **options):
@@ -468,12 +478,21 @@ _COMMANDS = {
     "spectrum": ("spectrum algebra for a product expression", _handle_spectrum, "text",
                  (_arg("expr"),)),
     "bound": ("certified bound intervals", None, None, _BOUND_KINDS),
-    # built only for a parser that gives ``verify`` its arguments: ``SUITES`` runs ``verify``
+    # built only for a parser or a reader that gives ``verify`` its arguments: ``SUITES``
+    # runs ``verify``
     "verify": ("bulk invariant sweeps", _handle_verify, "text",
                lambda: (_arg("suite", choices=verify.SUITES),
                         _arg("--nmax", type=_POSITIVE, required=True),
                         _arg("--dmax", type=_NONNEG))),
 }
+
+
+def _arguments(default: str, arguments) -> tuple:
+    """A command's arguments, from its row's default format and arguments:
+    the row's, then ``--format``."""
+    return (*(arguments() if callable(arguments) else arguments),
+            _arg("--format", choices=tuple(_PRINTERS), default=default,
+                 help=f"output format (default: {default})"))
 
 
 def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict,
@@ -495,18 +514,21 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict,
             _add_commands(command, "kind", arguments, None if words is None else words[1:])
             continue
         if handler in (_handle_kfun, _handle_table, _handle_squeeze):
-            command._negative_number_matcher = _NEGATIVE_D
-        for flags, options in arguments() if callable(arguments) else arguments:
+            import re
+
+            command._negative_number_matcher = re.compile(_NEGATIVE_D)
+        for flags, options in _arguments(default, arguments):
             command.add_argument(*flags, **options)
         command.set_defaults(handler=handler)
-        command.add_argument("--format", choices=tuple(_PRINTERS), default=default,
-                             help=f"output format (default: {default})")
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The argparse tree for ``argv``: every command and ``bound`` kind is
     named, but only the ones ``argv`` names get their arguments; with no
-    argv, every one does."""
+    argv, every one does.  ``run`` builds it only for an argv that
+    ``_plain_args`` does not read."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="coisocap",
         description="Exact capacity minimizers, spectrum algebra, and certified bound intervals.",
@@ -516,19 +538,90 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser(argv).parse_args(argv)`` returns, read
+    from the same rows, if argv is plain; else None.
+
+    Plain: argv names a command, and a kind after ``bound``; each later
+    token that starts with "-" is one of the command's options, named in
+    full and once, and a valued option's value does not start with "-";
+    the positionals are one run that fills the required ones, and every
+    ``type`` and ``choices`` accepts its token.  Any other argv, help and
+    every usage error included, is argparse's to read."""
+    values, rows, tokens = {}, _COMMANDS, iter(argv)
+    for dest in ("command", "kind"):
+        name = next(tokens, None)
+        if name not in rows:
+            return None
+        values[dest] = name
+        _, handler, default, arguments = rows[name]
+        if handler is not None:
+            break
+        rows = arguments
+    positionals, options = [], {}
+    for flags, spec in _arguments(default, arguments):
+        if flags[0].startswith("-"):
+            options[flags[0]] = spec
+        else:
+            positionals.append((flags[0], spec))
+    # One run of positionals: argparse fills an optional positional
+    # differently by version when more of them follow an option.
+    words, given, closed = [], {}, False
+    for token in tokens:
+        if not token.startswith("-"):
+            if closed:
+                return None
+            words.append(token)
+            continue
+        spec = options.get(token)
+        if spec is None or token in given:
+            return None
+        closed = bool(words)
+        if spec.get("action") == "store_true":
+            given[token] = True
+            continue
+        given[token] = next(tokens, "-")
+        if given[token].startswith("-"):
+            return None
+    required = sum(spec.get("nargs") != "?" for _, spec in positionals)
+    if not required <= len(words) <= len(positionals):
+        return None
+    cells = [(flag, spec, word) for (flag, spec), word in zip_longest(positionals, words)]
+    cells += [(flag.lstrip("-").replace("-", "_"), spec, given.get(flag))
+              for flag, spec in options.items()]
+    for dest, spec, token in cells:
+        if token is None:
+            if spec.get("required"):
+                return None
+            store_true = spec.get("action") == "store_true"
+            values[dest] = spec.get("default", False if store_true else None)
+        elif token is True:
+            values[dest] = True
+        else:
+            try:
+                values[dest] = spec.get("type", str)(token)
+            except Exception:  # argparse reads argv again, and reports it
+                return None
+            if "choices" in spec and values[dest] not in spec["choices"]:
+                return None
+    return SimpleNamespace(**values, handler=handler)
+
+
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
 def run(argv: list[str] | None = None) -> int:
-    """Execute one invocation; returns the process exit code."""
+    """Execute one invocation; returns the process exit code.  A plain
+    argv is read by ``_plain_args``, any other by argparse."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
+    args = _plain_args(argv)
+    parser = None if args else build_parser(argv)
     code = 0
     try:
         try:
-            args = parser.parse_args(argv)  # prints --help
+            args = args or parser.parse_args(argv)  # prints --help
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 2
         else:

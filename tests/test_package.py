@@ -3,6 +3,7 @@ imported from its layer on first use, and ``__all__``, star import,
 ``dir`` and the layer attributes are what they were when every name was
 imported eagerly."""
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -294,6 +295,48 @@ def test_cli_imports_json_and_csv_only_to_print_them(call, printers):
     loaded = cold(f"import sys\nfrom coisocap.cli import run\n{call}\n"
                   "print(*(m for m in ('json', 'csv') if m in sys.modules), file=sys.stderr)")
     assert loaded.stderr.split() == printers
+
+
+ARGPARSE = ("argparse", "gettext", "locale")  # argparse's first translation loads locale
+GOLDEN = {tuple(entry["argv"]): entry for entry in json.loads(
+    (Path(__file__).parent / "golden" / "cli.json").read_text())}
+
+# (argv, whether argparse reads it): a plain argv is read from the command table
+READERS = [
+    (["kfun", "keq", "3", "2"], False),
+    (["table", "keq", "1", "6", "--d", "4", "--format", "csv"], False),
+    (["spectrum", "V(2,3;pi/2)", "--format", "json"], False),
+    (["bound", "width", "pi", "--closed-factor", "--format", "text"], False),
+    (["verify", "oracle", "--nmax", "3", "--dmax", "4", "--format", "csv"], False),
+    (["--help"], True),
+    (["kfun", "K", "0"], True),
+    (["kfun", "keq", "5", "7", "--form", "json"], True),
+]
+
+
+@pytest.mark.parametrize("argv, parsed", READERS, ids=[" ".join(argv) for argv, _ in READERS])
+def test_only_help_usage_errors_and_other_forms_load_argparse(argv, parsed, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err, loaded = json.loads(cold(
+        "import contextlib, io, json, sys\nfrom coisocap.cli import run\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        f"    code = run({argv!r})\n"
+        f"loaded = [m for m in {ARGPARSE!r} if m in sys.modules]\n"
+        "print(json.dumps([code, out.getvalue(), err.getvalue(), loaded]))").stdout)
+    want = GOLDEN[tuple(argv)]
+    assert (code, out, err) == (want["exit"], want["stdout"], want["stderr"])
+    assert ("argparse" in loaded) is parsed
+    assert loaded == [] or parsed
+
+
+def test_a_plain_kfun_call_loads_no_re():
+    # ``python -S`` starts with neither, as under a ``site`` that preloads neither
+    loaded = cold("import sys\nbefore = {'re', 'shutil'} & set(sys.modules)\n"
+                  "from coisocap.cli import run\nrun(['kfun', 'keq', '5', '7'])\n"
+                  "print(before, {'re', 'shutil'} & set(sys.modules), file=sys.stderr)")
+    assert loaded.stdout == "keq(5,7) = 3, witness [(1,2),(1,2),(1,1)]\n"
+    assert loaded.stderr.split() == ["set()", "set()"]
 
 
 def test_unknown_name_is_an_attribute_error():
