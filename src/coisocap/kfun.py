@@ -19,12 +19,13 @@ holds a sum of multiples of the parts; ``big_k`` is the case r = 0 and
 takes its value from a dynamic program over 0..n.
 
 Every finite value comes with a witness decomposition; infeasible instances
-yield infinity, never an error.  The search, ``big_k`` and the naive
+yield infinity, never an error.  ``keq``, ``kk``, ``big_k`` and the naive
 oracles all make their answers with ``_witnessed``, which builds and checks
 each distinct (cost, key) once and keeps the 1,024 used last, so equal
-answers made while it holds them are one frozen object.  The
-cross-checks, independent of the search, are in ``oracles``: the
-exhaustive-enumeration oracles, the four-square and square-root-bound
+answers made while it holds them are one frozen object.  The search's
+cache keeps plain (cost, key) results, so every answer comes from the
+intern.  The cross-checks, independent of the search, are in ``oracles``:
+the exhaustive-enumeration oracles, the four-square and square-root-bound
 constructions and the witness audits.
 Their names are still names of this module (``kfun.keq_naive``): the first
 lookup of one imports ``oracles`` (PEP 562) and keeps the value here, so a
@@ -51,6 +52,7 @@ from .errors import Extended, Frozen, OutOfRangeError, require_exact, require_in
 BIG_K_NMAX = 10**6
 
 Monoid = tuple[int, int, list[int]]  # see _monoid
+Found = tuple[int, tuple[tuple[int, int], ...]]  # a search result (cost, key)
 
 
 def _query_cap(n, d, exact: bool) -> int:
@@ -194,7 +196,7 @@ _NO_DECOMPOSITION = WitnessedValue(NAT_INF)
 
 
 @lru_cache(maxsize=1024)
-def _witnessed(found: tuple[int, tuple[tuple[int, int], ...]] | None) -> WitnessedValue:
+def _witnessed(found: Found | None) -> WitnessedValue:
     """The value of a search result (cost, key), or infinity for None.
 
     Interned: equal results are one object, built and checked on first
@@ -345,18 +347,18 @@ def _witness_key(parts: tuple[int, ...], lo: int, hi: int) -> tuple[tuple[int, i
 
 
 @lru_cache(maxsize=2**14)
-def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> WitnessedValue:
-    """Minimal cost, witnessed by the smallest key, with weight in
-    [w_lo, w_hi] and dimension in [d_lo, d_hi]; infinity when no
-    decomposition exists.
+def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> Found | None:
+    """Minimal cost and its smallest key, as (cost, key), with weight in
+    [w_lo, w_hi] and dimension in [d_lo, d_hi]; None when no decomposition
+    exists.
 
     Iterative deepening on the cost from the root of the least square mass
     q_lo: each cost scans its part tuples in ascending order and stops once
     the largest part exceeds that of the best key found.  The cache holds
     more than the 930 distinct queries of ``verify all --nmax 15`` (2,550
-    at ``--nmax 25``), and a repeated query returns the same frozen object.
-    Equal answers of any queries are one object too while ``_witnessed``
-    holds it (121 distinct answers at ``--nmax 15``).
+    at ``--nmax 25``).  It keeps plain results, not answers: ``keq`` and
+    ``kk`` make theirs with ``_witnessed``, so no cache hands out an answer
+    the intern has dropped.
     """
     q_lo = max(1, 2 * w_lo - d_hi)
     q_hi = min(w_hi, d_hi, 2 * w_hi - d_lo)
@@ -364,7 +366,7 @@ def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> Witnessed
     # [w_lo, w_hi] and dimension q + 2r in [d_lo, d_hi].
     if q_lo > q_hi or max(0, w_lo - q_lo, (d_lo - q_lo + 1) // 2) > min(
             w_hi - q_lo, (d_hi - q_lo) // 2):
-        return _NO_DECOMPOSITION
+        return None
     # q_lo ones admit any slack, so the search ends by cost q_lo.
     cost = _ceil_sqrt(q_lo)
     while True:
@@ -378,7 +380,7 @@ def _square_mass_search(w_lo: int, w_hi: int, d_lo: int, d_hi: int) -> Witnessed
             if key is not None and (best is None or key < best):
                 best = key
         if best is not None:
-            return _witnessed((cost, best))
+            return cost, best
         cost += 1
 
 
@@ -396,7 +398,7 @@ def keq(n: int, d: int) -> WitnessedValue:
     """Minimal cost over decompositions with weight exactly n and dimension
     exactly d; infinity when no decomposition exists."""
     d = _query_cap(n, d, exact=True)
-    return _square_mass_search(n, n, d, d)
+    return _witnessed(_square_mass_search(n, n, d, d))
 
 
 def kk(n: int, d: int | Fraction) -> WitnessedValue:
@@ -407,7 +409,7 @@ def kk(n: int, d: int | Fraction) -> WitnessedValue:
     value-preserving.
     """
     dcap = _query_cap(n, d, exact=False)
-    return _square_mass_search(n, dcap, 0, dcap)
+    return _witnessed(_square_mass_search(n, dcap, 0, dcap))
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,12 @@ both values only, from one table of ``square_mass_costs``
 (keq(n, d) = C(2n - d, d - n) on the capacity window, and kk a running
 minimum of keq over n <= n' <= d' <= d); and the squeeze intervals over
 2 <= n <= nmax, n <= d <= dmax, one ``bounds.squeeze_bounds`` call per
-cell.  The cost table reads no K table: it scans each q's levels from
-ceil(sqrt(q)) up, as the kernel does, so a wrong K table cannot hang it or
-change a grid.  ``kfun-props`` builds the K table over 0..max(nmax, dmax),
+cell.  The cost table is a dynamic program on the kernel's reduction that
+calls nothing in ``kfun``: row q is the least, over parts k <= sqrt(q), of
+row q - k*k taken as a running minimum along steps of k, plus k.  So a
+fault in the kernel's search or its K table changes no grid, and the
+grid checks compare the kernel with values it did not make.
+``kfun-props`` builds the K table over 0..max(nmax, dmax),
 which its four-square check tests, and the K answers ``kfun.big_k(n)`` for
 n <= nmax with their witness audits, once each.  The kfun predicates
 compare exact integers, with None for infinity; the squeeze monotonicity
@@ -105,7 +108,6 @@ from functools import lru_cache, partial
 
 from . import bounds, expr, kfun, spectra
 from .errors import Frozen, OutOfRangeError
-from .kfun import _ceil_sqrt, _meets, _monoid, _square_parts
 
 # Most grid entries and cells one suite sweeps, checked before any grid is
 # built: ``verify all --nmax 26`` counts 1,972,789 and ``--nmax 27`` 2,287,121.
@@ -283,33 +285,30 @@ def _kk_reach(nmax: int, dmax: int) -> int:
 
 def square_mass_costs(top: int) -> list[list[int]]:
     """C[q][r] = keq(q + r, q + 2r), values only, for q >= 1 and q + r <= top
-    (C[0] is empty): the least cost of parts with square sum q whose
-    distinct parts generate the slack r.
+    (C[0] is empty): the least part sum of parts k with square sum q, where
+    each part k takes any multiple of k as slack and the slacks sum to r.
 
-    One scan per q answers every r, as ``kfun._square_mass_search`` scans
-    its levels: it walks the part tuples of the levels ceil(sqrt(q)),
-    ceil(sqrt(q)) + 1, ..., and each r takes the first level at which some
-    tuple's distinct parts generate it.  A level below K(q), or of the
-    other parity than q, holds no tuple.  At level q the all-ones tuple
-    generates every r, so the scan ends there.
+    A dynamic program on the kernel's reduction that shares no code with
+    it: row q is the least, over k <= sqrt(q), of row q - k*k taken as a
+    running minimum along steps of k, plus k.  Row 0 (0 at r = 0, top + 1
+    standing for infinity elsewhere) is kept while the rows are built.
     """
-    costs: list[list[int]] = [[]]
+    inf = top + 1
+    rows = [[0] + [inf] * top]
     for q in range(1, top + 1):
-        row = [0] * (top - q + 1)
-        left = range(len(row))
-        cost = _ceil_sqrt(q)
-        while left:
-            for parts in _square_parts(cost, q, q, cost):
-                monoid = _monoid(tuple(set(parts)))
-                for r in left:
-                    if _meets(monoid, r, r):
-                        row[r] = cost
-                left = [r for r in left if not row[r]]
-                if not left:
-                    break
-            cost += 1
-        costs.append(row)
-    return costs
+        row = [inf] * (top - q + 1)
+        for k in range(1, math.isqrt(q) + 1):
+            prev = rows[q - k * k]
+            for start in range(k):
+                least = inf
+                for r in range(start, len(row), k):
+                    if prev[r] < least:
+                        least = prev[r]
+                    if least + k < row[r]:
+                        row[r] = least + k
+        rows.append(row)
+    rows[0] = []
+    return rows
 
 
 @lru_cache(maxsize=1)

@@ -245,6 +245,20 @@ def test_equal_answers_of_different_queries_are_one_object():
     assert big_k(9) == WitnessedValue(ExtNat(3), Decomposition([Pair(3, 3)]))
 
 
+def test_an_answer_the_search_cached_early_is_still_the_interned_one():
+    # the search cache outlives the 1,024 interned answers: after keq(9, 9)
+    # and 2,999 more distinct answers, a repeated keq(9, 9) is answered from
+    # the search cache, and it is still the object big_k(9) gets
+    _square_mass_search.cache_clear()
+    _witnessed.cache_clear()
+    keq(9, 9)
+    for n in range(1, 3000):
+        keq(n, n)
+    assert _witnessed.cache_info().currsize == _witnessed.cache_info().maxsize < 3000
+    assert _square_mass_search.cache_info().currsize == 2999
+    assert keq(9, 9) is big_k(9) is kk(9, 9)
+
+
 def test_the_answer_cache_is_bounded():
     maxsize = _witnessed.cache_info().maxsize
     assert maxsize is not None and maxsize <= 4096

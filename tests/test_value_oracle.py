@@ -9,15 +9,21 @@ keq(n, n), and kk(n, d) is the least entry at weight >= n and dimension
 weight 2N for the cells n <= N, d <= 2N.
 
 Tier-1 compares the kernel and both ``verify`` grids with it on every cell
-n <= 100, d <= 2n.  Run as a script, it compares one function further:
-
-    PYTHONPATH=src python tests/test_value_oracle.py keq 200
+n <= 100, d <= 2n.
 
 A second oracle works on the kernel's own reduction, square mass and slack,
-with none of its code: ``slack_costs`` is the least part sum of parts with
-square sum q and slack r, so keq(q + r, q + 2r) is its entry at (q, r), and
-kk(n, d) the least entry with q + r >= n and q + 2r <= d.  Tier-1 compares
-``keq`` with it on every cell q + r <= 200, and ``kk`` on drawn cells.
+with none of its code: ``verify.square_mass_costs``, the table ``verify``
+reads its value grids from, is a dynamic program for the least part sum of
+parts with square sum q and slack r, so keq(q + r, q + 2r) is its entry at
+(q, r), and kk(n, d) the least entry with q + r >= n and q + 2r <= d.
+Tier-1 compares ``keq`` with it on every cell q + r <= 200, and ``kk`` on
+drawn cells.
+
+Run as a script, it compares one function further, with the knapsack on
+n <= N, d <= 2n, or (``slack``) ``keq`` with the slack table on q + r <= N:
+
+    PYTHONPATH=src python tests/test_value_oracle.py keq 200
+    PYTHONPATH=src python tests/test_value_oracle.py slack 600
 """
 import math
 import sys
@@ -103,38 +109,28 @@ def test_verify_grids_match_the_knapsack(fn):
     assert [(n, d) for n, d in cells(N) if got[n][d] != want[n][d]] == []
 
 
-@lru_cache(maxsize=1)
-def slack_costs(top: int) -> list[list[int]]:
-    """C[q][r] for q + r <= top, INF where no parts fit: the least part sum
-    of positive parts k with square sum q and slack r, where a part k takes
-    any multiple of k as slack (a pair (k, k + t) has weight k*k + k*t and
-    dimension k*k + 2*k*t).  Row q takes, for each k <= sqrt(q), row
-    q - k*k as a running minimum along steps of k, adds k and keeps the
-    least."""
-    rows = [[0] + [INF] * top]
-    for q in range(1, top + 1):
-        row = [INF] * (top - q + 1)
-        for k in range(1, math.isqrt(q) + 1):
-            prev = rows[q - k * k]
-            for start in range(k):
-                least = INF
-                for r in range(start, len(row), k):
-                    least = min(least, prev[r])
-                    row[r] = min(row[r], least + k)
-        rows.append(row)
-    return rows
-
-
 SLACK_TOP = 200
 
 
+# the hypothesis property below reads one table across its examples
+slack_table = lru_cache(maxsize=1)(verify.square_mass_costs)
+
+
+def slack_cells(top: int) -> list[tuple[int, int]]:
+    return [(q, r) for q in range(1, top + 1) for r in range(top - q + 1)]
+
+
+def slack_mismatches(top: int) -> list[tuple[int, int]]:
+    """The cells (q, r) of ``slack_cells`` where keq(q + r, q + 2r) is not
+    the slack table's entry; every entry with q >= 1 is finite."""
+    costs = slack_table(top)
+    return [(q, r) for q, r in slack_cells(top)
+            if value(kfun.keq(q + r, q + 2 * r)) != costs[q][r]]
+
+
 def test_keq_matches_the_slack_costs_on_every_cell():
-    costs = slack_costs(SLACK_TOP)
-    cells = [(q, r) for q in range(1, SLACK_TOP + 1) for r in range(SLACK_TOP - q + 1)]
-    assert len(cells) == 20100
-    wrong = [(q, r) for q, r in cells
-             if value(kfun.keq(q + r, q + 2 * r)) != (None if costs[q][r] >= INF else costs[q][r])]
-    assert wrong == []
+    assert len(slack_cells(SLACK_TOP)) == 20100
+    assert slack_mismatches(SLACK_TOP) == []
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -149,18 +145,24 @@ def test_keq_matches_the_slack_costs_on_every_cell():
 def test_kk_is_the_least_slack_cost_in_range(cell):
     # weight q + r >= n and dimension q + 2r <= floor(d), so q + r <= SLACK_TOP
     n, d = cell
-    dcap, costs = math.floor(d), slack_costs(SLACK_TOP)
+    dcap, costs = math.floor(d), slack_table(SLACK_TOP)
     least = min((c for q in range(1, dcap + 1) for r, c in enumerate(costs[q][:(dcap - q) // 2 + 1])
-                 if q + r >= n), default=INF)
-    assert value(kfun.kk(n, d)) == (None if least >= INF else least)
+                 if q + r >= n), default=None)
+    assert value(kfun.kk(n, d)) == least
 
 
 if __name__ == "__main__":
-    fn, nmax = sys.argv[1], int(sys.argv[2])
+    mode, top = sys.argv[1], int(sys.argv[2])
     t0 = time.perf_counter()
-    want = knapsack(2 * nmax)[fn == "kk"]
-    wrong = [(n, d) for n, d in cells(nmax) if value(getattr(kfun, fn)(n, d)) != want[n][d]]
-    print(f"{fn}: {len(cells(nmax)) - len(wrong)} of {len(cells(nmax))} cells n <= {nmax},"
-          f" d <= 2n agree with the knapsack ({time.perf_counter() - t0:.1f} s)")
+    if mode == "slack":
+        fn, oracle, cell, where = "keq", "the slack table", "(q, r)", f"q + r <= {top}"
+        total, wrong = len(slack_cells(top)), slack_mismatches(top)
+    else:
+        fn, oracle, cell, where = mode, "the knapsack", "(n, d)", f"n <= {top}, d <= 2n"
+        want = knapsack(2 * top)[fn == "kk"]
+        total = len(cells(top))
+        wrong = [(n, d) for n, d in cells(top) if value(getattr(kfun, fn)(n, d)) != want[n][d]]
+    print(f"{fn}: {total - len(wrong)} of {total} cells {where} agree with {oracle}"
+          f" ({time.perf_counter() - t0:.1f} s)")
     if wrong:
-        sys.exit(f"{fn} differs from the knapsack at (n, d) = {wrong[:10]}")
+        sys.exit(f"{fn} differs from {oracle} at {cell} = {wrong[:10]}")

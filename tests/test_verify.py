@@ -305,13 +305,24 @@ def test_square_mass_costs_are_keq_per_cell():
             [], *([want[q, r] for r in range(top - q + 1)] for q in range(1, top + 1))]
 
 
-def test_square_mass_costs_read_no_k_table(monkeypatch):
-    def refused(nmax):
-        raise AssertionError("the cost table scans its levels from ceil(sqrt(q))")
+def test_the_grids_call_nothing_in_the_kernel(monkeypatch):
+    # the grids check the kernel, so a fault in its search helpers or its K
+    # table must not change them: with those raising, they read as before
+    def refused(*args):
+        raise AssertionError("verify's value grids call the kernel")
 
-    want = verify.square_mass_costs(60)
-    monkeypatch.setattr(kfun, "big_k_table", refused)
-    assert verify.square_mass_costs(60) == want
+    def grids():
+        verify._costs.cache_clear()  # so the grids build their table again
+        return verify.square_mass_costs(60), verify._kk_grid(15, 30), verify._keq_grid(15, 30)
+
+    want = grids()
+    for name in ("_square_parts", "_monoid", "_meets", "_ceil_sqrt", "_least_total",
+                 "_witness_key", "_square_mass_search", "big_k_table"):
+        monkeypatch.setattr(kfun, name, refused)
+    assert grids() == want
+    # nor does verify hold a kernel name of its own that the patches miss
+    assert [name for name, value in vars(verify).items()
+            if getattr(value, "__module__", None) == kfun.__name__] == []
 
 
 @settings(max_examples=60, deadline=None, database=None)
