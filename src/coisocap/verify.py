@@ -45,8 +45,8 @@ once per ordering, as that is its law.
 The three checks that hold nearly all the cells of a large ``all`` run,
 ``kfun-kk-subadditive``, ``kfun-kk-monotone-in-d`` and
 ``bounds-squeeze-monotone-lower``, get theirs a lane at a time from
-``Lanes``: a lane is a run of cells in the order of ``cells()``, those of
-one (n, n') for subadditivity, cut into parts of at most ``_MAX_FIELDS``,
+``Lanes``: a lane is a run of cells in the order of ``cells()``, the
+(dmax + 1)^2 of one (n, n') for subadditivity, which the budget bounds,
 and those over d' of one (n, d) for the two monotonicity checks; its
 values are packed into the fixed-width fields of one Python int, and one
 subtraction compares all of them.  Each check first maps its values to
@@ -59,15 +59,18 @@ infinite pass whole.
 
 The large sweeps read the grids, built once each: ``kk`` over n <= 2*nmax
 and d <= 2*dmax and ``keq`` over n <= nmax and d <= max(dmax, 2n - 1),
-both values only, from one table of ``square_mass_costs``
-(keq(n, d) = C(2n - d, d - n) on the capacity window, and kk a running
-minimum of keq over n <= n' <= d' <= d); and the squeeze intervals over
+both values only, from one table of ``square_mass_costs`` that the build
+makes and passes to both (keq(n, d) = C(2n - d, d - n) on the capacity
+window, and kk a running minimum of keq over n <= n' <= d' <= d), so no
+table outlives a run; and the squeeze intervals over
 2 <= n <= nmax, n <= d <= dmax, one ``bounds.squeeze_bounds`` call per
 cell.  The cost table is a dynamic program on the kernel's reduction that
 calls nothing in ``kfun``: row q is the least, over parts k <= sqrt(q), of
 row q - k*k taken as a running minimum along steps of k, plus k.  So a
-fault in the kernel's search or its K table changes no grid, and the
-grid checks compare the kernel with values it did not make.
+fault in the kernel's search or its K table changes no grid.  The grid
+checks test the grids; ``kfun-witness-validity`` compares the kernel with
+them, requiring in each cell that ``keq(n, d)`` and ``kk(n, d)`` answer
+the grid's value, so a kernel answer that is not least fails there.
 ``kfun-props`` builds the K table over 0..max(nmax, dmax),
 which its four-square check tests, and the K answers ``kfun.big_k(n)`` for
 n <= nmax with their witness audits, once each.  The kfun predicates
@@ -75,9 +78,10 @@ compare exact integers, with None for infinity; the squeeze monotonicity
 and collapse checks both read the squeeze intervals.  The diagonal,
 root-bound window and witness audit checks, which have few cells or need
 witnesses, call ``kk``/``keq`` per cell, where a repeated query is a cache
-lookup and equal answers are one object; the witness audit audits
-``keq(n, d)`` and ``kk(n, d)`` in each cell and reads the audit of K(n)
-from the build.  The ``bounds-props`` build makes the window interval
+lookup and equal answers are one object; the witness audit compares
+``keq(n, d)`` and ``kk(n, d)`` with the grids and audits their witnesses
+in each cell, and reads the audit of K(n) from the build.  The
+``bounds-props`` build makes the window interval
 ``bounds.capacity_bounds(n, 2n - 1)`` once per n, which both capacity
 checks read, and ``bounds-capacity-interval-sane`` calls
 ``bounds.capacity_bounds`` in its other cells; the constants its
@@ -104,7 +108,7 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from . import bounds, expr, kfun, spectra
 from .errors import Frozen, OutOfRangeError
@@ -162,9 +166,8 @@ def _length(factor: Sequence) -> int:
 
 class Product:
     """The cells of a grid or check that is the product of ``factors``,
-    ranges or tuples, in ``itertools.product`` order: a cells function,
-    iterable as well, whose ``size`` the budget reads without stepping
-    through the cells."""
+    ranges or tuples, in ``itertools.product`` order: a cells function
+    whose ``size`` the budget reads without stepping through the cells."""
 
     __slots__ = ("factors",)
 
@@ -173,8 +176,6 @@ class Product:
 
     def __call__(self) -> Iterator[tuple]:
         return itertools.product(*self.factors)
-
-    __iter__ = __call__
 
     def size(self) -> int:
         return math.prod(map(_length, self.factors))
@@ -239,11 +240,6 @@ class Lanes:
         a difference ``y + guard - x``: 1 where the field's guard bit is set."""
         bits = (diff & self.guard) >> (self.bits - 1)
         return bits.to_bytes(self._length, "little")[:count * self.size:self.size]
-
-
-# the most fields of one part of a subadditivity lane, which bounds the
-# size of the ints one comparison makes
-_MAX_FIELDS = 1 << 16
 
 
 def _rising_flags(rows: list[list[int]]) -> bytearray:
@@ -311,14 +307,9 @@ def square_mass_costs(top: int) -> list[list[int]]:
     return rows
 
 
-@lru_cache(maxsize=1)
-def _costs(nmax: int, dmax: int) -> list[list[int]]:
-    """The square-mass cost table of both grids, built once per run."""
-    return square_mass_costs(max(nmax, _kk_reach(nmax, dmax)))
-
-
-def _kk_grid(nmax: int, dmax: int) -> Grid:
-    """kk at [n][d] for the cells of ``_kk_cells``, from the keq values.
+def _kk_grid(costs: list[list[int]], nmax: int, dmax: int) -> Grid:
+    """kk at [n][d] for the cells of ``_kk_cells``, from the keq values of
+    ``costs``, a ``square_mass_costs`` table up to ``_kk_reach`` or more.
 
     kk(n, d) is None for d < n, 1 for d >= 2n - 1 (the pair (1, n)), and
     min(kk(n + 1, d), kk(n, d - 1), keq(n, d)) between, as a decomposition
@@ -327,7 +318,7 @@ def _kk_grid(nmax: int, dmax: int) -> Grid:
     row above taken as None: kk is None there at every d <= ``_kk_reach``,
     all that the rows n <= 2*nmax read of it.
     """
-    costs, width = _costs(nmax, dmax), 2 * dmax + 1
+    width = 2 * dmax + 1
     rows: Grid = []
     above: list[int | None] = [None] * width
     for n in range(max(2 * nmax, _kk_reach(nmax, dmax)), 0, -1):
@@ -342,10 +333,10 @@ def _kk_grid(nmax: int, dmax: int) -> Grid:
     return [[], *reversed(rows)]
 
 
-def _keq_grid(nmax: int, dmax: int) -> Grid:
-    """keq at [n][d] for the cells of ``_keq_cells``: C(2n - d, d - n) of the
-    cost table on the capacity window n <= d <= 2n - 1, None elsewhere."""
-    costs = _costs(nmax, dmax)
+def _keq_grid(costs: list[list[int]], nmax: int, dmax: int) -> Grid:
+    """keq at [n][d] for the cells of ``_keq_cells``: C(2n - d, d - n) of
+    ``costs``, a ``square_mass_costs`` table up to nmax or more, on the
+    capacity window n <= d <= 2n - 1, None elsewhere."""
     return [[], *([None] * n + [costs[2 * n - d][d - n] for d in range(n, 2 * n)]
                   + [None] * (dmax - 2 * n + 1) for n in range(1, nmax + 1))]
 
@@ -374,7 +365,8 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
     def build():
         nonlocal table, kk, keq, big_k_ok
         table = kfun.big_k_table(four_square_top)
-        kk, keq = _kk_grid(nmax, dmax), _keq_grid(nmax, dmax)
+        costs = square_mass_costs(max(nmax, _kk_reach(nmax, dmax)))
+        kk, keq = _kk_grid(costs, nmax, dmax), _keq_grid(costs, nmax, dmax)
         # the audit of each K witness, read by every cell of its row; the K
         # table's grid, 0..max(nmax, dmax), counts these calls in the budget
         big_k_ok = {n: _audit(kfun.big_k(n), kfun.is_valid_exact_witness, n, n) for n in ns}
@@ -414,46 +406,43 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
         # decides it alike, and an infinite t reads 2 span + 2, above every
         # finite sum.  An infinite a reads 2 span + 2 and an infinite b
         # 2 span + 1, so their sums, at most 4 span + 3, pass every cell.
+        # The budget bounds a lane: nmax^2 (dmax + 1)^2 <= VERIFY_MAX_CELLS.
         finite = [v for row in kk for v in row if v is not None]
         lo, hi = min(finite, default=0), max(finite, default=0)
         span, width = hi - lo, dmax + 1
-        top = 2 * span + 2
-        # a lane is cut into parts of whole runs of d', of at most _MAX_FIELDS
-        # fields unless one run is longer
-        step = min(width, max(1, _MAX_FIELDS // width))
-        parts = [range(d0, min(d0 + step, width)) for d0 in range(0, width, step)]
-        lanes = Lanes(4 * span + 3, step * width)
+        top, count = 2 * span + 2, width * width
+        lanes = Lanes(4 * span + 3, count)
         size = lanes.size
 
         def t_lane(m):
             row = lanes.fields([top if t is None else min(max(t - 2 * lo + 1, 0), top)
                                 for t in kk[m]])
-            return [int.from_bytes(b"".join(row[d * size:(d + width) * size] for d in part),
-                                   "little") for part in parts]
+            return int.from_bytes(b"".join(row[d * size:(d + width) * size] for d in range(width)),
+                                  "little")
 
         ts = {m: t_lane(m) for m in range(2, 2 * nmax + 1)}
         bs = {n2: int.from_bytes(lanes.fields([top - 1 if b is None else b - lo
-                                               for b in kk[n2][:width]]) * step, "little")
+                                               for b in kk[n2][:width]]) * width, "little")
               for n2 in ns}
-        flags = bytearray(b"\x01") * (nmax * nmax * width * width)
+        flags = bytearray(b"\x01") * (nmax * nmax * count)
         for n in ns:
             row = kk[n][:width]
             if all(a is None for a in row):
                 continue  # every a is infinite: the lanes of n pass whole
-            a_fields = [lanes.fields([top if a is None else a - lo + 1]) * width for a in row]
-            a_guard = [lanes.guard + int.from_bytes(b"".join(a_fields[d] for d in part), "little")
-                       for part in parts]
+            a_guard = lanes.guard + int.from_bytes(
+                b"".join(lanes.fields([top if a is None else a - lo + 1]) * width for a in row),
+                "little")
             for n2 in ns:
-                at = ((n - 1) * nmax + n2 - 1) * width * width
-                for part, a, t in zip(parts, a_guard, ts[n + n2]):
-                    count = len(part) * width
-                    start = at + part.start * width
-                    flags[start:start + count] = lanes.flags(a + bs[n2] - t, count)
+                at = ((n - 1) * nmax + n2 - 1) * count
+                flags[at:at + count] = lanes.flags(a_guard + bs[n2] - ts[n + n2], count)
         return flags
 
     def witnesses_ok(n, d):
-        return (_audit(kfun.keq(n, d), kfun.is_valid_exact_witness, n, d)
-                and _audit(kfun.kk(n, d), kfun.is_valid_relaxed_witness, n, d) and big_k_ok[n])
+        # each answer costs the grid's least value, and its witness is valid
+        eq, relaxed = kfun.keq(n, d), kfun.kk(n, d)
+        return (eq.value.value == keq[n][d] and relaxed.value.value == kk[n][d]
+                and _audit(eq, kfun.is_valid_exact_witness, n, d)
+                and _audit(relaxed, kfun.is_valid_relaxed_witness, n, d) and big_k_ok[n])
 
     def four_square_ok(n):
         a, b, c, d = kfun.four_square(n)

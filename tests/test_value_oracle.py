@@ -105,7 +105,9 @@ def test_kk_matches_the_knapsack():
 @pytest.mark.parametrize("fn", ["keq", "kk"])
 def test_verify_grids_match_the_knapsack(fn):
     want = knapsack(2 * N)[fn == "kk"]
-    got = verify._keq_grid(N, 2 * N) if fn == "keq" else verify._kk_grid(N // 2, N)
+    costs = verify.square_mass_costs(2 * N)  # more than either grid reads
+    got = (verify._keq_grid(costs, N, 2 * N) if fn == "keq"
+           else verify._kk_grid(costs, N // 2, N))
     assert [(n, d) for n, d in cells(N) if got[n][d] != want[n][d]] == []
 
 

@@ -2,8 +2,8 @@
 by position and by keyword, compares and hashes as its tuple of fields,
 never equals an object of another class, refuses assignment and
 deletion, and survives a pickle round trip.  A cold ``import
-coisocap.cli`` runs ``errors``, ``kfun``, ``verify`` and ``cli``, registers
-``spectra``, ``expr`` and ``bounds`` to run on first use, and loads none of
+coisocap.cli`` runs ``errors``, ``kfun`` and ``cli``, registers ``spectra``,
+``expr``, ``bounds`` and ``verify`` to run on first use, and loads none of
 ``dataclasses``, ``inspect`` and ``typing``."""
 import copy
 import itertools

@@ -207,11 +207,24 @@ def test_grid_sweeps_match_per_call_sweeps(nmax):
             assert got == want, (suite, nmax, dmax)
 
 
+def _table(nmax, dmax):
+    """The cost table the ``kfun-props`` build makes at (nmax, dmax)."""
+    return verify.square_mass_costs(max(nmax, verify._kk_reach(nmax, dmax)))
+
+
+def _kk_grid(nmax, dmax):
+    return verify._kk_grid(_table(nmax, dmax), nmax, dmax)
+
+
+def _keq_grid(nmax, dmax):
+    return verify._keq_grid(_table(nmax, dmax), nmax, dmax)
+
+
 def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
     build = verify._kk_grid
 
-    def wrong(nmax, dmax):
-        grid = build(nmax, dmax)
+    def wrong(costs, nmax, dmax):
+        grid = build(costs, nmax, dmax)
         assert grid[2][2:4] == [2, 1]  # kk(2,2) = kk(1,1) + kk(1,1), kk(2,3) = 1
         grid[2][3] = 5
         return grid
@@ -235,9 +248,9 @@ def test_a_wrong_kk_grid_entry_is_reported(monkeypatch):
         # kk(5,9) infinite: kk(1,1) + kk(4,8) = 2 is finite
         ((5, 9), None, (1, 4, 1, 8)),
     ):
-        grid = build(4, 8)
+        grid = build(_table(4, 8), 4, 8)
         grid[n][d] = value
-        monkeypatch.setattr(verify, "_kk_grid", lambda nmax, dmax, grid=grid: grid)
+        monkeypatch.setattr(verify, "_kk_grid", lambda costs, nmax, dmax, grid=grid: grid)
         got = {c.name: c for c in run_suite("kfun-props", 4).checks}["kfun-kk-subadditive"]
         want = _reference_sweep(got.name, got.range_desc,
                                 itertools.product(range(1, 5), range(1, 5), range(9), range(9)),
@@ -260,8 +273,8 @@ def _grid(fn, cells):
 def test_grids_match_the_per_call_kernel():
     # every keq cell of the capacity window for n <= 200, with the cells
     # d < n before it, and every kk cell for n <= 60, d <= 120
-    assert verify._keq_grid(200, 0) == _grid(kfun.keq, verify._keq_cells(200, 0))
-    assert verify._kk_grid(30, 60) == _grid(kfun.kk, verify._kk_cells(30, 60))
+    assert _keq_grid(200, 0) == _grid(kfun.keq, verify._keq_cells(200, 0))
+    assert _kk_grid(30, 60) == _grid(kfun.kk, verify._kk_cells(30, 60)())
 
 
 def _witnesses_ok_per_cell(n, d):
@@ -296,6 +309,41 @@ def test_witness_audits_match_the_per_cell_audits(monkeypatch, bad_n):
     assert (got.fail_count, got.first_failure) == (dmax + 1, (bad_n, 0))
 
 
+def test_witness_validity_compares_the_kernel_with_the_grids(monkeypatch):
+    # an answer whose witness is valid but whose cost is not the least, or an
+    # infinite answer where the grid is finite, fails the check
+    keq, kk, infinite = kfun.keq, kfun.kk, kfun.keq(1, 0)
+
+    def kk_not_least(n, d):
+        # keq's answer where it is finite and costs more: a valid kk witness
+        relaxed, exact = kk(n, d), keq(n, d)
+        return exact if exact.value.is_finite and exact.value > relaxed.value else relaxed
+
+    def keq_off_diagonal_infinite(n, d):
+        return keq(n, d) if d == n else infinite
+
+    for name, wrong, want in (("kk", kk_not_least, (89, (4, 5))),
+                              ("keq", keq_off_diagonal_infinite, (190, (2, 3)))):
+        with monkeypatch.context() as patch:
+            patch.setattr(kfun, name, wrong)
+            report = run_suite("kfun-props", 20)
+        failed = {c.name: (c.fail_count, c.first_failure) for c in report.checks if c.fail_count}
+        assert failed == {"kfun-witness-validity": want}, name
+
+
+@pytest.mark.parametrize("nmax, dmax", [(1, 1149), (4, 331)])
+def test_the_widest_admitted_lanes_pass_whole(nmax, dmax):
+    # each (n, n') is one subadditivity lane of (dmax + 1)^2 fields, and the
+    # budget admits no wider one at this nmax
+    report = run_suite("kfun-props", nmax, dmax)
+    assert report.ok
+    subadditive = {c.name: c for c in report.checks}["kfun-kk-subadditive"]
+    assert subadditive.pass_count == nmax**2 * (dmax + 1) ** 2 == {1: 1_322_500,
+                                                                   4: 1_763_584}[nmax]
+    with pytest.raises(OutOfRangeError, match="the verify cell budget"):
+        run_suite("kfun-props", nmax, dmax + 1)
+
+
 def test_square_mass_costs_are_keq_per_cell():
     # C[q][r] = keq(q + r, q + 2r), one public call per cell, at every top
     want = {(q, r): kfun.keq(q + r, q + 2 * r).value.value
@@ -312,8 +360,8 @@ def test_the_grids_call_nothing_in_the_kernel(monkeypatch):
         raise AssertionError("verify's value grids call the kernel")
 
     def grids():
-        verify._costs.cache_clear()  # so the grids build their table again
-        return verify.square_mass_costs(60), verify._kk_grid(15, 30), verify._keq_grid(15, 30)
+        costs = _table(15, 30)
+        return costs, verify._kk_grid(costs, 15, 30), verify._keq_grid(costs, 15, 30)
 
     want = grids()
     for name in ("_square_parts", "_monoid", "_meets", "_ceil_sqrt", "_least_total",
@@ -333,8 +381,8 @@ def test_the_grids_call_nothing_in_the_kernel(monkeypatch):
 @example(3, 40)
 @example(12, 40)
 def test_grids_match_the_per_call_grids(nmax, dmax):
-    assert verify._kk_grid(nmax, dmax) == _grid(kfun.kk, verify._kk_cells(nmax, dmax))
-    assert verify._keq_grid(nmax, dmax) == _grid(kfun.keq, verify._keq_cells(nmax, dmax))
+    assert _kk_grid(nmax, dmax) == _grid(kfun.kk, verify._kk_cells(nmax, dmax)())
+    assert _keq_grid(nmax, dmax) == _grid(kfun.keq, verify._keq_cells(nmax, dmax))
 
 
 # grid entries a wrong kernel could write: infinity, zero, small values of
@@ -350,7 +398,7 @@ def _lane_flags(rows, name):
 
 
 def _wrong_kk_grid(data, nmax, dmax):
-    grid = verify._kk_grid(nmax, dmax)
+    grid = _kk_grid(nmax, dmax)
     wrong = data.draw(st.lists(st.tuples(
         st.integers(1, 2 * nmax), st.integers(0, 2 * dmax), _WRONG_VALUES), max_size=6))
     for n, d, value in wrong:
@@ -360,7 +408,7 @@ def _wrong_kk_grid(data, nmax, dmax):
 
 def _kfun_lane_flags(grid, nmax, dmax, name):
     _, build, rows = verify._kfun_checks(nmax, dmax)
-    with mock.patch.object(verify, "_kk_grid", lambda nmax, dmax: grid):
+    with mock.patch.object(verify, "_kk_grid", lambda costs, nmax, dmax: grid):
         build()
     return _lane_flags(rows, name)
 
@@ -371,10 +419,7 @@ def test_subadditivity_lanes_match_the_per_cell_rule(data):
     nmax = data.draw(st.integers(1, 5))
     dmax = data.draw(st.integers(0, 2 * nmax + 1))
     grid = _wrong_kk_grid(data, nmax, dmax)
-    # lanes cut into parts of whole runs of d', as a tall (n, n') lane is
-    max_fields = data.draw(st.sampled_from((verify._MAX_FIELDS, 1, 7, 16)))
-    with mock.patch.object(verify, "_MAX_FIELDS", max_fields):
-        got, cells = _kfun_lane_flags(grid, nmax, dmax, "kfun-kk-subadditive")
+    got, cells = _kfun_lane_flags(grid, nmax, dmax, "kfun-kk-subadditive")
     assert got == [int(_subadditive(grid)(*cell)) for cell in cells()]
 
 
@@ -401,7 +446,7 @@ def test_lanes_hold_at_field_size_boundaries(span):
     # subadditivity cell (2, 2, 1, 1) then compares kk(4, 2) = 1, the least
     # value, with the sum of two infinite kk(2, 1), the largest field, and
     # (1, 2, 4, 1) kk(3, 5) = 1 with kk(1, 4) and an infinite kk(2, 1)
-    grid = verify._kk_grid(2, 4)
+    grid = _kk_grid(2, 4)
     assert grid[2][1] is None and grid[3][5] == 1 == min(v for v in grid[3] if v is not None)
     grid[1][4], grid[4][2] = 1 + span, 1
     for name, rule in (("kfun-kk-subadditive", _subadditive),
