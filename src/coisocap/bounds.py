@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import (Frozen, IntervalConflictError, OutOfRangeError, clip, require_area,
                      require_exact, require_int, require_n)
-from .kfun import Decomposition, WitnessedValue, keq, kk
+from . import kfun
 from .spectra import (
     Closed,
     ExtRat,
@@ -91,7 +91,7 @@ class BoundInterval(Frozen):
 
     def __init__(self, lower: ExtRat, upper: ExtRat, lower_prov: tuple[Citation, ...] = (),
                  upper_prov: tuple[Citation, ...] = (),
-                 witness: Decomposition | None = None) -> None:
+                 witness: kfun.Decomposition | None = None) -> None:
         if upper < lower:
             lo = ", ".join(c.id for c in lower_prov) or "<none>"
             hi = ", ".join(c.id for c in upper_prov) or "<none>"
@@ -153,7 +153,7 @@ def _reciprocal(cost: int) -> ExtRat:
     return ExtRat.fin(Fraction(1, cost))
 
 
-def _reciprocal_interval(found: WitnessedValue, lower_id: str,
+def _reciprocal_interval(found: kfun.WitnessedValue, lower_id: str,
                          *upper_ids: str) -> BoundInterval:
     """The interval [1/cost, 1] for a finite minimizer value, witnessed by
     its decomposition."""
@@ -173,7 +173,7 @@ def capacity_bounds(n: int, d: int) -> BoundInterval:
         raise OutOfRangeError(
             f"d must satisfy n <= d <= 2n - 1, got (n, d)=({clip(str(n))}, {clip(str(d))})"
         )
-    return _reciprocal_interval(keq(n, d), "eq:A-coiso-d-B", "eq:A-coiso-d-Z", "mono:B-in-Z")
+    return _reciprocal_interval(kfun.keq(n, d), "eq:A-coiso-d-B", "eq:A-coiso-d-Z", "mono:B-in-Z")
 
 
 def squeeze_bounds(n: int, d: int | Fraction) -> BoundInterval:
@@ -187,7 +187,7 @@ def squeeze_bounds(n: int, d: int | Fraction) -> BoundInterval:
         raise OutOfRangeError(
             f"d must be >= n, got (n, d)=({clip(str(n))}, {clip(str(d))})"
         )
-    return _reciprocal_interval(kk(n, d), "thm:emb-d-B", "def:emb-d-B")
+    return _reciprocal_interval(kfun.kk(n, d), "thm:emb-d-B", "def:emb-d-B")
 
 
 class LagrangianComparison(Frozen):

@@ -25,10 +25,13 @@ One call builds and imports only what its argv uses.  ``build_parser``
 names every command and ``bound`` kind, so usage, help and "invalid
 choice" errors read the same, but gives arguments only to the ones argv
 names.  ``json`` and ``csv`` are imported by their printers.  Importing
-this module runs ``errors`` and, of ``kfun``, only the kernel; it
-registers ``spectra``, ``expr``, ``bounds`` and ``verify`` in
-``sys.modules`` and on the package, but each runs on its first attribute
-access (``_lazy``), so a ``kfun`` or ``table`` call runs none of them.
+this module runs only ``errors``; it registers ``kfun``, ``spectra``,
+``expr``, ``bounds`` and ``verify`` in ``sys.modules`` and on the package,
+but each runs on its first attribute access (``_lazy``), so a ``kfun`` or
+``table`` call runs the kernel alone.  Of the ``bound`` kinds only
+``capacity`` and ``squeeze`` run the kernel, and a ``spectrum`` call
+runs none (``_json`` looks for a ``Decomposition`` only once the kernel
+has run), nor does a call refused before it reads a minimizer.
 Only a ``verify`` call builds ``verify``'s arguments, which runs its one
 module, the suites and the sweep; the first sweep compiles ``oracles``.
 Nor does a ``kfun``, ``table`` or refused call import ``fractions``
@@ -60,7 +63,6 @@ from contextlib import suppress
 from itertools import islice, zip_longest
 from types import ModuleType, SimpleNamespace
 
-from . import kfun
 from .errors import (CoisocapError, ExprParseError, Extended, OutOfRangeError,
                      check_rational_size, clip, digit_limit, is_fraction)
 
@@ -69,26 +71,44 @@ from .errors import (CoisocapError, ExprParseError, Extended, OutOfRangeError,
 _FIRST_RUN = _thread.RLock()
 
 
+def _run_first(module: ModuleType) -> None:
+    """Run a registered layer's body under ``_FIRST_RUN``, unless it has
+    run or this thread is running it, and then make the module a plain
+    ``ModuleType``."""
+    with _FIRST_RUN:
+        if type(module) is _Registered:
+            spec = object.__getattribute__(module, "__spec__")
+            if spec.loader_state is None:  # else this thread is running it
+                spec.loader_state = "running"
+                try:
+                    spec.loader.exec_module(module)
+                finally:
+                    ModuleType.__setattr__(module, "__class__", ModuleType)
+
+
 class _Registered(ModuleType):
     """A layer registered in ``sys.modules`` whose body has not run.
 
-    The first attribute access runs the body under ``_FIRST_RUN`` and then
-    makes the module a plain ``ModuleType``, so no later access takes the
+    The first attribute read, write or deletion runs the body
+    (``_run_first``), so the body never overwrites a patch, and the module
+    is a plain ``ModuleType`` from then on: no later access takes the
     lock.  Another thread's first access waits for the body to finish
-    (``importlib.util.LazyLoader`` takes no lock before CPython 3.12.3);
-    the running thread's own accesses read the module as it stands."""
+    (``importlib.util.LazyLoader`` takes no lock before CPython 3.12.3); the
+    running thread's own accesses read the module as it stands.  Each access
+    ends in ``ModuleType``'s own, so a name the body does not define reaches
+    the layer's PEP 562 ``__getattr__``."""
 
     def __getattribute__(self, attr):
-        with _FIRST_RUN:
-            if object.__getattribute__(self, "__class__") is _Registered:
-                spec = object.__getattribute__(self, "__spec__")
-                if spec.loader_state is None:  # else this thread is running it
-                    spec.loader_state = "running"
-                    try:
-                        spec.loader.exec_module(self)
-                    finally:
-                        self.__class__ = ModuleType
-        return object.__getattribute__(self, attr)
+        _run_first(self)
+        return ModuleType.__getattribute__(self, attr)
+
+    def __setattr__(self, attr, value):
+        _run_first(self)
+        ModuleType.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        _run_first(self)
+        ModuleType.__delattr__(self, attr)
 
 
 def _lazy(layer: str):
@@ -104,7 +124,7 @@ def _lazy(layer: str):
     return module
 
 
-spectra, expr, bounds, verify = map(_lazy, ("spectra", "expr", "bounds", "verify"))
+kfun, spectra, expr, bounds, verify = map(_lazy, ("kfun", "spectra", "expr", "bounds", "verify"))
 
 
 # Most rows one ``table`` call prints: a bound on run time.
@@ -135,7 +155,9 @@ def _json(value):
         return {"num": value.numerator, "den": value.denominator, "unit": "pi"}
     if isinstance(value, Extended):  # ExtNat or ExtRat
         return "inf" if value.value is None else value.value
-    if isinstance(value, kfun.Decomposition):
+    # No value is a Decomposition before the kernel has run, so a spectrum or
+    # bound energy call runs no kernel here.
+    if type(kfun) is not _Registered and isinstance(value, kfun.Decomposition):
         return [[p.k, p.n] for p in value.pairs]
     # No kfun or table value gets past here, so those calls run neither layer below.
     if isinstance(value, spectra.Spectrum):

@@ -105,49 +105,65 @@ def test_layers_are_attributes_after_a_bare_import():
                 f"for m in {layers!r}.split()))").stdout.split() == ["True"]
 
 
-# The layers ``import coisocap.cli`` runs; it registers ``spectra``, ``expr``,
-# ``bounds`` and ``verify`` too, but each runs on first use.
-CLI_IMPORT_RUNS = {"errors", "kfun", "cli"}
-REGISTERED = {"spectra", "expr", "bounds", "verify"}
+# The layers ``import coisocap.cli`` runs; it registers ``kfun``, ``spectra``,
+# ``expr``, ``bounds`` and ``verify`` too, but each runs on first use.
+CLI_IMPORT_RUNS = {"errors", "cli"}
+REGISTERED = {"kfun", "spectra", "expr", "bounds", "verify"}
+
+
+RAN = """
+for name, module in list(sys.modules.items()):
+    if name.startswith('coisocap.'):
+        layer = name.removeprefix('coisocap.')
+        if type(module).__name__ == '_Registered':
+            print(f'({layer})')
+        elif any(not key.startswith('__') for key in vars(module)):
+            print(layer)
+"""
 
 
 def ran_by(statement: str, *flags: str) -> subprocess.CompletedProcess:
     """A cold run of ``statement`` that prints the ``coisocap`` layers it has
-    run: a registered layer that has not run holds no name of its own."""
-    return cold(f"import sys\n{statement}\n"
-                "print(' '.join(name.removeprefix('coisocap.')"
-                " for name, module in sys.modules.items() if name.startswith('coisocap.')"
-                " and any(not key.startswith('__')"
-                " for key in object.__getattribute__(module, '__dict__'))))", *flags)
+    run (a layer that has not run holds no name of its own), and in
+    parentheses those registered that have not run."""
+    return cold(f"import sys\n{statement}\n{RAN}", *flags)
+
+
+def unrun(layers: set[str]) -> set[str]:
+    """How ``ran_by`` prints ``layers`` registered but not run."""
+    return {f"({layer})" for layer in layers}
 
 
 def test_importtime_reports_every_layer_a_cold_cli_import_runs():
     # The per-layer import times of the benchmark read these lines; a layer
-    # run on first use has no line, and the import runs none of them.
+    # run on first use has no line, and the import runs none of them: the
+    # kernel is registered, so a tracer finds it, but not run.
     result = ran_by("import coisocap.cli", "-X", "importtime")
     timed = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if "|" in line}
-    assert set(result.stdout.split()) == CLI_IMPORT_RUNS
+    assert set(result.stdout.split()) == CLI_IMPORT_RUNS | unrun(REGISTERED)
     assert {f"coisocap.{layer}" for layer in CLI_IMPORT_RUNS} <= timed
     assert not {f"coisocap.{layer}" for layer in REGISTERED} & timed
 
 
-# (argv, the layers the call runs beyond those the import runs)
+# (argv, the layers the call runs beyond those the import runs): only a call
+# that reads a minimizer runs the kernel
 CALLS = [
-    (["kfun", "keq", "5", "7"], set()),
-    (["kfun", "kk", "5", "7/2", "--format", "json"], set()),
-    (["kfun", "K", "7", "--format", "csv"], set()),
-    (["table", "K", "1", "3"], set()),
-    (["table", "keq", "1", "3", "--d", "5", "--format", "json"], set()),
-    (["table", "kk", "1", "3", "--d", "5", "--format", "csv"], set()),
+    (["kfun", "keq", "5", "7"], {"kfun"}),
+    (["kfun", "kk", "5", "7/2", "--format", "json"], {"kfun"}),
+    (["kfun", "K", "7", "--format", "csv"], {"kfun"}),
+    (["table", "K", "1", "3"], {"kfun"}),
+    (["table", "keq", "1", "3", "--d", "5", "--format", "json"], {"kfun"}),
+    (["table", "kk", "1", "3", "--d", "5", "--format", "csv"], {"kfun"}),
     (["spectrum", "S(1;pi)"], {"expr", "spectra"}),
     (["spectrum", "S(1;pi)", "--format", "json"], {"expr", "spectra"}),
     (["bound", "energy", "S(2;pi)"], {"expr", "spectra", "bounds"}),
-    (["bound", "capacity", "5", "7", "--format", "text"], {"spectra", "bounds"}),
+    (["bound", "capacity", "5", "7", "--format", "text"], {"spectra", "bounds", "kfun"}),
     (["bound", "width", "pi", "--format", "csv"], {"expr", "spectra", "bounds"}),
-    (["verify", "kfun-props", "--nmax", "3"], {"verify", "oracles"}),
-    (["verify", "oracle", "--nmax", "3"], {"verify", "oracles"}),
-    (["verify", "bounds-props", "--nmax", "3"], {"verify", "expr", "spectra", "bounds"}),
-    (["verify", "all", "--nmax", "3"], {"verify", "expr", "spectra", "bounds", "oracles"}),
+    (["verify", "kfun-props", "--nmax", "3"], {"verify", "kfun", "oracles"}),
+    (["verify", "oracle", "--nmax", "3"], {"verify", "kfun", "oracles"}),
+    (["verify", "bounds-props", "--nmax", "3"], {"verify", "expr", "spectra", "bounds", "kfun"}),
+    (["verify", "all", "--nmax", "3"],
+     {"verify", "expr", "spectra", "bounds", "kfun", "oracles"}),
 ]
 
 
@@ -155,7 +171,8 @@ CALLS = [
 def test_a_cli_call_runs_only_the_layers_it_uses(argv, layers):
     ran = ran_by("import contextlib, io\nfrom coisocap.cli import run\n"
                  f"with contextlib.redirect_stdout(io.StringIO()):\n    assert run({argv!r}) == 0")
-    assert set(ran.stdout.split()) == CLI_IMPORT_RUNS | layers
+    # the layers it does not use are registered still, and not run
+    assert set(ran.stdout.split()) == CLI_IMPORT_RUNS | layers | unrun(REGISTERED - layers)
 
 
 def test_the_tracer_wraps_every_layer_and_times_a_sweep():
@@ -193,7 +210,7 @@ def test_the_tracer_wraps_the_layers_run_on_first_use():
 
 @pytest.mark.parametrize("cli_first", [False, True], ids=["name-first", "cli-first"])
 @pytest.mark.parametrize("layer, name", [
-    ("spectra", "Spectrum"), ("expr", "parse_product"), ("bounds", "Citation"),
+    ("kfun", "keq"), ("spectra", "Spectrum"), ("expr", "parse_product"), ("bounds", "Citation"),
     ("verify", "run_suite")])
 def test_a_layer_run_on_first_use_is_one_module_run_once(layer, name, cli_first):
     # An audit hook sees each ``exec`` of a module body, eager or lazy.
@@ -217,7 +234,7 @@ from coisocap import cli
 errors = []
 def call():
     try:
-        cli._handle_spectrum(argparse.Namespace(expr="S(2;pi) x V(1,3;pi/2)"))
+        {call}
     except Exception as exc:
         errors.append(repr(exc))
 threads = [threading.Thread(target=call) for _ in range(4)]
@@ -231,9 +248,31 @@ print(errors)
 
 def test_threads_that_run_a_layer_first_at_once_all_see_it_whole():
     # Before CPython 3.12.3 a LazyLoader module is plain once its body starts:
-    # three of these threads read ``expr`` half run, in every run.
-    for _ in range(5):
-        assert cold(RACE).stdout.split() == ["[]"]
+    # three of these threads read ``expr`` half run, in every run; the second
+    # call races on the kernel's first run.
+    for call in ('cli._handle_spectrum(argparse.Namespace(expr="S(2;pi) x V(1,3;pi/2)"))',
+                 'cli._kfun_row("kk", 5, 7)'):
+        for _ in range(5):
+            assert cold(RACE.format(call=call)).stdout.split() == ["[]"]
+
+
+def test_the_kernel_run_on_first_use_finds_an_oracle_name_on_its_first_read():
+    # The first read of a registered layer ends in ModuleType's own lookup,
+    # which falls back to ``kfun``'s PEP 562 ``__getattr__``.
+    result = cold("from coisocap import cli, kfun\n"
+                  "print(type(kfun).__name__, kfun.ORACLE_CAP, type(kfun).__name__)")
+    assert result.stdout.split() == ["_Registered", "12", "module"]
+
+
+def test_a_patch_set_before_a_layers_first_read_outlives_its_run():
+    # Setting or deleting a name on a registered layer runs it first, so the
+    # body does not overwrite the patch, nor fail to find the name to delete.
+    result = cold("from coisocap import cli, bounds, verify\n"
+                  "print(type(bounds).__name__, type(verify).__name__)\n"
+                  "bounds.capacity_bounds = lambda n, d: 'patched'\n"
+                  "del verify.run_suite\n"
+                  "print(bounds.capacity_bounds(5, 7), hasattr(verify, 'run_suite'))")
+    assert result.stdout.split() == ["_Registered", "_Registered", "patched", "False"]
 
 
 @pytest.mark.parametrize("argv, sweeps", [
@@ -254,34 +293,35 @@ def test_only_verify_loads_the_check_declarations(argv, sweeps):
 
 RATIONAL = ["fractions", "decimal", "numbers"]  # fractions imports the other two
 
-# (argv, the modules of RATIONAL it loads): none for a kfun, table or refused
-# call whose numbers are all integers
+# (argv, the layers it runs beyond the import's, the modules of RATIONAL it
+# loads): none of RATIONAL for a kfun, table or refused call whose numbers are
+# all integers, and no kernel for a call refused before it reads a minimizer
 FRACTION_CALLS = [
-    (["kfun", "keq", "5", "7"], []),
-    (["kfun", "kk", "5", "7", "--format", "json"], []),
-    (["kfun", "kk", "5", " +007 ", "--format", "csv"], []),
-    (["kfun", "K", "7", "--format", "json"], []),
-    (["table", "kk", "1", "3", "--d", "-0", "--format", "json"], []),
-    (["table", "keq", "1", "3", "--d", "5", "--format", "csv"], []),
-    (["kfun", "kk", "5", "-1"], []),
-    (["kfun", "kk", "5", "1" * 5000], []),
-    (["kfun", "K", "0"], []),
-    (["kfun", "keq", "5", "7/2"], []),
-    (["table", "K", "3", "1"], []),
-    (["bound", "nosuchkind"], []),
-    (["kfun", "kk", "5", "7/2"], RATIONAL),
+    (["kfun", "keq", "5", "7"], {"kfun"}, []),
+    (["kfun", "kk", "5", "7", "--format", "json"], {"kfun"}, []),
+    (["kfun", "kk", "5", " +007 ", "--format", "csv"], {"kfun"}, []),
+    (["kfun", "K", "7", "--format", "json"], {"kfun"}, []),
+    (["table", "kk", "1", "3", "--d", "-0", "--format", "json"], {"kfun"}, []),
+    (["table", "keq", "1", "3", "--d", "5", "--format", "csv"], {"kfun"}, []),
+    (["kfun", "kk", "5", "-1"], {"kfun"}, []),
+    (["kfun", "kk", "5", "1" * 5000], set(), []),
+    (["kfun", "K", "0"], set(), []),
+    (["kfun", "keq", "5", "7/2"], set(), []),
+    (["table", "K", "3", "1"], set(), []),
+    (["bound", "nosuchkind"], set(), []),
+    (["kfun", "kk", "5", "7/2"], {"kfun"}, RATIONAL),
 ]
 
 
-@pytest.mark.parametrize("argv, loaded", FRACTION_CALLS,
-                         ids=[" ".join(argv)[:24] for argv, _ in FRACTION_CALLS])
-def test_only_a_rational_loads_fractions_decimal_and_numbers(argv, loaded):
+@pytest.mark.parametrize("argv, layers, loaded", FRACTION_CALLS,
+                         ids=[" ".join(argv)[:24] for argv, _, _ in FRACTION_CALLS])
+def test_only_a_rational_loads_fractions_decimal_and_numbers(argv, layers, loaded):
     ran = ran_by("import contextlib, io\nfrom coisocap.cli import run\n"
                  "with contextlib.redirect_stdout(io.StringIO()),"
                  " contextlib.redirect_stderr(io.StringIO()):\n"
                  f"    run({argv!r})\n"
                  f"print(*(m for m in {RATIONAL!r} if m in sys.modules), file=sys.stderr)")
-    assert set(ran.stdout.split()) == CLI_IMPORT_RUNS
+    assert set(ran.stdout.split()) == CLI_IMPORT_RUNS | layers | unrun(REGISTERED - layers)
     assert ran.stderr.split() == loaded
 
 
