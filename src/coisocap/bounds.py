@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (Frozen, IntervalConflictError, OutOfRangeError, clip, require_area,
-                     require_exact, require_int, require_n)
+                     require_exact, require_int, require_n, trusted)
 from . import kfun
 from .spectra import (
     Closed,
@@ -153,41 +153,49 @@ def _reciprocal(cost: int) -> ExtRat:
     return ExtRat.fin(Fraction(1, cost))
 
 
-def _reciprocal_interval(found: kfun.WitnessedValue, lower_id: str,
-                         *upper_ids: str) -> BoundInterval:
+# The (lower, upper) provenance of the capacity and squeeze intervals.
+_CAPACITY_PROV = (citation("eq:A-coiso-d-B"),), (citation("eq:A-coiso-d-Z"),
+                                                 citation("mono:B-in-Z"))
+_SQUEEZE_PROV = (citation("thm:emb-d-B"),), (citation("def:emb-d-B"),)
+
+
+def _reciprocal_interval(found: kfun.WitnessedValue,
+                         provenance: tuple[tuple[Citation, ...], ...]) -> BoundInterval:
     """The interval [1/cost, 1] for a finite minimizer value, witnessed by
-    its decomposition."""
+    its decomposition.  A cost is at least 1, so the interval neither
+    crosses nor lacks provenance, and is built without those checks."""
     assert found.value.is_finite  # guaranteed by the callers' argument checks
-    upper_prov = tuple(citation(cid) for cid in upper_ids)
-    return BoundInterval(_reciprocal(found.value.value), _ONE, (citation(lower_id),), upper_prov,
-                         found.witness)
+    return trusted(BoundInterval, _reciprocal(found.value.value), _ONE, *provenance,
+                   found.witness)
 
 
 def capacity_bounds(n: int, d: int) -> BoundInterval:
     """Interval for the dimension-d regular coisotropic capacity of the unit
     ball B^(2n), valid on the capacity window n <= d <= 2n - 1."""
-    require_int(n, "n")
-    require_int(d, "d")
-    require_n(n)
-    if not n <= d <= 2 * n - 1:
-        raise OutOfRangeError(
-            f"d must satisfy n <= d <= 2n - 1, got (n, d)=({clip(str(n))}, {clip(str(d))})"
-        )
-    return _reciprocal_interval(kfun.keq(n, d), "eq:A-coiso-d-B", "eq:A-coiso-d-Z", "mono:B-in-Z")
+    if not (type(n) is int and type(d) is int and 1 <= n <= d <= 2 * n - 1):
+        require_int(n, "n")
+        require_int(d, "d")
+        require_n(n)
+        if not n <= d <= 2 * n - 1:
+            raise OutOfRangeError(
+                f"d must satisfy n <= d <= 2n - 1, got (n, d)=({clip(str(n))}, {clip(str(d))})"
+            )
+    return _reciprocal_interval(kfun.keq(n, d), _CAPACITY_PROV)
 
 
 def squeeze_bounds(n: int, d: int | Fraction) -> BoundInterval:
     """Interval for the dimension-d squeezing constant of the unit ball,
     for n >= 2 and d >= n."""
-    require_int(n, "n")
-    require_exact(d, "d")
-    if n < 2:
-        raise OutOfRangeError("n must be >= 2")
-    if d < n:
-        raise OutOfRangeError(
-            f"d must be >= n, got (n, d)=({clip(str(n))}, {clip(str(d))})"
-        )
-    return _reciprocal_interval(kfun.kk(n, d), "thm:emb-d-B", "def:emb-d-B")
+    if not (type(n) is int and type(d) is int and 2 <= n <= d):
+        require_int(n, "n")
+        require_exact(d, "d")
+        if n < 2:
+            raise OutOfRangeError("n must be >= 2")
+        if d < n:
+            raise OutOfRangeError(
+                f"d must be >= n, got (n, d)=({clip(str(n))}, {clip(str(d))})"
+            )
+    return _reciprocal_interval(kfun.kk(n, d), _SQUEEZE_PROV)
 
 
 class LagrangianComparison(Frozen):

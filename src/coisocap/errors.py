@@ -2,6 +2,12 @@
 types, the argument rules every layer applies, and the helper that keeps
 their messages short.
 
+Arguments are checked once, where they enter: at a public function or a
+public constructor.  A value that a layer builds from parts it has
+already checked (a sum or scaling of spectra, an interval of a
+minimizer's answer) is not checked again; ``trusted`` makes it from its
+fields without running its class's ``__init__``.
+
 This module does not import ``fractions`` (which loads ``decimal`` and
 ``numbers``): an int passes the exact-number rules without it, and any
 other value is checked against ``sys.modules``, since no value can be a
@@ -22,8 +28,15 @@ class OutOfRangeError(CoisocapError, ValueError):
     """An argument violates a stated precondition."""
 
 
+# Largest n of the naive oracles, and half the largest floor(d) of kk_naive:
+# their enumeration grows exponentially with the dimension.  It lives here,
+# not in ``oracles``, so that a sweep can state its range without running
+# the kernel.
+ORACLE_CAP = 12
+
+
 class CapExceededError(CoisocapError, ValueError):
-    """A naive-oracle call exceeds the size cap ``oracles.ORACLE_CAP``."""
+    """A naive-oracle call exceeds the size cap ``ORACLE_CAP``."""
 
 
 class ExprParseError(CoisocapError, ValueError):
@@ -54,6 +67,8 @@ class Frozen:
         # One field value, or the tuple of several: not a descriptor, so an
         # instance reads it unbound.
         cls._values = attrgetter(*cls.__slots__)
+        # the slots' own setters, which ``trusted`` calls past __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _fields(self) -> tuple:
         values = self._values(self)
@@ -79,6 +94,20 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+def trusted(cls: type[Frozen], *fields) -> Frozen:
+    """An instance of the ``Frozen`` class ``cls`` with ``fields`` in slot
+    order, made without running ``cls.__init__``: only for fields that
+    already pass its checks, such as those a layer builds from checked
+    parts."""
+    self = object.__new__(cls)
+    if len(fields) == 1:  # most such values: set without a loop
+        cls._setters[0](self, fields[0])
+    else:
+        for setter, value in zip(cls._setters, fields):
+            setter(self, value)
+    return self
 
 
 class Extended:

@@ -58,6 +58,8 @@ Found = tuple[int, tuple[tuple[int, int], ...]]  # a search result (cost, key)
 def _query_cap(n, d, exact: bool) -> int:
     """The dimension cap of a ``keq`` (``exact``: int d) or ``kk`` (floor of
     a rational d) query, after refusing a bad n or d; types come first."""
+    if type(n) is int and type(d) is int and n >= 1 and d >= 0:
+        return d
     require_int(n, "n")
     (require_int if exact else require_exact)(d, "d")
     require_n(n)

@@ -21,13 +21,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import CapExceededError, OutOfRangeError, require_int, require_n
+from .errors import ORACLE_CAP, CapExceededError, OutOfRangeError, require_int, require_n
 from .kfun import (Decomposition, Pair, WitnessedValue, _ceil_div, _ceil_sqrt, _query_cap,
                    _witnessed)
-
-# Largest n of the naive oracles, and half the largest floor(d) of kk_naive:
-# their enumeration grows exponentially with the dimension.
-ORACLE_CAP = 12
 
 
 # ---------------------------------------------------------------------------

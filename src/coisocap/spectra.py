@@ -8,15 +8,19 @@ actions are exact rationals measured in units of pi.
 Every spectrum arising from these factors is either the trivial group {0}
 or a lattice g*Z with g > 0 rational; the ``Spectrum`` type is restricted
 to exactly these two shapes and group sums are computed by rational gcd.
+
+Constructors and public functions check their arguments; a spectrum,
+action or atom they build from checked parts (a sum, a scaling, a
+minimal action) is made with ``errors.trusted``, and only a scale factor
+is checked again.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 
-from .errors import Extended, Frozen, clip, require_area, require_exact
+from .errors import Extended, Frozen, clip, require_area, require_exact, trusted
 
 RatPi = Fraction  # rational multiple of pi
 
@@ -64,15 +68,19 @@ class Spectrum(Frozen):
     @classmethod
     def from_generators(cls, gens: Iterable) -> "Spectrum":
         """Normal form of the group generated by the given multiples of pi:
-        gcd-lattice of the positive generators, {0} if there are none."""
-        positive = []
+        gcd-lattice of the positive generators, {0} if there are none.
+
+        As for two (``_fraction_gcd``), the gcd of fractions in lowest terms
+        is the gcd of their numerators over the lcm of their denominators;
+        a zero generator, 0/1, changes neither."""
+        num, den = 0, 1
         for g in gens:
             q = require_exact(g, "generators")
-            if q.numerator < 0:
+            p = q.numerator
+            if p < 0:
                 raise ValueError(f"generators must be nonnegative, got {q}")
-            if q.numerator > 0:
-                positive.append(q)
-        return cls(reduce(_fraction_gcd, positive)) if positive else cls.zero()
+            num, den = gcd(num, p), lcm(den, q.denominator)
+        return trusted(cls, Fraction(num, den)) if num else cls.zero()
 
     @property
     def is_zero(self) -> bool:
@@ -81,7 +89,7 @@ class Spectrum(Frozen):
     def scaled(self, factor) -> "Spectrum":
         if self.gen is None:
             return self
-        return Spectrum.lattice(self.gen * require_area(factor, "scale factor"))
+        return trusted(Spectrum, self.gen * require_area(factor, "scale factor"))
 
     def __add__(self, other: "Spectrum") -> "Spectrum":
         return spectrum_sum(self, other)
@@ -111,7 +119,7 @@ class ExtRat(Extended, Frozen):
     def scaled(self, factor) -> "ExtRat":
         if self.value is None:
             return self
-        return ExtRat.fin(self.value * require_area(factor, "scale factor"))
+        return trusted(ExtRat, self.value * require_area(factor, "scale factor"))
 
     def __str__(self) -> str:
         return "inf" if self.value is None else format_pi(self.value)
@@ -143,7 +151,7 @@ class Sphere(Frozen):
         return self.m
 
     def scaled(self, factor) -> "Sphere":
-        return Sphere(self.m, self.area * require_area(factor, "scale factor"))
+        return trusted(Sphere, self.m, self.area * require_area(factor, "scale factor"))
 
     def __str__(self) -> str:
         return f"S({self.m};{format_pi(self.area)})"
@@ -172,7 +180,8 @@ class Stiefel(Frozen):
         return self.k * self.n
 
     def scaled(self, factor) -> "Stiefel":
-        return Stiefel(self.k, self.n, self.area * require_area(factor, "scale factor"))
+        return trusted(Stiefel, self.k, self.n,
+                       self.area * require_area(factor, "scale factor"))
 
     def __str__(self) -> str:
         return f"V({self.k},{self.n};{format_pi(self.area)})"
@@ -210,7 +219,8 @@ class Closed(Frozen):
         return self.half_dim
 
     def scaled(self, factor) -> "Closed":
-        return Closed(self.label, self.half_dim, self.spectrum.scaled(factor), self.aspherical)
+        return trusted(Closed, self.label, self.half_dim, self.spectrum.scaled(factor),
+                       self.aspherical)
 
     def __str__(self) -> str:
         gen = "0" if self.spectrum.is_zero else format_pi(self.spectrum.gen)
@@ -244,7 +254,7 @@ class ProductObject(Frozen):
         return sum(a.ambient_half_dim for a in self.atoms)
 
     def scaled(self, factor) -> "ProductObject":
-        return ProductObject(tuple(a.scaled(factor) for a in self.atoms))
+        return trusted(ProductObject, tuple(a.scaled(factor) for a in self.atoms))
 
     def __str__(self) -> str:
         return " x ".join(str(a) for a in self.atoms)
@@ -259,7 +269,7 @@ def spectrum_of_atom(atom: CoisotropicAtom) -> Spectrum:
     manifolds (general areas by linear rescaling of the unit-area case),
     the declared spectrum for closed factors."""
     if isinstance(atom, (Sphere, Stiefel)):
-        return Spectrum.lattice(atom.area)
+        return trusted(Spectrum, atom.area)
     if isinstance(atom, Closed):
         return atom.spectrum
     raise TypeError(f"not a coisotropic atom: {atom!r}")
@@ -271,14 +281,14 @@ def spectrum_sum(s1: Spectrum, s2: Spectrum) -> Spectrum:
         return s2
     if s2.is_zero:
         return s1
-    return Spectrum(_fraction_gcd(s1.gen, s2.gen))
+    return trusted(Spectrum, _fraction_gcd(s1.gen, s2.gen))
 
 
 def minimal_action(s: Spectrum) -> ExtRat:
     """Infimum of the positive part of the spectrum (infinity for {0})."""
     if s.is_zero:
         return RAT_INF
-    return ExtRat.fin(s.gen)
+    return trusted(ExtRat, s.gen)
 
 
 def product_spectrum(obj: ProductObject) -> Spectrum:

@@ -26,7 +26,12 @@ counts the flags in C; only a failing check steps through cells() again,
 to its first failing input.  The checks look up the names of ``oracles``
 on ``kfun``, as every caller does, and the layers as modules: under
 ``cli``, which runs ``expr``, ``spectra`` and ``bounds`` on first use,
-``kfun-props`` and ``oracle`` run neither ``expr`` nor ``spectra``.
+``kfun-props`` and ``oracle`` run neither ``expr`` nor ``spectra``.  A
+declaration runs no other layer: the oracle cap is read from ``errors``,
+the sample products and lattices, whose counts the budget reads, are
+``Deferred`` factors made on first use, and the constants the predicates
+compare with are made by the build.  So a refused suite runs only
+``verify``.
 
 Checks whose cells share no call get their flags from one predicate call
 per cell, mapped in C.  The fixed spectrum and scaling grids, which do not
@@ -111,7 +116,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import bounds, expr, kfun, spectra
-from .errors import Frozen, OutOfRangeError
+from .errors import ORACLE_CAP, Frozen, OutOfRangeError
 
 # Most grid entries and cells one suite sweeps, checked before any grid is
 # built: ``verify all --nmax 26`` counts 1,972,789 and ``--nmax 27`` 2,287,121.
@@ -179,6 +184,25 @@ class Product:
 
     def size(self) -> int:
         return math.prod(map(_length, self.factors))
+
+
+class Deferred:
+    """A factor of a ``Product`` of ``length`` values that ``make`` returns
+    on first iteration: the budget reads its length, and only a build or a
+    check runs the layers that make its values."""
+
+    __slots__ = ("length", "make", "values")
+
+    def __init__(self, length: int, make: Callable[[], Iterable]) -> None:
+        self.length, self.make, self.values = length, make, None
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator:
+        if self.values is None:
+            self.values = tuple(self.make())
+        return iter(self.values)
 
 
 def _sweep(name: str, range_desc: str, cells: Cells,
@@ -324,8 +348,13 @@ def _kk_grid(costs: list[list[int]], nmax: int, dmax: int) -> Grid:
     for n in range(max(2 * nmax, _kk_reach(nmax, dmax)), 0, -1):
         row: list[int | None] = [None] * min(n, width)
         for d in range(n, min(2 * n - 1, width)):
-            row.append(min(v for v in (row[-1], above[d], costs[2 * n - d][d - n])
-                           if v is not None))
+            least = costs[2 * n - d][d - n]  # finite on the capacity window
+            left, up = row[-1], above[d]
+            if left is not None and left < least:
+                least = left
+            if up is not None and up < least:
+                least = up
+            row.append(least)
         row += [1] * (width - len(row))
         if n <= 2 * nmax:
             rows.append(row)
@@ -525,16 +554,18 @@ def _kfun_checks(nmax: int, dmax: int) -> Declared:
 # ---------------------------------------------------------------------------
 
 def _oracle_checks(nmax: int, dmax: int) -> Declared:
-    top = min(nmax, kfun.ORACLE_CAP)
+    top = min(nmax, ORACLE_CAP)
 
     def cells():
         for n in range(1, top + 1):
             for d in range(min(dmax, 2 * n) + 1):
                 yield (n, d)
 
-    def agree(fast, naive):
+    def agree(fast):
+        # the kernel's answer against its naive oracle's, both looked up per
+        # cell, so that declaring the checks runs no kernel
         def pred(n, d):
-            a, b = fast(n, d), naive(n, d)
+            a, b = getattr(kfun, fast)(n, d), getattr(kfun, f"{fast}_naive")(n, d)
             if a.value != b.value:
                 return False
             if a.value.is_finite and a.witness.key() != b.witness.key():
@@ -545,8 +576,8 @@ def _oracle_checks(nmax: int, dmax: int) -> Declared:
 
     desc = f"1<=n<={top}, 0<=d<=min({dmax},2n)"
     return [], (lambda: None), [
-        ("oracle-keq-agrees", desc, cells, _each(agree(kfun.keq, kfun.keq_naive))),
-        ("oracle-kk-agrees", desc, cells, _each(agree(kfun.kk, kfun.kk_naive))),
+        ("oracle-keq-agrees", desc, cells, _each(agree("keq"))),
+        ("oracle-kk-agrees", desc, cells, _each(agree("kk"))),
     ]
 
 
@@ -573,17 +604,17 @@ _ENERGY_EXAMPLES = ("S(2;pi) x S(2;pi)", "S(1;pi) x S(1;pi) x C(S2,1;pi)", "S(2;
 def _bounds_checks(nmax: int, dmax: int) -> Declared:
     """The bound engine checks and the spectrum checks of the sample
     objects, followed by the spectrum algebra checks."""
-    squeeze = windows = samples = None
+    squeeze = windows = samples = zero = one = nat_one = None
     squeeze_ns = range(2, min(nmax, dmax) + 1)
-    objects = tuple(map(expr.parse_product, _SAMPLE_PRODUCTS))
-    # the constants the predicates compare with, made once per run
-    zero, one, nat_one = spectra.ExtRat.fin(0), spectra.ExtRat.fin(1), kfun.ExtNat(1)
+    objects = Deferred(len(_SAMPLE_PRODUCTS), lambda: map(expr.parse_product, _SAMPLE_PRODUCTS))
 
     def squeeze_cells():
         return ((n, d) for n in squeeze_ns for d in range(n, dmax + 1))
 
     def build():
-        nonlocal squeeze, windows, samples
+        nonlocal squeeze, windows, samples, zero, one, nat_one
+        # the constants the predicates compare with, made once per run
+        zero, one, nat_one = spectra.ExtRat.fin(0), spectra.ExtRat.fin(1), kfun.ExtNat(1)
         squeeze = {(n, d): bounds.squeeze_bounds(n, d) for n, d in squeeze_cells()}
         # capacity_bounds(n, 2n - 1), which both capacity checks read
         windows = {n: bounds.capacity_bounds(n, 2 * n - 1) for n in range(1, nmax + 1)}
@@ -710,24 +741,24 @@ def _bounds_checks(nmax: int, dmax: int) -> Declared:
 
 
 def _spectra_checks() -> list[Check]:
-    lattices = tuple(spectra.Spectrum.lattice(f) for f in _POSITIVE) + (
-        spectra.Spectrum.zero(),
-    )
+    lattices = Deferred(len(_POSITIVE) + 1, lambda: (*map(spectra.Spectrum.lattice, _POSITIVE),
+                                                     spectra.Spectrum.zero()))
     spheres = range(1, 5)
 
     def algebra_flags(cells):
         # the sum of each ordered pair once, read for commutativity once per
         # pair and for idempotence and identity ({0} is the last lattice)
         # once per lattice; associativity makes its two outer sums per cell
-        idx = range(len(lattices))
-        sums = [[spectra.spectrum_sum(s1, s2) for s2 in lattices] for s1 in lattices]
+        values = tuple(lattices)
+        idx = range(len(values))
+        sums = [[spectra.spectrum_sum(s1, s2) for s2 in values] for s1 in values]
         commutes = [[sums[i][j] == sums[j][i] for j in idx] for i in idx]
-        unit = [sums[i][i] == s == sums[-1][i] for i, s in enumerate(lattices)]
+        unit = [sums[i][i] == s == sums[-1][i] for i, s in enumerate(values)]
         flags = bytearray()
         for i, j, k in itertools.product(idx, idx, idx):
             flags.append(commutes[i][j]
-                         and spectra.spectrum_sum(sums[i][j], lattices[k])
-                         == spectra.spectrum_sum(lattices[i], sums[j][k])
+                         and spectra.spectrum_sum(sums[i][j], values[k])
+                         == spectra.spectrum_sum(values[i], sums[j][k])
                          and unit[i])
         return flags
 

@@ -146,7 +146,8 @@ def test_importtime_reports_every_layer_a_cold_cli_import_runs():
 
 
 # (argv, the layers the call runs beyond those the import runs): only a call
-# that reads a minimizer runs the kernel
+# that reads a minimizer runs the kernel, and a sweep refused by the verify
+# cell budget runs only ``verify``
 CALLS = [
     (["kfun", "keq", "5", "7"], {"kfun"}),
     (["kfun", "kk", "5", "7/2", "--format", "json"], {"kfun"}),
@@ -164,13 +165,18 @@ CALLS = [
     (["verify", "bounds-props", "--nmax", "3"], {"verify", "expr", "spectra", "bounds", "kfun"}),
     (["verify", "all", "--nmax", "3"],
      {"verify", "expr", "spectra", "bounds", "kfun", "oracles"}),
+    (["verify", "all", "--nmax", "200"], {"verify"}),
 ]
+REFUSED = [["verify", "all", "--nmax", "200"]]  # exit 1, the rest 0
 
 
 @pytest.mark.parametrize("argv, layers", CALLS, ids=["-".join(argv) for argv, _ in CALLS])
 def test_a_cli_call_runs_only_the_layers_it_uses(argv, layers):
+    code = int(argv in REFUSED)
     ran = ran_by("import contextlib, io\nfrom coisocap.cli import run\n"
-                 f"with contextlib.redirect_stdout(io.StringIO()):\n    assert run({argv!r}) == 0")
+                 "with contextlib.redirect_stdout(io.StringIO()),"
+                 " contextlib.redirect_stderr(io.StringIO()):\n"
+                 f"    assert run({argv!r}) == {code}")
     # the layers it does not use are registered still, and not run
     assert set(ran.stdout.split()) == CLI_IMPORT_RUNS | layers | unrun(REGISTERED - layers)
 
